@@ -13,53 +13,34 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import families
 from .cocycle import CocycleData, common_solution, cartan_reduce, reconstruct_g1
-from .errors import ConfigError, TwisteqError
+from .errors import ConfigError, MissingParams, TwisteqError
 from .families import Terms, family_member, flow_rhs, make_terms, min_power, sample_terms, scale_terms
-from .grid import DECAY_TOL, LogGrid, base_norm, lin_comb, make_log_grid, weighted_norm
+from .grid import LogGrid, base_norm, lin_comb, make_log_grid, weighted_norm
 from .mellin import (
     derivative_rule_defect,
+    line_energy,
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
 )
 from .reps import ModelRepParams
 from .solver import (
+    divide_line,
     estimate_sweep,
     project_obstruction,
     residual,
     solve_mellin,
     solve_semigroup,
-)
-
-SUITES = (
-    "mellin-identities",
-    "solve",
-    "estimate-sweep",
-    "obstruction-scan",
-    "cocycle",
-    "perturbation-sweep",
-)
-
-CSV_COLUMNS = (
-    "suite",
-    "case_id",
-    "function",
-    "quantity",
-    "params",
-    "value",
-    "bound",
-    "direction",
-    "passed",
-    "flags",
 )
 
 
@@ -89,7 +70,6 @@ class ExperimentConfig:
     cocycle_m1: float = 0.0
     scan_x_max: tuple[float, ...] = (8.0, 12.0, 16.0)
     strict: bool = False
-    jobs: int = 1
 
     def grid(self) -> LogGrid:
         return make_log_grid(self.n_points, self.x_min, self.x_max)
@@ -117,16 +97,8 @@ class ExperimentConfig:
         return tuple(cases)
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_optional_float(text: str) -> float | None:
     return None if text == "" else float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 
 def _parse_sign(text: str) -> int:
@@ -166,35 +138,36 @@ def _parse_terms(text: str) -> Terms | None:
         if len(parts) != 3:
             raise ValueError("each term needs coefficient,power,rate")
         triples.append((complex(parts[0]), int(parts[1]), float(parts[2])))
-    return make_terms(triples)
+    terms = make_terms(triples)
+    min_power(terms)  # rejects all-zero coefficients
+    return terms
 
 
 _KEYS = {
     "suite": ("suite", _parse_suite),
-    "grid.n_points": ("n_points", _parse_int),
-    "grid.x_min": ("x_min", _parse_float),
-    "grid.x_max": ("x_max", _parse_float),
+    "grid.n_points": ("n_points", int),
+    "grid.x_min": ("x_min", float),
+    "grid.x_max": ("x_max", float),
     "rep.sigma": ("sigma", _parse_sign),
-    "rep.lambda1": ("lambda1", _parse_float),
+    "rep.lambda1": ("lambda1", float),
     "rep.lambda2": ("lambda2", _parse_optional_float),
     "rep.s0": ("s0", _parse_optional_float),
-    "twist.m": ("m", _parse_float),
-    "regularity.s": ("s", _parse_float),
+    "twist.m": ("m", float),
+    "regularity.s": ("s", float),
     "t_grid": ("t_grid", _parse_floats),
     "lines": ("lines", _parse_floats),
     "family": ("family", str),
     "function": ("function", _parse_terms),
-    "tol.decay": ("decay_tol", _parse_float),
-    "tol.obstruction": ("obstruction_tol", _parse_float),
-    "tol.eps_pole": ("eps_pole", _parse_float),
+    "tol.decay": ("decay_tol", float),
+    "tol.obstruction": ("obstruction_tol", float),
+    "tol.eps_pole": ("eps_pole", float),
     "out.dir": ("out_dir", str),
-    "sweep.delta": ("sweep_delta", _parse_float),
-    "sweep.steps": ("sweep_steps", _parse_int),
-    "cocycle.v": ("cocycle_v", _parse_float),
-    "cocycle.m1": ("cocycle_m1", _parse_float),
+    "sweep.delta": ("sweep_delta", float),
+    "sweep.steps": ("sweep_steps", int),
+    "cocycle.v": ("cocycle_v", float),
+    "cocycle.m1": ("cocycle_m1", float),
     "scan.x_max": ("scan_x_max", _parse_floats),
     "strict": ("strict", _parse_bool),
-    "jobs": ("jobs", _parse_int),
 }
 
 
@@ -226,10 +199,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.suite not in SUITES:
-        raise ConfigError(f"suite: must be one of {', '.join(SUITES)}")
     if cfg.n_points < 16:
         raise ConfigError(f"grid.n_points: must be >= 16, got {cfg.n_points}")
+    if not (math.isfinite(cfg.x_min) and math.isfinite(cfg.x_max)):
+        raise ConfigError("grid.x_min, grid.x_max: must be finite")
     if not cfg.x_min < cfg.x_max:
         raise ConfigError("grid.x_min: must be below grid.x_max")
     for name, tol in (
@@ -239,10 +212,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     ):
         if not tol > 0:
             raise ConfigError(f"{name}: must be positive, got {tol}")
-    if not cfg.m > 0:
-        raise ConfigError(f"twist.m: must be positive, got {cfg.m}")
-    if cfg.lambda1 == 0:
-        raise ConfigError("rep.lambda1: must be nonzero")
+    try:
+        cfg.rep()  # twist and representation parameters
+    except MissingParams as exc:
+        raise ConfigError(f"rep: {exc}") from exc
     if cfg.suite == "perturbation-sweep":
         if cfg.sweep_delta < 0 or cfg.sweep_delta >= cfg.m / 2.0:
             raise ConfigError(
@@ -253,8 +226,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("sweep.steps: must be >= 1")
     if cfg.suite == "cocycle" and cfg.cocycle_v == 0:
         raise ConfigError("cocycle.v: must be nonzero")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs: must be >= 1")
 
 
 @dataclass
@@ -271,346 +242,261 @@ class ReportRow:
     flags: str = ""
 
 
-def _row(
-    suite: str,
-    case_id: int,
-    function: str,
-    quantity: str,
-    params: str,
-    value: float,
-    bound: float | None,
-    direction: str = "<=",
-    flags: str = "",
-) -> ReportRow:
-    if bound is None:
+class Check(NamedTuple):
+    """One measured quantity of a case; run_suite adds suite, case and function."""
+
+    quantity: str
+    params: str
+    value: float
+    bound: float | None
+    direction: str = "<="
+    flags: str = ""
+    function: str | None = None  # names the input when a case covers several
+
+
+def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> ReportRow:
+    value = float(check.value)
+    flags = check.flags
+    if not math.isfinite(value):
+        flags = f"{flags};non-finite" if flags else "non-finite"
+    if check.bound is None:
         passed = True
-    elif direction == "<=":
-        passed = bool(value <= bound)
+    elif check.direction == "<=":
+        passed = value <= check.bound
     else:
-        passed = bool(value >= bound)
+        passed = value >= check.bound
     return ReportRow(
-        suite, case_id, function, quantity, params, float(value), bound, direction, passed, flags
-    )
-
-
-def _error_row(suite: str, case_id: int, function: str, exc: TwisteqError) -> ReportRow:
-    return ReportRow(
-        suite,
-        case_id,
-        function,
-        quantity="error",
-        params="",
-        value=float("nan"),
-        bound=None,
-        direction="<=",
-        passed=False,
-        flags=f"{type(exc).__name__}: {exc}",
+        cfg.suite, case_id, check.function or function, check.quantity, check.params,
+        value, check.bound, check.direction, passed and not (cfg.strict and flags), flags,
     )
 
 
 PlotData = dict[str, tuple[tuple[str, ...], np.ndarray]]
+Case = tuple[str, Any]  # (function name, inputs of the case's checks)
 
 
-def _map_cases(cfg: ExperimentConfig, worker, items):
-    """Ordered map over independent cases, optionally on a thread pool."""
-    if cfg.jobs == 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(worker, items))
-
-
-def run_mellin_identities(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
+def _mellin_cases(cfg: ExperimentConfig) -> list[Case]:
     grid = cfg.grid()
-
-    def worker(case):
-        case_id, (name, terms) = case
-        try:
-            f = sample_terms(terms, grid)
-            k = min_power(terms)
-            shift = -min(k, 2) / 4.0
-            rows = [
-                _row(cfg.suite, case_id, name, "parseval_defect", "", parseval_defect(f), 1e-8)
-            ]
-            for a in (0.0, shift):
-                line = mellin_line(f, a)
-                back = mellin_inverse_line(line, grid)
-                err = base_norm(lin_comb(1.0, back, -1.0, f)) / base_norm(f)
-                rows.append(
-                    _row(cfg.suite, case_id, name, "roundtrip_rel_err", f"a={a:g}", err, 1e-8)
-                )
-                rows.append(
-                    _row(
-                        cfg.suite, case_id, name, "derivative_rule_defect", f"a={a:g}",
-                        derivative_rule_defect(f, a), 1e-6,
-                    )
-                )
-            b = 0.3
-            fb = f.with_values(f.values * np.exp(b * grid.x))
-            la = mellin_line(fb, shift)
-            lb = mellin_line(f, shift - b)
-            num = float(np.abs(la.values - lb.values).max())
-            den = float(np.abs(lb.values).max())
-            rows.append(
-                _row(
-                    cfg.suite, case_id, name, "shift_law_rel_err", f"a={shift:g};b={b:g}",
-                    num / den if den > 0 else num, 1e-10,
-                )
-            )
-            return rows
-        except TwisteqError as exc:
-            return [_error_row(cfg.suite, case_id, name, exc)]
-
-    results = _map_cases(cfg, worker, list(enumerate(cfg.cases())))
-    return [row for rows in results for row in rows], {}
+    return [(name, (grid, terms)) for name, terms in cfg.cases()]
 
 
-def _projected_input(terms: Terms, grid: LogGrid, p: ModelRepParams, decay_tol: float = DECAY_TOL):
-    """Obstruction-free version of the sampled terms.
+def _mellin_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
+    grid, terms = case
+    f = sample_terms(terms, grid)
+    k = min_power(terms)
+    shift = -min(k, 2) / 4.0
+    checks = [Check("parseval_defect", "", parseval_defect(f), 1e-8)]
+    for a in (0.0, shift):
+        line = mellin_line(f, a)
+        back = mellin_inverse_line(line, grid)
+        err = base_norm(lin_comb(1.0, back, -1.0, f)) / base_norm(f)
+        checks.append(Check("roundtrip_rel_err", f"a={a:g}", err, 1e-8))
+        checks.append(
+            Check("derivative_rule_defect", f"a={a:g}", derivative_rule_defect(f, a), 1e-6)
+        )
+    b = 0.3
+    fb = f.with_values(f.values * np.exp(b * grid.x))
+    la = mellin_line(fb, shift)
+    lb = mellin_line(f, shift - b)
+    num = float(np.abs(la.values - lb.values).max())
+    den = float(np.abs(lb.values).max())
+    checks.append(
+        Check("shift_law_rel_err", f"a={shift:g};b={b:g}", num / den if den > 0 else num, 1e-10)
+    )
+    return checks
 
-    The bump is a pure r^k e^{-2r} term with k above both the data's leading
-    power and the twist depth, so it is independent of the input and carries
-    a nonzero obstruction.
-    """
-    g = sample_terms(terms, grid)
-    bump_k = max(min_power(terms) + 1, int(np.ceil(p.m)) + 1)
-    bump = sample_terms(make_terms([(1.0, bump_k, 2.0)]), grid)
-    return project_obstruction(g, p, bump, decay_tol=decay_tol)
 
-
-def run_solve(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
-    grid = cfg.grid()
-    p = cfg.rep()
-    plot: PlotData = {}
-
+def _solve_cases(cfg: ExperimentConfig) -> list[Case]:
     # Each member is solved raw (obstruction reported; solution decays only
     # like r^m, so the solve stays on Re z = 0) and, when its regularity
     # allows, also with the obstruction projected out and the full line set.
-    cases: list[tuple[str, Terms, bool]] = []
+    grid = cfg.grid()
+    p = cfg.rep()
+    cases: list[Case] = []
     for name, terms in cfg.cases():
-        cases.append((name, terms, False))
+        cases.append((name, (grid, p, terms, False)))
         if min_power(terms) > cfg.m:
-            cases.append((f"{name}-projected", terms, True))
+            cases.append((f"{name}-projected", (grid, p, terms, True)))
+    return cases
 
-    def worker(case):
-        case_id, (fun, terms, project) = case
-        params = f"m={cfg.m:g};lambda1={cfg.lambda1:g}"
-        try:
-            if project:
-                g = _projected_input(terms, grid, p, cfg.decay_tol)
-                lines = cfg.lines
-            else:
-                g = sample_terms(terms, grid)
-                lines = (0.0,)
-            report = solve_mellin(
-                g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid,
-                eps_pole=cfg.eps_pole, obstruction_tol=cfg.obstruction_tol,
-                decay_tol=cfg.decay_tol,
-            )
-            oracle = solve_semigroup(g, cfg.m)
-            diff = base_norm(lin_comb(1.0, report.solution, -1.0, oracle))
-            oracle_n = base_norm(oracle)
-            agreement = diff / oracle_n if oracle_n > 0 else diff
-            flags = ";".join(report.flags)
-            rows = [
-                _row(cfg.suite, case_id, fun, "residual_mellin", params, report.residual, 1e-6, flags=flags),
-                _row(cfg.suite, case_id, fun, "residual_semigroup", params, residual(oracle, g, cfg.m), 1e-6),
-                _row(cfg.suite, case_id, fun, "oracle_agreement", params, agreement, 1e-6),
-                _row(cfg.suite, case_id, fun, "base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
-                _row(cfg.suite, case_id, fun, "coincidence_defect", params, report.coincidence_defect, 1e-6),
-                _row(cfg.suite, case_id, fun, "obstruction_abs", params, abs(report.obstruction), None),
-            ]
-            for entry in report.weighted_norms:
-                rows.append(
-                    _row(
-                        cfg.suite, case_id, fun, "weighted_norm",
-                        params + f";t={entry.t:g};class={entry.bound_class}",
-                        entry.value, None,
-                        flags="" if entry.admissible else "not-admissible",
-                    )
-                )
-            return rows
-        except TwisteqError as exc:
-            return [_error_row(cfg.suite, case_id, fun, exc)]
 
-    results = _map_cases(cfg, worker, list(enumerate(cases)))
-    rows = [row for rs in results for row in rs]
+def _solve_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
+    grid, p, terms, project = case
+    params = f"m={cfg.m:g};lambda1={cfg.lambda1:g}"
+    g = sample_terms(terms, grid)
+    lines = (0.0,)
+    if project:
+        # The bump is a pure r^k e^{-2r} term with k above both the data's
+        # leading power and the twist depth, so it is independent of the
+        # input and carries a nonzero obstruction.
+        bump_k = max(min_power(terms) + 1, int(np.ceil(p.m)) + 1)
+        bump = sample_terms(make_terms([(1.0, bump_k, 2.0)]), grid)
+        g = project_obstruction(g, p, bump, decay_tol=cfg.decay_tol)
+        lines = cfg.lines
+    report = solve_mellin(
+        g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid,
+        eps_pole=cfg.eps_pole, obstruction_tol=cfg.obstruction_tol,
+        decay_tol=cfg.decay_tol,
+    )
+    oracle = solve_semigroup(g, cfg.m)
+    diff = base_norm(lin_comb(1.0, report.solution, -1.0, oracle))
+    oracle_n = base_norm(oracle)
+    agreement = diff / oracle_n if oracle_n > 0 else diff
+    flags = ";".join(report.flags)
+    checks = [
+        Check("residual_mellin", params, report.residual, 1e-6, flags=flags),
+        Check("residual_semigroup", params, residual(oracle, g, cfg.m), 1e-6),
+        Check("oracle_agreement", params, agreement, 1e-6),
+        Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
+        Check("coincidence_defect", params, report.coincidence_defect, 1e-6),
+        Check("obstruction_abs", params, abs(report.obstruction), None),
+    ]
+    for entry in report.weighted_norms:
+        norm_params = params + f";t={entry.t:g};class={entry.bound_class}"
+        norm_flags = "" if entry.admissible else "not-admissible"
+        checks.append(Check("weighted_norm", norm_params, entry.value, None, flags=norm_flags))
+    return checks
 
+
+def _solve_finish(
+    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
+) -> list[Check]:
     # Line-energy profile of the divided transform for the first case.
-    name, terms = cfg.cases()[0]
+    name, (grid, _, terms, _) = cases[0]
     try:
         g = sample_terms(terms, grid)
         a_grid = np.linspace(-cfg.m - 0.9, 0.0, 41)
-        energies = []
-        for a in a_grid:
-            gl = mellin_line(g, float(a))
-            z = gl.a + 1j * gl.t_samples
-            ratio = gl.values / (cfg.m + z)
-            dt = gl.t_samples[1] - gl.t_samples[0]
-            energies.append(float(np.sum(np.abs(ratio) ** 2) * dt))
+        energies = [  # a = -m puts the pole on the line
+            line_energy(divide_line(mellin_line(g, float(a)), cfg.m)) if a != -cfg.m else np.inf
+            for a in a_grid
+        ]
         plot[f"line_profile_{name}"] = (
             ("a", "divided_line_energy"),
             np.column_stack([a_grid, energies]),
         )
     except TwisteqError:
         pass
-    return rows, plot
+    return []
 
 
-def run_estimate_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
+def _estimate_cases(cfg: ExperimentConfig) -> list[Case]:
     p = cfg.rep()
     grids = (cfg.grid(), make_log_grid(2 * cfg.n_points, cfg.x_min, cfg.x_max))
-    plot: PlotData = {}
-
-    def worker(case):
-        case_id, (name, terms) = case
-        rows = []
-        if cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1:
-            return [
-                _row(
-                    cfg.suite, case_id, name, "skipped", f"s={cfg.s:g}", 0.0, None,
-                    flags=f"regularity below s={cfg.s:g} for lambda1={cfg.lambda1:g}",
-                )
-            ]
-        try:
-            ratios: dict[float, list[float]] = {}
-            curves = []
-            for grid in grids:
-                g = sample_terms(terms, grid)
-                sweep = estimate_sweep(g, p, cfg.s, cfg.t_grid, decay_tol=cfg.decay_tol)
-                for entry in sweep:
-                    ratios.setdefault(entry.t, []).append(entry.ratio)
-                curves.append(sweep)
-            for entry in curves[0]:
-                params = (
-                    f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
-                )
-                rows.append(
-                    _row(
-                        cfg.suite, case_id, name, "estimate_ratio", params, entry.ratio, None,
-                        flags="" if entry.admissible else "not-admissible",
-                    )
-                )
-                pair = ratios[entry.t]
-                spread = max(pair) / min(pair) if min(pair) > 0 else float("inf")
-                rows.append(
-                    _row(cfg.suite, case_id, name, "ratio_refinement_spread", params, spread, 2.0)
-                )
-            table = np.column_stack(
-                [[e.t for e in curves[0]], [e.lhs for e in curves[0]], [e.ratio for e in curves[0]]]
-            )
-            plot[f"estimate_curve_{name}"] = (("t", "weighted_norm", "ratio"), table)
-            return rows
-        except TwisteqError as exc:
-            return [_error_row(cfg.suite, case_id, name, exc)]
-
-    results = _map_cases(cfg, worker, list(enumerate(cfg.cases())))
-    return [row for rs in results for row in rs], plot
+    return [(name, (p, grids, terms)) for name, terms in cfg.cases()]
 
 
-def run_obstruction_scan(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
-    rows: list[ReportRow] = []
-    plot: PlotData = {}
-    h_target = cfg.grid().h
+def _estimate_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
+    p, grids, terms = case
+    if cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1:
+        flags = f"regularity below s={cfg.s:g} for lambda1={cfg.lambda1:g}"
+        return [Check("skipped", f"s={cfg.s:g}", 0.0, None, flags=flags)]
+    curves = []
+    for grid in grids:
+        g = sample_terms(terms, grid)
+        curves.append(estimate_sweep(g, p, cfg.s, cfg.t_grid, decay_tol=cfg.decay_tol))
+    checks = []
+    for entry, refined in zip(*curves):
+        params = f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
+        flags = "" if entry.admissible else "not-admissible"
+        checks.append(Check("estimate_ratio", params, entry.ratio, None, flags=flags))
+        pair = (entry.ratio, refined.ratio)
+        spread = max(pair) / min(pair) if min(pair) > 0 else float("inf")
+        checks.append(Check("ratio_refinement_spread", params, spread, 2.0))
+    table = np.column_stack(
+        [[e.t for e in curves[0]], [e.lhs for e in curves[0]], [e.ratio for e in curves[0]]]
+    )
+    plot[f"estimate_curve_{name}"] = (("t", "weighted_norm", "ratio"), table)
+    return checks
+
+
+def _scan_cases(cfg: ExperimentConfig) -> list[Case]:
     terms = cfg.function if cfg.function is not None else family_member("r2_exp")
-    bump_terms = make_terms([(1.0, min_power(terms), 2.0)])
+    return [("obstructed", (terms, False)), ("projected", (terms, True))]
 
-    energies: dict[str, list[float]] = {"obstructed": [], "projected": []}
+
+def _scan_checks(cfg: ExperimentConfig, label: str, case, plot: PlotData) -> list[Check]:
+    terms, project = case
+    h_target = cfg.grid().h
+    bump_terms = make_terms([(1.0, min_power(terms), 2.0)])
+    p = cfg.rep()
+    series = []
     for x_max in cfg.scan_x_max:
         n = int(round((x_max - cfg.x_min) / h_target)) + 1
         grid = make_log_grid(n, cfg.x_min, x_max)
-        p = cfg.rep()
-        g_obs = sample_terms(terms, grid)
-        g_proj = project_obstruction(
-            g_obs, p, sample_terms(bump_terms, grid), decay_tol=cfg.decay_tol
-        )
-        for label, g in (("obstructed", g_obs), ("projected", g_proj)):
-            report = solve_mellin(g, p, lines=(0.0,))
-            energies[label].append(weighted_norm(report.solution, cfg.m) ** 2)
+        g = sample_terms(terms, grid)
+        if project:
+            g = project_obstruction(g, p, sample_terms(bump_terms, grid), decay_tol=cfg.decay_tol)
+        report = solve_mellin(g, p, lines=(0.0,))
+        series.append(weighted_norm(report.solution, cfg.m) ** 2)
 
-    case_id = 0
-    for label, series in energies.items():
-        params_base = f"m={cfg.m:g};x_min={cfg.x_min:g}"
-        for x_max, value in zip(cfg.scan_x_max, series):
-            rows.append(
-                _row(
-                    cfg.suite, case_id, label, "weighted_energy",
-                    params_base + f";x_max={x_max:g}", value, None,
-                )
-            )
-        for i in range(len(series) - 1):
-            growth = series[i + 1] / series[i]
-            params = params_base + f";step={cfg.scan_x_max[i]:g}->{cfg.scan_x_max[i+1]:g}"
-            if label == "obstructed":
-                rows.append(
-                    _row(cfg.suite, case_id, label, "energy_growth", params, growth, 1.2, ">=")
-                )
-            else:
-                rows.append(
-                    _row(cfg.suite, case_id, label, "energy_drift", params, abs(growth - 1.0), 0.01)
-                )
-        case_id += 1
-
-    scan = np.column_stack(
-        [list(cfg.scan_x_max), energies["obstructed"], energies["projected"]]
-    )
-    plot["weighted_energy_scan"] = (("x_max", "obstructed", "projected"), scan)
-    return rows, plot
+    params_base = f"m={cfg.m:g};x_min={cfg.x_min:g}"
+    checks = [
+        Check("weighted_energy", params_base + f";x_max={x_max:g}", value, None)
+        for x_max, value in zip(cfg.scan_x_max, series)
+    ]
+    for i in range(len(series) - 1):
+        growth = series[i + 1] / series[i]
+        params = params_base + f";step={cfg.scan_x_max[i]:g}->{cfg.scan_x_max[i+1]:g}"
+        if project:
+            checks.append(Check("energy_drift", params, abs(growth - 1.0), 0.01))
+        else:
+            checks.append(Check("energy_growth", params, growth, 1.2, ">="))
+    return checks
 
 
-def _cocycle_datasets(cfg: ExperimentConfig) -> tuple[tuple[str, Terms, float, float], ...]:
-    """(name, solution terms, v, m1) per constructed compatible dataset."""
-    return (
-        ("h=r*exp(-r)", make_terms([(1.0, 1, 1.0)]), cfg.cocycle_v, cfg.cocycle_m1),
-        ("h=r2*exp(-2r)", make_terms([(1.0, 2, 2.0)]), 2.0, 1.0),
-        ("h=mix", make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), -1.5, 0.5),
-    )
+def _scan_finish(
+    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
+) -> list[Check]:
+    series = [
+        [row.value for row in rows if row.function == label and row.quantity == "weighted_energy"]
+        for label, _ in cases
+    ]
+    if all(len(values) == len(cfg.scan_x_max) for values in series):
+        scan = np.column_stack([list(cfg.scan_x_max), *series])
+        plot["weighted_energy_scan"] = (("x_max", "obstructed", "projected"), scan)
+    return []
 
 
-def run_cocycle(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
+def _cocycle_cases(cfg: ExperimentConfig) -> list[Case]:
+    """One constructed compatible dataset per known solution h: (h, v, m1)."""
     grid = cfg.grid()
     p = cfg.rep()
-
-    def worker(case):
-        case_id, (name, h_terms, v, m1) = case
-        params = f"m={cfg.m:g};v={v:g};m1={m1:g}"
-        try:
-            character = complex(m1, v)
-            g1 = sample_terms(scale_terms(character, h_terms), grid)
-            g2 = sample_terms(flow_rhs(h_terms, cfg.m), grid)
-            data = CocycleData(g1, g2, v=v, m1=m1, p=p)
-            report = common_solution(
-                data, obstruction_tol=cfg.obstruction_tol, decay_tol=cfg.decay_tol
-            )
-            h_exact = sample_terms(h_terms, grid)
-            match = base_norm(lin_comb(1.0, report.solution, -1.0, h_exact)) / base_norm(h_exact)
-            flags = ";".join(report.flags)
-            rows = [
-                _row(cfg.suite, case_id, name, "compatibility_defect", params,
-                     report.compatibility_defect, 1e-7),
-                _row(cfg.suite, case_id, name, "residual_flow", params, report.residual_flow, 1e-6, flags=flags),
-                _row(cfg.suite, case_id, name, "residual_character", params, report.residual_character, 1e-6),
-                _row(cfg.suite, case_id, name, "solution_match", params, match, 1e-6),
-                _row(cfg.suite, case_id, name, "base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
-            ]
-            red = cartan_reduce(g1, g2, lam=2.0, phi_x=1.0, m=cfg.m, m1=m1)
-            recon = reconstruct_g1(red)
-            err = float(np.abs(recon.values - g1.values).max())
-            scale = float(np.abs(g1.values).max())
-            rows.append(
-                _row(cfg.suite, case_id, name, "cartan_roundtrip", params,
-                     err / scale if scale else err, 1e-14)
-            )
-            return rows
-        except TwisteqError as exc:
-            return [_error_row(cfg.suite, case_id, name, exc)]
-
-    results = _map_cases(cfg, worker, list(enumerate(_cocycle_datasets(cfg))))
-    return [row for rs in results for row in rs], {}
+    return [
+        ("h=r*exp(-r)", (grid, p, make_terms([(1.0, 1, 1.0)]), cfg.cocycle_v, cfg.cocycle_m1)),
+        ("h=r2*exp(-2r)", (grid, p, make_terms([(1.0, 2, 2.0)]), 2.0, 1.0)),
+        ("h=mix", (grid, p, make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), -1.5, 0.5)),
+    ]
 
 
-def run_perturbation_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
+def _cocycle_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
+    grid, p, h_terms, v, m1 = case
+    params = f"m={cfg.m:g};v={v:g};m1={m1:g}"
+    character = complex(m1, v)
+    g1 = sample_terms(scale_terms(character, h_terms), grid)
+    g2 = sample_terms(flow_rhs(h_terms, cfg.m), grid)
+    data = CocycleData(g1, g2, v=v, m1=m1, p=p)
+    report = common_solution(data, obstruction_tol=cfg.obstruction_tol, decay_tol=cfg.decay_tol)
+    h_exact = sample_terms(h_terms, grid)
+    match = base_norm(lin_comb(1.0, report.solution, -1.0, h_exact)) / base_norm(h_exact)
+    flags = ";".join(report.flags)
+    checks = [
+        Check("compatibility_defect", params, report.compatibility_defect, 1e-7),
+        Check("residual_flow", params, report.residual_flow, 1e-6, flags=flags),
+        Check("residual_character", params, report.residual_character, 1e-6),
+        Check("solution_match", params, match, 1e-6),
+        Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
+    ]
+    red = cartan_reduce(g1, g2, lam=2.0, phi_x=1.0, m=cfg.m, m1=m1)
+    recon = reconstruct_g1(red)
+    err = float(np.abs(recon.values - g1.values).max())
+    scale = float(np.abs(g1.values).max())
+    checks.append(Check("cartan_roundtrip", params, err / scale if scale else err, 1e-14))
+    return checks
+
+
+def _sweep_cases(cfg: ExperimentConfig) -> list[Case]:
     grid = cfg.grid()
-    m0, lam0 = cfg.m, cfg.lambda1
+    inputs = cfg.cases()
     steps = cfg.sweep_steps
     # Tensor grid over [-delta/2, delta/2] per axis keeps every point inside
     # the L1 ball |d lambda| + |d m| <= delta.
@@ -619,53 +505,79 @@ def run_perturbation_sweep(cfg: ExperimentConfig) -> tuple[list[ReportRow], Plot
         if steps > 1
         else np.array([0.0])
     )
-    points = [(lam0 + dl, m0 + dm) for dl in offsets for dm in offsets]
-
-    def worker(case):
-        case_id, (lam, m) = case
-        params = f"m={m:.6g};lambda1={lam:.6g}"
-        rows = []
-        try:
-            p = cfg.rep(m=m, lambda1=lam)
-            ratios = []
-            for name, terms in cfg.cases():
-                g = sample_terms(terms, grid)
-                report = solve_mellin(g, p, lines=(0.0,))
-                ratios.append((name, report.base_norm_ratio, report.residual))
-            for name, ratio, res in ratios:
-                rows.append(
-                    _row(cfg.suite, case_id, name, "base_norm_ratio", params, ratio, 1.0 + 1e-8)
-                )
-                # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1
-                rows.append(
-                    _row(cfg.suite, case_id, name, "uniform_bound_ratio", params,
-                         ratio * m0 / (2.0 * m), 1.0)
-                )
-                rows.append(_row(cfg.suite, case_id, name, "residual_mellin", params, res, 1e-6))
-            return rows
-        except TwisteqError as exc:
-            return [_error_row(cfg.suite, case_id, f"({lam:g},{m:g})", exc)]
-
-    results = _map_cases(cfg, worker, list(enumerate(points)))
-    rows = [row for rs in results for row in rs]
-    spread = max(row.value for row in rows if row.quantity == "base_norm_ratio") - min(
-        row.value for row in rows if row.quantity == "base_norm_ratio"
-    )
-    rows.append(
-        _row(cfg.suite, len(points), "summary", "base_norm_ratio_spread",
-             f"delta={cfg.sweep_delta:g}", spread, None)
-    )
-    return rows, {}
+    points = [(cfg.lambda1 + dl, cfg.m + dm) for dl in offsets for dm in offsets]
+    return [(f"({lam:g},{m:g})", (grid, inputs, lam, m)) for lam, m in points]
 
 
-_RUNNERS = {
-    "mellin-identities": run_mellin_identities,
-    "solve": run_solve,
-    "estimate-sweep": run_estimate_sweep,
-    "obstruction-scan": run_obstruction_scan,
-    "cocycle": run_cocycle,
-    "perturbation-sweep": run_perturbation_sweep,
+def _sweep_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
+    grid, inputs, lam, m = case
+    params = f"m={m:.6g};lambda1={lam:.6g}"
+    p = cfg.rep(m=m, lambda1=lam)
+    checks = []
+    for fun, terms in inputs:
+        g = sample_terms(terms, grid)
+        report = solve_mellin(g, p, lines=(0.0,))
+        ratio = report.base_norm_ratio
+        checks += [
+            Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),
+            # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1
+            Check("uniform_bound_ratio", params, ratio * cfg.m / (2.0 * m), 1.0, function=fun),
+            Check("residual_mellin", params, report.residual, 1e-6, function=fun),
+        ]
+    return checks
+
+
+def _sweep_finish(
+    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
+) -> list[Check]:
+    ratios = [row.value for row in rows if row.quantity == "base_norm_ratio"]
+    if not ratios:
+        return []
+    spread = max(ratios) - min(ratios)
+    return [Check("base_norm_ratio_spread", f"delta={cfg.sweep_delta:g}", spread, None)]
+
+
+# suite -> (cases, checks of one case, finish or None); see run_suite.
+_SUITES = {
+    "mellin-identities": (_mellin_cases, _mellin_checks, None),
+    "solve": (_solve_cases, _solve_checks, _solve_finish),
+    "estimate-sweep": (_estimate_cases, _estimate_checks, None),
+    "obstruction-scan": (_scan_cases, _scan_checks, _scan_finish),
+    "cocycle": (_cocycle_cases, _cocycle_checks, None),
+    "perturbation-sweep": (_sweep_cases, _sweep_checks, _sweep_finish),
 }
+SUITES = tuple(_SUITES)
+
+
+def run_suite(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
+    """Run every case of the configured suite.
+
+    `cases(cfg)` lists (function name, inputs) pairs; `checks(cfg, name,
+    inputs, plot)` measures one case and may add plot tables.  A module error
+    inside a case becomes that case's single failing `error` row, and the
+    other cases still run.  The optional `finish(cfg, cases, rows, plot)`
+    sees every row; its checks are reported as one more case, "summary".
+    """
+    cases_of, checks_of, finish = _SUITES[cfg.suite]
+    cases = cases_of(cfg)
+    rows: list[ReportRow] = []
+    plot: PlotData = {}
+    for case_id, (name, case) in enumerate(cases):
+        try:
+            checks = checks_of(cfg, name, case, plot)
+        except TwisteqError as exc:
+            rows.append(
+                ReportRow(
+                    cfg.suite, case_id, name, "error", "", float("nan"), None, "<=", False,
+                    f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        rows.extend(_row(cfg, case_id, name, check) for check in checks)
+    if finish is not None:
+        checks = finish(cfg, cases, rows, plot)
+        rows.extend(_row(cfg, len(cases), "summary", check) for check in checks)
+    return rows, plot
 
 
 def _format_value(value: float | None) -> str:
@@ -678,26 +590,13 @@ def write_reports(
     rows: list[ReportRow], plot: PlotData, cfg: ExperimentConfig, out_dir: Path
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{cfg.suite}.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.suite,
-                    row.case_id,
-                    row.function,
-                    row.quantity,
-                    row.params,
-                    _format_value(row.value),
-                    _format_value(row.bound),
-                    row.direction,
-                    "pass" if row.passed else "fail",
-                    row.flags,
-                ]
-            )
-    json_path = out_dir / f"{cfg.suite}.json"
+    records = [vars(row) for row in rows]  # asdict would deep-copy every row
+    with (out_dir / f"{cfg.suite}.csv").open("w", newline="") as handle:
+        writer = csv.DictWriter(handle, [f.name for f in fields(ReportRow)], lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            cells = {key: _format_value(record[key]) for key in ("value", "bound")}
+            writer.writerow(record | cells | {"passed": "pass" if record["passed"] else "fail"})
 
     def _jsonable(value: float | None) -> float | None:
         if value is None or not np.isfinite(value):
@@ -708,22 +607,10 @@ def write_reports(
         "suite": cfg.suite,
         "grid": {"n_points": cfg.n_points, "x_min": cfg.x_min, "x_max": cfg.x_max},
         "rows": [
-            {
-                "suite": row.suite,
-                "case_id": row.case_id,
-                "function": row.function,
-                "quantity": row.quantity,
-                "params": row.params,
-                "value": _jsonable(row.value),
-                "bound": _jsonable(row.bound),
-                "direction": row.direction,
-                "passed": row.passed,
-                "flags": row.flags,
-            }
-            for row in rows
+            record | {key: _jsonable(record[key]) for key in ("value", "bound")} for record in records
         ],
     }
-    json_path.write_text(json.dumps(payload, indent=2) + "\n")
+    (out_dir / f"{cfg.suite}.json").write_text(json.dumps(payload, indent=2) + "\n")
     if plot:
         plot_dir = out_dir / "plots"
         plot_dir.mkdir(exist_ok=True)
@@ -736,12 +623,7 @@ def write_reports(
 
 
 def run(cfg: ExperimentConfig) -> int:
-    rows, plot = _RUNNERS[cfg.suite](cfg)
-    if cfg.strict:
-        rows = [
-            replace(row, passed=row.passed and not row.flags) if row.flags else row
-            for row in rows
-        ]
+    rows, plot = run_suite(cfg)
     write_reports(rows, plot, cfg, Path(cfg.out_dir))
     failed = [row for row in rows if not row.passed]
     total = len(rows)
@@ -769,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--strict", action="store_true", help="treat flagged (warned) rows as failures"
     )
-    runp.add_argument("--jobs", type=int, help="worker threads for independent cases")
     return parser
 
 
@@ -790,8 +671,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--grid: expected N,XMIN,XMAX, got {args.grid!r}") from exc
         if args.strict:
             cfg.strict = True
-        if args.jobs:
-            cfg.jobs = args.jobs
         validate_config(cfg)
         return run(cfg)
     except ConfigError as exc:

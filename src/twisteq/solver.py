@@ -161,11 +161,14 @@ def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
     return err / den
 
 
+def divide_line(g_line: MellinLine, m: float) -> MellinLine:
+    """The line of M(g, z)/(m + z): the transform of the solution along Re z = a."""
+    ratio = g_line.values / (m + g_line.a + 1j * g_line.t_samples)
+    return MellinLine(g_line.a, g_line.t_samples, ratio, g_line.admissible)
+
+
 def _invert_line(g_line: MellinLine, m: float, grid) -> HalfLineFunction:
-    z = g_line.a + 1j * g_line.t_samples
-    ratio = g_line.values / (m + z)
-    line = MellinLine(g_line.a, g_line.t_samples, ratio, g_line.admissible)
-    return mellin_inverse_line(line, grid)
+    return mellin_inverse_line(divide_line(g_line, m), grid)
 
 
 def solve_mellin(

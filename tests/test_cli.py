@@ -8,6 +8,7 @@ from twisteq.cli import main, parse_config
 from twisteq.errors import ConfigError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(path.stem for path in CONFIG_DIR.glob("*.cfg"))
 
 
 def write(tmp_path: Path, text: str) -> Path:
@@ -19,6 +20,21 @@ def write(tmp_path: Path, text: str) -> Path:
 def read_rows(out_dir: Path, suite: str) -> list[dict]:
     with (out_dir / f"{suite}.csv").open() as handle:
         return list(csv.DictReader(handle))
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """Runs a shipped config at most once per module; gives (exit code, out dir)."""
+    out = tmp_path_factory.mktemp("shipped")
+    results = {}
+
+    def run(stem: str) -> tuple[int, Path]:
+        if stem not in results:
+            args = ["run", str(CONFIG_DIR / f"{stem}.cfg"), "--out", str(out / stem)]
+            results[stem] = (main(args), out / stem)
+        return results[stem]
+
+    return run
 
 
 class TestConfigParsing:
@@ -94,6 +110,24 @@ class TestMainExitCodes:
     def test_bad_grid_override(self, tmp_path):
         path = write(tmp_path, "suite = solve\n")
         assert main(["run", str(path), "--grid", "banana"]) == 2
+        assert main(["run", str(path), "--grid", "4096,-inf,12"]) == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("suite = solve\nfunction = 0,2,1\n", "all coefficients vanish"),
+            ("suite = estimate-sweep\nfunction = 0,2,1\n", "all coefficients vanish"),
+            ("grid.x_min = -inf\n", "must be finite"),
+            ("rep.lambda2 = 1.5\n", "lambda2 must be given together"),
+        ],
+        ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
+             "unpaired-lambda2"],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, text, message):
+        # rejected while parsing, before any suite runs: no traceback
+        assert main(["run", str(write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +180,33 @@ class TestSolveSuiteReport:
         assert lines[0].startswith("# a\t")
         assert len(lines) == 42
 
+    def test_line_profile_through_pole(self, tmp_path):
+        # at m = 1.5 the profile grid hits a = -m, the pole of the divided line
+        path = write(
+            tmp_path,
+            "suite = solve\nfamily = none\nfunction = 1,3,1\nlines = 0\nt_grid = 0\n"
+            f"twist.m = 1.5\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 0
+        plot = tmp_path / "out" / "plots" / "solve_line_profile_inline.tsv"
+        assert "-1.5\tinf" in plot.read_text().splitlines()
+
+    def test_non_finite_value_flagged(self, tmp_path):
+        # r e^{-r} has no obstruction at m = 1 (k = m), so D(g) is NaN
+        path = write(
+            tmp_path,
+            "suite = solve\nfamily = none\nfunction = 1,1,1\nlines = 0\nt_grid = 0\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        main(["run", str(path)])
+        main(["run", str(path), "--strict", "--out", str(tmp_path / "strict")])
+        for out, verdict in ((tmp_path / "out", "pass"), (tmp_path / "strict", "fail")):
+            rows = read_rows(out, "solve")
+            (obs,) = [r for r in rows if r["quantity"] == "obstruction_abs"]
+            assert obs["value"] == "nan"
+            assert obs["flags"] == "non-finite"
+            assert obs["passed"] == verdict
+
     def test_deterministic_reports(self, run_dir, tmp_path):
         _, out_dir, cfg_path = run_dir
         rerun = tmp_path / "rerun"
@@ -155,9 +216,9 @@ class TestSolveSuiteReport:
 
 
 class TestPerturbationSweep:
-    def test_shipped_config_passes(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(CONFIG_DIR / "perturbation.cfg"), "--out", str(out)]) == 0
+    def test_shipped_config_passes(self, shipped):
+        code, out = shipped("perturbation")
+        assert code == 0
         rows = read_rows(out, "perturbation-sweep")
         ratios = [r for r in rows if r["quantity"] == "base_norm_ratio"]
         assert len(ratios) == 25 * 8  # 5x5 grid, 8 family members
@@ -197,19 +258,25 @@ class TestPerturbationSweep:
 
 
 class TestOtherSuites:
-    def test_mellin_suite(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(CONFIG_DIR / "mellin.cfg"), "--out", str(out)]) == 0
+    @pytest.mark.parametrize("stem", SHIPPED)
+    def test_shipped_config_exits_zero(self, shipped, stem):
+        assert shipped(stem)[0] == 0
 
-    def test_cocycle_suite(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(CONFIG_DIR / "cocycle.cfg"), "--out", str(out)]) == 0
+    def test_mellin_suite(self, shipped):
+        code, out = shipped("mellin")
+        assert code == 0
+        rows = read_rows(out, "mellin-identities")
+        assert len(rows) == 8 * 6  # 8 family members, 6 identities each
+
+    def test_cocycle_suite(self, shipped):
+        code, out = shipped("cocycle")
+        assert code == 0
         rows = read_rows(out, "cocycle")
         assert sum(r["quantity"] == "residual_flow" for r in rows) == 3
 
-    def test_obstruction_scan(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(CONFIG_DIR / "obstruction.cfg"), "--out", str(out)]) == 0
+    def test_obstruction_scan(self, shipped):
+        code, out = shipped("obstruction")
+        assert code == 0
         rows = read_rows(out, "obstruction-scan")
         growth = [r for r in rows if r["quantity"] == "energy_growth"]
         assert len(growth) == 2
@@ -217,9 +284,9 @@ class TestOtherSuites:
         drift = [r for r in rows if r["quantity"] == "energy_drift"]
         assert all(float(r["value"]) <= 0.01 for r in drift)
 
-    def test_estimate_suite(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", str(CONFIG_DIR / "estimate.cfg"), "--out", str(out)]) == 0
+    def test_estimate_suite(self, shipped):
+        code, out = shipped("estimate")
+        assert code == 0
         rows = read_rows(out, "estimate-sweep")
         spreads = [r for r in rows if r["quantity"] == "ratio_refinement_spread"]
         assert spreads and all(float(r["value"]) <= 2.0 for r in spreads)
@@ -249,31 +316,27 @@ class TestOtherSuites:
         assert main(["run", str(path), "--suite", "mellin-identities"]) == 0
         assert (tmp_path / "out" / "mellin-identities.csv").exists()
 
-    def test_parallel_jobs_deterministic(self, tmp_path):
-        path = write(
-            tmp_path,
-            "suite = solve\n"
-            "grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n"
-            "lines = 0, -0.5\nt_grid = 0\n"
-            f"out.dir = {tmp_path / 'seq'}\n",
-        )
-        assert main(["run", str(path)]) == 0
-        assert main(["run", str(path), "--jobs", "4", "--out", str(tmp_path / "par")]) == 0
-        assert (tmp_path / "seq" / "solve.csv").read_bytes() == (
-            tmp_path / "par" / "solve.csv"
-        ).read_bytes()
-
-    def test_module_error_becomes_failed_row(self, tmp_path):
-        # a line beyond the data's decay raises inside the case worker and
-        # must surface as a failing row, not a crash
-        path = write(
-            tmp_path,
-            "suite = solve\n"
-            "grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n"
-            "family = none\nfunction = 1,2,1\nlines = 0, -3.5\nt_grid = 0\n"
-            f"out.dir = {tmp_path / 'out'}\n",
-        )
+    @pytest.mark.parametrize(
+        "suite, text",
+        [
+            # a line beyond the data's decay
+            (
+                "solve",
+                "grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n"
+                "family = none\nfunction = 1,2,1\nlines = 0, -3.5\nt_grid = 0\n",
+            ),
+            # every point fails, so there is no spread to summarise
+            ("perturbation-sweep", "family = none\nfunction = 1,1,1e-6\nsweep.steps = 2\n"),
+            ("obstruction-scan", "function = 1,1,1e-6\n"),
+        ],
+        ids=["solve", "perturbation-sweep", "obstruction-scan"],
+    )
+    def test_module_error_becomes_failed_row(self, tmp_path, suite, text):
+        # data without the decay a case needs raises inside the case and must
+        # surface as a failing row, not a crash
+        path = write(tmp_path, f"suite = {suite}\n{text}out.dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 1
-        rows = read_rows(tmp_path / "out", "solve")
+        rows = read_rows(tmp_path / "out", suite)
         errors = [r for r in rows if r["quantity"] == "error"]
-        assert errors and "NotAdmissible" in errors[0]["flags"]
+        assert errors and all("NotAdmissible" in r["flags"] for r in errors)
+        assert all(r["passed"] == "fail" for r in errors)

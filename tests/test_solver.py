@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erfc
 
 from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
-from twisteq.families import FAMILY, family_member, make_terms, min_power, sample_terms
+from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import base_norm, lin_comb, make_log_grid, sample, weighted_norm
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight, fractional_weight_u2
 from twisteq.solver import (
@@ -113,6 +113,16 @@ class TestSolveSemigroup:
             for m in (0.5, 1.0, 2.0):
                 f = solve_semigroup(g, m)
                 assert m * base_norm(f) <= (1.0 + 1e-8) * base_norm(g), (name, m)
+
+    def test_overflow_regime_recurrence(self):
+        # m * max|x| = 13 * 48 >= 600: e^{m x} would overflow, so the solve
+        # takes the stable recurrence instead of the scaled cumulative sum.
+        grid = make_log_grid(8192, -12.0, 48.0)
+        exact_terms = make_terms([(1.0, 2, 1.0)])
+        g = sample_terms(flow_rhs(exact_terms, 13.0), grid)
+        f = solve_semigroup(g, 13.0)
+        assert rel_err(f, sample_terms(exact_terms, grid)) <= 1e-6
+        assert residual(f, g, 13.0) <= 1e-6
 
 
 class TestSolveMellin:
