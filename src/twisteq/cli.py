@@ -11,6 +11,7 @@ Exit codes: 0 all rows pass, 1 row failures, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -137,7 +138,10 @@ def _parse_terms(text: str) -> Terms | None:
         parts = [part.strip() for part in chunk.split(",")]
         if len(parts) != 3:
             raise ValueError("each term needs coefficient,power,rate")
-        triples.append((complex(parts[0]), int(parts[1]), float(parts[2])))
+        coef, rate = complex(parts[0]), float(parts[2])
+        if not (cmath.isfinite(coef) and math.isfinite(rate)):
+            raise ValueError("coefficient and rate must be finite")
+        triples.append((coef, int(parts[1]), rate))
     terms = make_terms(triples)
     min_power(terms)  # rejects all-zero coefficients
     return terms
@@ -201,8 +205,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.n_points < 16:
         raise ConfigError(f"grid.n_points: must be >= 16, got {cfg.n_points}")
-    if not (math.isfinite(cfg.x_min) and math.isfinite(cfg.x_max)):
-        raise ConfigError("grid.x_min, grid.x_max: must be finite")
+    for key, (attr, _) in _KEYS.items():
+        value = getattr(cfg, attr)
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise ConfigError(f"{key}: must be finite, got {value}")
     if not cfg.x_min < cfg.x_max:
         raise ConfigError("grid.x_min: must be below grid.x_max")
     for name, tol in (
@@ -226,6 +233,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("sweep.steps: must be >= 1")
     if cfg.suite == "cocycle" and cfg.cocycle_v == 0:
         raise ConfigError("cocycle.v: must be nonzero")
+    # A suite whose rows carry no bound would pass while measuring nothing.
+    if cfg.suite == "estimate-sweep" and not cfg.t_grid:
+        raise ConfigError("t_grid: estimate-sweep needs at least one weight t")
+    if cfg.suite == "obstruction-scan" and len(cfg.scan_x_max) < 2:
+        raise ConfigError("scan.x_max: obstruction-scan needs at least two windows")
 
 
 @dataclass
@@ -296,10 +308,10 @@ def _mellin_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> li
         )
     b = 0.3
     fb = f.with_values(f.values * np.exp(b * grid.x))
-    la = mellin_line(fb, shift)
-    lb = mellin_line(f, shift - b)
-    num = float(np.abs(la.values - lb.values).max())
-    den = float(np.abs(lb.values).max())
+    la = mellin_line(fb, shift).spectrum  # same grid: scale and phase cancel
+    lb = mellin_line(f, shift - b).spectrum
+    num = float(np.abs(la - lb).max())
+    den = float(np.abs(lb).max())
     checks.append(
         Check("shift_law_rel_err", f"a={shift:g};b={b:g}", num / den if den > 0 else num, 1e-10)
     )

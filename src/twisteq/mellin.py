@@ -8,11 +8,18 @@ with c = a + i*t and x = -log r,
 On the grid this Fourier transform is realized by the DFT with frequencies
 t_k = 2*pi*k/(n*h); forward and inverse lines are then exactly mutually
 inverse and the discrete Parseval identity holds to rounding error.
+
+A line is held as the plain FFT of the weighted samples f e^(-a x), in FFT
+bin order.  The unitary transform multiplies that spectrum by
+(h/sqrt(2 pi)) e^(-i t x_min) and sorts the bins by t; the inverse undoes
+exactly those factors.  Divide-then-invert never needs them, so they are
+applied only when a caller reads `MellinLine.values` or `t_samples`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,19 +41,31 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 class MellinLine:
     """Samples of M(f, a + i t_k) along the vertical line Re z = a.
 
-    t_samples are the DFT frequencies of the source grid, in increasing
-    order and symmetric about 0.  `admissible` records whether f decays
-    fast enough for the line to approximate the continuum transform.
+    `spectrum` is the FFT of f e^{-a x} on `grid`, in FFT bin order (bin k
+    at frequency fft_frequencies(grid)[k]).  `values` and `t_samples` give
+    the transform itself with the frequencies in increasing order,
+    symmetric about 0.  `admissible` records whether f decays fast enough
+    for the line to approximate the continuum transform.
     """
 
     a: float
-    t_samples: np.ndarray
-    values: np.ndarray
+    grid: LogGrid
+    spectrum: np.ndarray
     admissible: bool
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(self.spectrum)):
             raise InvalidGrid("Mellin line values contain NaN or Inf")
+
+    @cached_property
+    def t_samples(self) -> np.ndarray:
+        return line_frequencies(self.grid)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        grid = self.grid
+        phase = np.exp(-1j * fft_frequencies(grid) * grid.x_min)
+        return np.fft.fftshift((grid.h / _SQRT2PI) * phase * self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -66,9 +85,14 @@ class StripCheck(NamedTuple):
     diagnostic: str
 
 
+def fft_frequencies(grid: LogGrid) -> np.ndarray:
+    """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
+
+
 def line_frequencies(grid: LogGrid) -> np.ndarray:
     """DFT bin frequencies t_k = 2 pi k/(n h), fftshifted to increasing order."""
-    return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h))
+    return np.fft.fftshift(fft_frequencies(grid))
 
 
 def line_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
@@ -89,14 +113,7 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
         weighted = f.values * np.exp(-a * grid.x)
     if not np.all(np.isfinite(weighted)):
         raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
-    t_nat = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
-    vals = (grid.h / _SQRT2PI) * np.exp(-1j * t_nat * grid.x_min) * np.fft.fft(weighted)
-    return MellinLine(
-        a=float(a),
-        t_samples=line_frequencies(grid),
-        values=np.fft.fftshift(vals),
-        admissible=line_admissible(f, a),
-    )
+    return MellinLine(float(a), grid, np.fft.fft(weighted), line_admissible(f, a))
 
 
 def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
@@ -104,20 +121,23 @@ def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
 
     Exact inverse of mellin_line on the same grid.
     """
-    if line.values.shape != (grid.n_points,):
-        raise InvalidGrid("line length does not match grid")
-    t_nat = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
-    vals_nat = np.fft.ifftshift(line.values)
-    weighted = (_SQRT2PI / grid.h) * np.fft.ifft(vals_nat * np.exp(1j * t_nat * grid.x_min))
+    if line.grid != grid:
+        raise InvalidGrid("line was sampled on another grid")
+    values = np.fft.ifft(line.spectrum)
     with np.errstate(over="ignore", under="ignore"):
-        values = weighted * np.exp(line.a * grid.x)
+        values *= np.exp(line.a * grid.x)
     return HalfLineFunction(grid, values)
 
 
 def line_energy(line: MellinLine) -> float:
-    """Trapezoid of |M(f, a+it)|^2 dt along the line."""
-    dt = line.t_samples[1] - line.t_samples[0]
-    return float(trapezoid(np.abs(line.values) ** 2, dt))
+    """Trapezoid of |M(f, a+it)|^2 dt along the line.
+
+    |M| is (h/sqrt(2 pi)) |spectrum| (the phase has modulus one), and
+    dt (h/sqrt(2 pi))^2 = h/n.
+    """
+    grid = line.grid
+    power = np.abs(np.fft.fftshift(line.spectrum)) ** 2
+    return float(trapezoid(power, grid.h / grid.n_points))
 
 
 def parseval_defect(f: HalfLineFunction) -> float:
@@ -155,11 +175,13 @@ def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(df, a, tol):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
-    lhs = mellin_line(df, a)
-    rhs = mellin_line(f, a)
-    z = a + 1j * rhs.t_samples
-    num = np.abs(lhs.values + z * rhs.values).max()
-    den = np.abs(rhs.values).max()
+    # Both lines carry the same scale and unit-modulus phase, which cancel
+    # in the ratio, so their spectra are compared directly.
+    lhs = mellin_line(df, a).spectrum
+    rhs = mellin_line(f, a).spectrum
+    z = a + 1j * fft_frequencies(f.grid)
+    num = np.abs(lhs + z * rhs).max()
+    den = np.abs(rhs).max()
     if den == 0.0:
         return 0.0
     return float(num / den)

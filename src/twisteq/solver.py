@@ -30,6 +30,7 @@ from .grid import (
 from .mellin import (
     MellinLine,
     Strip,
+    fft_frequencies,
     line_admissible,
     mellin_inverse_line,
     mellin_line,
@@ -120,13 +121,19 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     G = g.values
     n = grid.n_points
     decay = np.exp(-m * h)
+    # The arrays below are updated in place to keep the working set small;
+    # each complex product keeps its operand order (G * emx, psi[0] * damp),
+    # because swapping the operands of a complex product can change its
+    # last bit.
     if m * max(abs(grid.x_min), abs(grid.x_max)) < 600.0:
         # Scaled cumulative sum: W_j = trapezoid of G e^{m y} up to x_j.
         with np.errstate(under="ignore"):
             emx = np.exp(m * grid.x)
-            steps = 0.5 * h * (G[1:] * emx[1:] + G[:-1] * emx[:-1])
-            W = np.concatenate(([0.0], np.cumsum(steps)))
-            F = W / emx
+            Ge = G * emx
+            F = np.empty(n, dtype=np.complex128)
+            F[0] = 0.0
+            np.cumsum(0.5 * h * (Ge[1:] + Ge[:-1]), out=F[1:])
+            F /= emx
     else:
         # Fall back to the stable recurrence when e^{m x} would overflow.
         F = np.zeros(n, dtype=np.complex128)
@@ -135,20 +142,27 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     # Euler-Maclaurin h^2 endpoint correction, evaluated in scaled form:
     # the boundary term at x_j is (G' + m G)(x_j); the one at x_0 arrives
     # damped by e^{m(x_0 - x_j)}.
-    dG = _fd_derivative(G, h)
-    psi = dG + m * G
+    psi = _fd_derivative(G, h)
+    psi += m * G
     with np.errstate(under="ignore"):
         damp = np.exp(m * (grid.x_min - grid.x))
-    F = F - (h * h / 12.0) * (psi - psi[0] * damp)
+    psi -= psi[0] * damp
+    psi *= h * h / 12.0
+    F -= psi
     return HalfLineFunction(grid, F)
 
 
 def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order central differences with zero-padded ends."""
     padded = np.concatenate((np.zeros(2, values.dtype), values, np.zeros(2, values.dtype)))
-    return (
-        -padded[4:] + 8.0 * padded[3:-1] - 8.0 * padded[1:-3] + padded[:-4]
-    ) / (12.0 * h)
+    out = np.negative(padded[4:])
+    eight = np.multiply(8.0, padded[3:-1])
+    out += eight
+    np.multiply(8.0, padded[1:-3], out=eight)
+    out -= eight
+    out += padded[:-4]
+    out /= 12.0 * h
+    return out
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
@@ -163,8 +177,10 @@ def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:
     """The line of M(g, z)/(m + z): the transform of the solution along Re z = a."""
-    ratio = g_line.values / (m + g_line.a + 1j * g_line.t_samples)
-    return MellinLine(g_line.a, g_line.t_samples, ratio, g_line.admissible)
+    z = 1j * fft_frequencies(g_line.grid)
+    z += m + g_line.a
+    ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
+    return MellinLine(g_line.a, g_line.grid, ratio, g_line.admissible)
 
 
 def _invert_line(g_line: MellinLine, m: float, grid) -> HalfLineFunction:

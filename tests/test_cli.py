@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,15 +122,59 @@ class TestMainExitCodes:
             ("suite = estimate-sweep\nfunction = 0,2,1\n", "all coefficients vanish"),
             ("grid.x_min = -inf\n", "must be finite"),
             ("rep.lambda2 = 1.5\n", "lambda2 must be given together"),
+            ("rep.lambda1 = nan\n", "rep.lambda1: must be finite"),
+            ("rep.lambda2 = inf\nrep.s0 = 1\n", "rep.lambda2: must be finite"),
+            ("twist.m = inf\n", "twist.m: must be finite"),
+            ("regularity.s = nan\n", "regularity.s: must be finite"),
+            ("tol.eps_pole = inf\n", "tol.eps_pole: must be finite"),
+            ("tol.decay = nan\n", "tol.decay: must be finite"),
+            ("suite = perturbation-sweep\nsweep.delta = nan\n", "sweep.delta: must be finite"),
+            ("suite = cocycle\ncocycle.m1 = -inf\n", "cocycle.m1: must be finite"),
+            ("lines = 0, nan\n", "lines: must be finite"),
+            ("t_grid = 0, inf\n", "t_grid: must be finite"),
+            ("suite = obstruction-scan\nscan.x_max = 8, inf\n", "scan.x_max: must be finite"),
+            ("function = nan,2,1\n", "coefficient and rate must be finite"),
+            ("function = 1,2,inf\n", "coefficient and rate must be finite"),
+            ("suite = estimate-sweep\nt_grid =\n", "estimate-sweep needs at least one"),
+            ("suite = obstruction-scan\nscan.x_max =\n", "obstruction-scan needs at least two"),
+            ("suite = obstruction-scan\nscan.x_max = 12\n", "obstruction-scan needs at least two"),
         ],
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
-             "unpaired-lambda2"],
+             "unpaired-lambda2", "nan-lambda1", "infinite-lambda2", "infinite-m", "nan-s",
+             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta", "infinite-cocycle-m1",
+             "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
+             "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan"],
     )
-    def test_bad_input_exit_2(self, tmp_path, capsys, text, message):
+    def test_bad_input_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
         # rejected while parsing, before any suite runs: no traceback
+        monkeypatch.chdir(tmp_path)  # a run that slips through writes here
         assert main(["run", str(write(tmp_path, text))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n", 0),
+            # too coarse for the semigroup oracle: its residual fails
+            ("grid.n_points = 1024\n", 1),
+            ("rep.lambda1 = nan\n", 2),
+        ],
+        ids=["pass", "row-failure", "config-error"],
+    )
+    def test_module_entry_point(self, tmp_path, text, code):
+        # `python -m twisteq` in a fresh interpreter, as a plain checkout runs it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        solve = "suite = solve\nfamily = none\nfunction = 1,2,1\nlines = 0\nt_grid = 0\n"
+        path = write(tmp_path, solve + text + f"out.dir = {tmp_path / 'out'}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "twisteq", "run", str(path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")

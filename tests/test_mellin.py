@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twisteq.errors import NotAdmissible
+from twisteq.errors import InvalidGrid, NotAdmissible
 from twisteq.families import FAMILY, family_member, gaussian_log, make_terms, sample_terms
-from twisteq.grid import HalfLineFunction, base_norm, lin_comb, sample
+from twisteq.grid import HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
     Strip,
     derivative_rule_defect,
@@ -15,6 +15,7 @@ from twisteq.mellin import (
     parseval_defect,
     strip_admissible,
 )
+from twisteq.solver import divide_line
 
 from oracles import mellin_exact, rel_err
 
@@ -57,6 +58,42 @@ class TestMellinLine:
         assert abs(t[np.argmin(np.abs(t))]) == 0.0
         spacing = 2.0 * np.pi / (grid.n_points * grid.h)
         assert np.allclose(np.diff(t), spacing, rtol=1e-12)
+
+
+class TestLineRepresentation:
+    """A line holds the FFT-order spectrum; values and t_samples are views of it."""
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, 0.4])
+    def test_values_match_direct_sum(self, grid, a):
+        # (h/sqrt(2 pi)) sum_j f_j e^{-a x_j} e^{-i t_k x_j}, summed without the FFT
+        # relative to the line's sup norm: the sum cancels where the line decays
+        f = sample_terms(family_member("r2_exp"), grid)
+        line = mellin_line(f, a)
+        scale = np.abs(line.values).max()
+        n = grid.n_points
+        for k in (n // 2, n // 2 + 1, n // 2 - 3, n // 2 + 17, n // 2 - 40):
+            t = line.t_samples[k]
+            terms = f.values * np.exp(-a * grid.x) * np.exp(-1j * t * grid.x)
+            direct = grid.h / np.sqrt(2.0 * np.pi) * terms.sum()
+            assert abs(line.values[k] - direct) <= 1e-12 * scale, k
+
+    def test_line_energy_is_trapezoid_of_values(self, grid):
+        line = mellin_line(sample_terms(family_member("r_exp"), grid), -0.3)
+        dt = line.t_samples[1] - line.t_samples[0]
+        expected = trapezoid(np.abs(line.values) ** 2, dt)
+        assert line_energy(line) == pytest.approx(expected, rel=1e-12)
+
+    def test_divide_on_pole_line_rejected(self, grid):
+        m = 0.75
+        line = mellin_line(sample_terms(family_member("r2_exp"), grid), -m)
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(InvalidGrid):
+            divide_line(line, m)
+
+    @pytest.mark.parametrize("other", [(2048, -12.0, 12.0), (4096, -12.0, 13.0)])
+    def test_inverse_on_other_grid_rejected(self, grid, other):
+        line = mellin_line(gaussian_log(grid), 0.0)
+        with pytest.raises(InvalidGrid):
+            mellin_inverse_line(line, make_log_grid(*other))
 
 
 class TestInverse:
