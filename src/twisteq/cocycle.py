@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero, ZeroEigenvalue
-from .grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, require_same_grid
+from .grid import (
+    DECAY_TOL,
+    HalfLineFunction,
+    base_norm,
+    lin_comb,
+    relative_difference,
+    require_same_grid,
+)
 from .mellin import Strip, strip_admissible
 from .reps import ModelRepParams, apply_X
 from .solver import (
@@ -118,14 +125,12 @@ def common_solution(
         d.g2, d.p, lines=(0.0,), obstruction_tol=obstruction_tol, decay_tol=decay_tol
     )
     h = report.solution
-    g1_n = base_norm(d.g1)
-    err1 = base_norm(
-        lin_comb(1.0, HalfLineFunction(h.grid, d.character * h.values), -1.0, d.g1)
-    )
     return CommonSolutionReport(
         solution=h,
         residual_flow=residual(h, d.g2, d.m),
-        residual_character=(err1 / g1_n) if g1_n > 0 else err1,
+        residual_character=relative_difference(
+            HalfLineFunction(h.grid, d.character * h.values), d.g1
+        ),
         compatibility_defect=defect,
         obstruction=d_val,
         base_norm_ratio=report.base_norm_ratio,

@@ -12,6 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import InvalidGrid
 from .grid import HalfLineFunction, LogGrid, sample
 
 
@@ -36,13 +37,27 @@ def make_terms(triples: Sequence[tuple[complex, int, float]]) -> Terms:
 
 
 def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
+    """Samples of the terms on the grid.
+
+    Raises InvalidGrid when terms with a nonzero coefficient sample to zero
+    at every node: the window misses the function, and every measurement on
+    it would be one of the zero function.
+    """
     def expr(r):
         acc = np.zeros_like(r, dtype=np.complex128)
         for coef, k, c in terms:
             acc += coef * r**k * np.exp(-c * r)
         return acc
 
-    return sample(expr, grid)
+    f = sample(expr, grid)
+    # max/min reduce the float parts in place; any() on complex values would
+    # cast them through a scratch buffer of up to 128 KiB on every call
+    parts = f.values.view(np.float64)
+    if parts.max() == parts.min() == 0.0 and any(t.coef != 0 for t in terms):
+        raise InvalidGrid(
+            f"the terms vanish at every node of [{grid.x_min:g}, {grid.x_max:g}]"
+        )
+    return f
 
 
 def scale_terms(alpha: complex, terms: Terms) -> Terms:

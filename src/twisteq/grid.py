@@ -152,6 +152,13 @@ def lin_comb(
     return HalfLineFunction(f.grid, alpha * f.values + beta * g.values)
 
 
+def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
+    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ||ref|| = 0."""
+    diff = base_norm(lin_comb(1.0, f, -1.0, ref))
+    ref_n = base_norm(ref)
+    return diff / ref_n if ref_n > 0 else diff
+
+
 def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
     """Endpoint test for f * r^{-a} in L2(dr/r).
 

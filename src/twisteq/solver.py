@@ -25,6 +25,7 @@ from .grid import (
     HalfLineFunction,
     base_norm,
     lin_comb,
+    relative_difference,
     trapezoid,
 )
 from .mellin import (
@@ -167,16 +168,16 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
     """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally."""
-    lhs = lin_comb(1.0, apply_X(f), m, f)
-    err = base_norm(lin_comb(1.0, lhs, -1.0, g))
-    den = base_norm(g)
-    if den == 0.0:
-        return err
-    return err / den
+    return relative_difference(lin_comb(1.0, apply_X(f), m, f), g)
 
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:
-    """The line of M(g, z)/(m + z): the transform of the solution along Re z = a."""
+    """The line of M(g, z)/(m + z): the transform of the solution along Re z = a.
+
+    Raises PoleOnLine on the line a = -m, where m + z vanishes at t = 0.
+    """
+    if m + g_line.a == 0:
+        raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
     z = 1j * fft_frequencies(g_line.grid)
     z += m + g_line.a
     ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
@@ -241,8 +242,7 @@ def solve_mellin(
         if a == 0.0:
             continue
         candidate = _invert_line(mellin_line(g, a), m, grid)
-        diff = base_norm(lin_comb(1.0, candidate, -1.0, base))
-        coincidence = max(coincidence, diff / base_n if base_n > 0 else diff)
+        coincidence = max(coincidence, relative_difference(candidate, base))
 
     entries = []
     for t in t_list:

@@ -1,17 +1,22 @@
 import csv
-import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from twisteq.cli import main, parse_config
+from twisteq.cli import _KEYS, main, parse_config
 from twisteq.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 SHIPPED = sorted(path.stem for path in CONFIG_DIR.glob("*.cfg"))
+REMOVED_KEYS = [
+    ("rep.sigma", "1"), ("rep.lambda2", "0.5"), ("rep.s0", "1.5"),
+    ("cocycle.v", "1.0"), ("cocycle.m1", "0.0"), ("strict", "true"),
+]
 
 
 def write(tmp_path: Path, text: str) -> Path:
@@ -71,6 +76,17 @@ class TestConfigParsing:
         cfg = parse_config(write(tmp_path, "# a comment\n\nsuite = cocycle  # trailing\n"))
         assert cfg.suite == "cocycle"
 
+    def test_readme_lists_every_key(self):
+        # the first cell of each row of the README's key table names its keys
+        readme = (ROOT / "README.md").read_text()
+        keys = {
+            key
+            for line in readme.splitlines()
+            if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+        }
+        assert keys == set(_KEYS)
+
     def test_sweep_delta_too_large(self, tmp_path):
         with pytest.raises(ConfigError, match="sweep.delta"):
             parse_config(
@@ -100,36 +116,18 @@ class TestMainExitCodes:
         rows = read_rows(tmp_path / "out", "solve")
         assert all(row["passed"] == "pass" for row in rows)
 
-    def test_grid_override(self, tmp_path):
-        path = write(
-            tmp_path,
-            "suite = solve\nfamily = none\nfunction = 1,2,1\nlines = 0\nt_grid = 0\n"
-            f"out.dir = {tmp_path / 'out'}\n",
-        )
-        assert main(["run", str(path), "--grid", "3072,-10,22"]) == 0
-        data = json.loads((tmp_path / "out" / "solve.json").read_text())
-        assert data["grid"]["n_points"] == 3072
-
-    def test_bad_grid_override(self, tmp_path):
-        path = write(tmp_path, "suite = solve\n")
-        assert main(["run", str(path), "--grid", "banana"]) == 2
-        assert main(["run", str(path), "--grid", "4096,-inf,12"]) == 2
-
     @pytest.mark.parametrize(
         "text, message",
         [
             ("suite = solve\nfunction = 0,2,1\n", "all coefficients vanish"),
             ("suite = estimate-sweep\nfunction = 0,2,1\n", "all coefficients vanish"),
             ("grid.x_min = -inf\n", "must be finite"),
-            ("rep.lambda2 = 1.5\n", "lambda2 must be given together"),
             ("rep.lambda1 = nan\n", "rep.lambda1: must be finite"),
-            ("rep.lambda2 = inf\nrep.s0 = 1\n", "rep.lambda2: must be finite"),
             ("twist.m = inf\n", "twist.m: must be finite"),
             ("regularity.s = nan\n", "regularity.s: must be finite"),
             ("tol.eps_pole = inf\n", "tol.eps_pole: must be finite"),
             ("tol.decay = nan\n", "tol.decay: must be finite"),
             ("suite = perturbation-sweep\nsweep.delta = nan\n", "sweep.delta: must be finite"),
-            ("suite = cocycle\ncocycle.m1 = -inf\n", "cocycle.m1: must be finite"),
             ("lines = 0, nan\n", "lines: must be finite"),
             ("t_grid = 0, inf\n", "t_grid: must be finite"),
             ("suite = obstruction-scan\nscan.x_max = 8, inf\n", "scan.x_max: must be finite"),
@@ -138,12 +136,15 @@ class TestMainExitCodes:
             ("suite = estimate-sweep\nt_grid =\n", "estimate-sweep needs at least one"),
             ("suite = obstruction-scan\nscan.x_max =\n", "obstruction-scan needs at least two"),
             ("suite = obstruction-scan\nscan.x_max = 12\n", "obstruction-scan needs at least two"),
+            # keys that changed no report, or set a value --strict sets
+            *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
         ],
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
-             "unpaired-lambda2", "nan-lambda1", "infinite-lambda2", "infinite-m", "nan-s",
-             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta", "infinite-cocycle-m1",
+             "nan-lambda1", "infinite-m", "nan-s",
+             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta",
              "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
-             "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan"],
+             "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
+             *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS]],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
         # rejected while parsing, before any suite runs: no traceback
@@ -352,17 +353,6 @@ class TestOtherSuites:
         rows = read_rows(tmp_path / "out", "solve")
         assert any("NotAdmissible" in r["flags"] for r in rows)
 
-    def test_suite_override(self, tmp_path):
-        path = write(
-            tmp_path,
-            "suite = solve\n"
-            "grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n"
-            "family = none\nfunction = 1,2,1\n"
-            f"out.dir = {tmp_path / 'out'}\n",
-        )
-        assert main(["run", str(path), "--suite", "mellin-identities"]) == 0
-        assert (tmp_path / "out" / "mellin-identities.csv").exists()
-
     @pytest.mark.parametrize(
         "suite, text",
         [
@@ -387,3 +377,32 @@ class TestOtherSuites:
         errors = [r for r in rows if r["quantity"] == "error"]
         assert errors and all("NotAdmissible" in r["flags"] for r in errors)
         assert all(r["passed"] == "fail" for r in errors)
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "suite", ["cocycle", "perturbation-sweep", "estimate-sweep", "mellin-identities", "solve"]
+    )
+    def test_window_missing_the_data_is_an_error(self, tmp_path, suite):
+        # r = e^35..e^40: every input samples to exactly zero on this window
+        path = write(
+            tmp_path,
+            f"suite = {suite}\ngrid.x_min = -40\ngrid.x_max = -35\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", suite)
+        assert rows and all(r["quantity"] == "error" for r in rows)
+        assert all("InvalidGrid" in r["flags"] and r["passed"] == "fail" for r in rows)
+
+    def test_underflowing_energy_flags_growth(self, tmp_path):
+        # the samples are nonzero, but every weighted energy underflows to 0
+        path = write(
+            tmp_path,
+            f"suite = obstruction-scan\nfunction = 1e-300,2,1\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "obstruction-scan")
+        steps = [r for r in rows if r["quantity"] in ("energy_growth", "energy_drift")]
+        assert len(steps) == 4
+        assert all(r["flags"] == "non-finite" and r["passed"] == "fail" for r in steps)
