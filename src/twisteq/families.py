@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidGrid
-from .grid import HalfLineFunction, LogGrid, sample
+from .grid import HalfLineFunction, LogGrid, sample, vanishes
 
 
 class GammaTerm(NamedTuple):
@@ -50,10 +50,7 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
         return acc
 
     f = sample(expr, grid)
-    # max/min reduce the float parts in place; any() on complex values would
-    # cast them through a scratch buffer of up to 128 KiB on every call
-    parts = f.values.view(np.float64)
-    if parts.max() == parts.min() == 0.0 and any(t.coef != 0 for t in terms):
+    if vanishes(f) and any(t.coef != 0 for t in terms):
         raise InvalidGrid(
             f"the terms vanish at every node of [{grid.x_min:g}, {grid.x_max:g}]"
         )

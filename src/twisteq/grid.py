@@ -9,7 +9,7 @@ and integrals use trapezoidal quadrature in x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -72,25 +72,51 @@ def default_grid() -> LogGrid:
 
 @dataclass(frozen=True, eq=False)
 class HalfLineFunction:
-    """Complex samples f(r_j) of a function on the half-line."""
+    """Complex samples f(r_j) of a function on the half-line.
+
+    The samples are a private read-only copy, so what depends on them alone
+    is computed at most once: the L2(dr/r) norm, and each decay test
+    (held in `_decay` by its (a, tol)).
+    """
 
     grid: LogGrid
     values: np.ndarray
+    _decay: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.array(self.values, dtype=np.complex128)
         if values.shape != (self.grid.n_points,):
             raise InvalidGrid(
                 f"values shape {values.shape} does not match grid ({self.grid.n_points},)"
             )
-        if not np.all(np.isfinite(values)):
+        if not all_finite(values):
             raise NonFiniteSample("values contain NaN or Inf")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def norm(self) -> float:
+        """L2(dr/r) norm: the square root of the trapezoid of |f|^2 in x."""
+        return _l2_norm(np.abs(self.values), self.grid.h)
+
     def with_values(self, values: np.ndarray) -> "HalfLineFunction":
         return HalfLineFunction(self.grid, values)
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """True when a contiguous complex array holds no NaN and no infinity.
+
+    max and min reduce the float view without a scratch array: a NaN
+    propagates through max, and an infinity shows up at one end.
+    """
+    parts = values.view(np.float64)
+    return bool(np.isfinite(parts.max()) and np.isfinite(parts.min()))
+
+
+def vanishes(f: HalfLineFunction) -> bool:
+    """True when every sample is exactly zero."""
+    parts = f.values.view(np.float64)
+    return parts.max() == parts.min() == 0.0
 
 
 def sample(expr: Callable[[np.ndarray], np.ndarray], grid: LogGrid) -> HalfLineFunction:
@@ -110,8 +136,20 @@ def trapezoid(samples: np.ndarray, h: float) -> float | complex:
 
 def weighted_samples(f: HalfLineFunction, a: float) -> np.ndarray:
     """|f(r_j) r_j^{-a}| = |f| e^{a x} on the grid."""
+    if a == 0:
+        return np.abs(f.values)
     with np.errstate(over="ignore", under="ignore"):
         return np.abs(f.values) * np.exp(a * f.grid.x)
+
+
+def _l2_norm(w: np.ndarray, h: float) -> float:
+    """Square root of the trapezoid of w^2, or +Inf when w^2 overflows."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sq = w * w
+        if np.isinf(sq).any():
+            return float("inf")
+        val = trapezoid(sq, h)
+    return float(np.sqrt(val))
 
 
 def weighted_norm(f: HalfLineFunction, a: float) -> float:
@@ -120,17 +158,13 @@ def weighted_norm(f: HalfLineFunction, a: float) -> float:
     May overflow to +Inf for weights far outside the decay range of f; callers
     report rather than reject such values.
     """
-    w = weighted_samples(f, a)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sq = w * w
-        if np.isinf(sq).any():
-            return float("inf")
-        val = trapezoid(sq, f.grid.h)
-    return float(np.sqrt(val))
+    if a == 0:
+        return f.norm
+    return _l2_norm(weighted_samples(f, a), f.grid.h)
 
 
 def base_norm(f: HalfLineFunction) -> float:
-    return weighted_norm(f, 0.0)
+    return f.norm
 
 
 def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
@@ -153,10 +187,20 @@ def lin_comb(
 
 
 def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
-    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ||ref|| = 0."""
-    diff = base_norm(lin_comb(1.0, f, -1.0, ref))
-    ref_n = base_norm(ref)
-    return diff / ref_n if ref_n > 0 else diff
+    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ref = 0."""
+    return relative_to(base_norm(lin_comb(1.0, f, -1.0, ref)), ref)
+
+
+def relative_to(value: float, ref: HalfLineFunction) -> float:
+    """value / ||ref||, or value itself when ref = 0.
+
+    NaN when ||ref|| underflows to 0 on nonzero samples: the quotient is
+    then not measured, and must not read as 0.
+    """
+    ref_n = ref.norm
+    if ref_n > 0:
+        return value / ref_n
+    return value if vanishes(ref) else float("nan")
 
 
 def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
@@ -164,12 +208,18 @@ def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> b
 
     True when the weighted samples at both grid boundaries stay below
     tol * max; a profile whose boundary value rivals its maximum signals a
-    divergent (or unresolved) weighted integral.
+    divergent (or unresolved) weighted integral.  Runs once per (f, a, tol).
     """
-    w = weighted_samples(f, a)
-    if not np.all(np.isfinite(w)):
+    key = (a, tol)
+    if key not in f._decay:
+        f._decay[key] = _decays(weighted_samples(f, a), tol)
+    return f._decay[key]
+
+
+def _decays(w: np.ndarray, tol: float) -> bool:
+    mx = w.max()  # the samples are >= 0, so NaN or +Inf anywhere shows here
+    if not np.isfinite(mx):
         return False
-    mx = w.max()
     if mx == 0.0:
         return True
     return bool(w[0] <= tol * mx and w[-1] <= tol * mx)

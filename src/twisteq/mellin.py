@@ -29,8 +29,10 @@ from .grid import (
     DECAY_TOL,
     HalfLineFunction,
     LogGrid,
+    all_finite,
     decay_admissible,
     trapezoid,
+    vanishes,
     weighted_norm,
 )
 
@@ -54,7 +56,7 @@ class MellinLine:
     admissible: bool
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.spectrum)):
+        if not all_finite(self.spectrum):
             raise InvalidGrid("Mellin line values contain NaN or Inf")
 
     @cached_property
@@ -109,10 +111,12 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
     exactly invertible.
     """
     grid = f.grid
-    with np.errstate(over="ignore", under="ignore"):
-        weighted = f.values * np.exp(-a * grid.x)
-    if not np.all(np.isfinite(weighted)):
-        raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
+    weighted = f.values
+    if a != 0:
+        with np.errstate(over="ignore", under="ignore"):
+            weighted = weighted * np.exp(-a * grid.x)
+        if not all_finite(weighted):
+            raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
     return MellinLine(float(a), grid, np.fft.fft(weighted), line_admissible(f, a))
 
 
@@ -124,8 +128,9 @@ def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
     if line.grid != grid:
         raise InvalidGrid("line was sampled on another grid")
     values = np.fft.ifft(line.spectrum)
-    with np.errstate(over="ignore", under="ignore"):
-        values *= np.exp(line.a * grid.x)
+    if line.a != 0:
+        with np.errstate(over="ignore", under="ignore"):
+            values *= np.exp(line.a * grid.x)
     return HalfLineFunction(grid, values)
 
 
@@ -141,8 +146,14 @@ def line_energy(line: MellinLine) -> float:
 
 
 def parseval_defect(f: HalfLineFunction) -> float:
-    """Relative gap between ||f||^2 and the line-0 energy integral."""
-    norm_sq = weighted_norm(f, 0.0) ** 2
+    """Relative gap between ||f||^2 and the line-0 energy integral.
+
+    NaN when ||f||^2 underflows to 0 on nonzero samples: the gap is then
+    not measured.
+    """
+    norm_sq = f.norm**2
+    if norm_sq == 0.0 and not vanishes(f):
+        return float("nan")
     energy = line_energy(mellin_line(f, 0.0))
     scale = max(norm_sq, np.finfo(float).eps)
     return abs(norm_sq - energy) / scale

@@ -26,6 +26,7 @@ from .grid import (
     base_norm,
     lin_comb,
     relative_difference,
+    relative_to,
     trapezoid,
 )
 from .mellin import (
@@ -35,9 +36,10 @@ from .mellin import (
     line_admissible,
     mellin_inverse_line,
     mellin_line,
+    spectral_dx,
     strip_admissible,
 )
-from .reps import ModelRepParams, apply_X, fractional_weight, regularity_norm
+from .reps import ModelRepParams, fractional_weight, regularity_norm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -167,8 +169,15 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally."""
-    return relative_difference(lin_comb(1.0, apply_X(f), m, f), g)
+    """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally.
+
+    X f + m f - g is accumulated in one buffer, and only that final
+    difference is wrapped (and scanned for NaN/Inf) as a HalfLineFunction.
+    """
+    defect = spectral_dx(f.values, f.grid.h)
+    defect += m * f.values
+    defect -= g.values
+    return relative_to(base_norm(HalfLineFunction(f.grid, defect)), g)
 
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:
@@ -234,15 +243,14 @@ def solve_mellin(
 
     grid = g.grid
     base = _invert_line(mellin_line(g, 0.0), m, grid)
-    base_n = base_norm(base)
-    g_n = base_norm(g)
 
-    coincidence = 0.0
-    for a in lines:
-        if a == 0.0:
-            continue
-        candidate = _invert_line(mellin_line(g, a), m, grid)
-        coincidence = max(coincidence, relative_difference(candidate, base))
+    defects = [
+        relative_difference(_invert_line(mellin_line(g, a), m, grid), base)
+        for a in lines
+        if a != 0.0
+    ]
+    # np.max, unlike max(), keeps a NaN defect
+    coincidence = float(np.max(defects, initial=0.0))
 
     entries = []
     for t in t_list:
@@ -264,7 +272,7 @@ def solve_mellin(
         solution=base,
         obstruction=d_val,
         residual=residual(base, g, m),
-        base_norm_ratio=(m * base_n / g_n) if g_n > 0 else 0.0,
+        base_norm_ratio=relative_to(m * base_norm(base), g),
         weighted_norms=tuple(entries),
         coincidence_defect=coincidence,
         flags=tuple(flags),

@@ -395,6 +395,28 @@ class TestDegenerateInputs:
         assert rows and all(r["quantity"] == "error" for r in rows)
         assert all("InvalidGrid" in r["flags"] and r["passed"] == "fail" for r in rows)
 
+    @pytest.mark.parametrize(
+        "suite, unmeasured",
+        [
+            ("mellin-identities", {"parseval_defect", "roundtrip_rel_err"}),
+            ("solve", {"residual_mellin", "oracle_agreement", "base_norm_ratio"}),
+        ],
+    )
+    def test_underflowing_norm_fails(self, tmp_path, suite, unmeasured):
+        # the samples are nonzero, but every L2 norm of them underflows to 0
+        path = write(
+            tmp_path,
+            f"suite = {suite}\nfamily = none\nfunction = 1e-300,2,1\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", suite)
+        hit = [r for r in rows if r["quantity"] in unmeasured]
+        assert {r["quantity"] for r in hit} == unmeasured
+        for r in hit:
+            assert r["value"] == "nan" and r["passed"] == "fail", r
+            assert "non-finite" in r["flags"].split(";"), r
+
     def test_underflowing_energy_flags_growth(self, tmp_path):
         # the samples are nonzero, but every weighted energy underflows to 0
         path = write(

@@ -10,7 +10,9 @@ from twisteq.grid import (
     decay_admissible,
     lin_comb,
     make_log_grid,
+    relative_difference,
     sample,
+    trapezoid,
     weighted_norm,
 )
 
@@ -88,6 +90,50 @@ class TestWeightedNorm:
     def test_overflow_reports_inf(self, grid):
         f = sample(lambda r: r * np.exp(-r), grid)
         assert weighted_norm(f, 40.0) == np.inf
+
+
+class TestHalfLineFunction:
+    @pytest.mark.parametrize("index", [0, 31, 63], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_sample_rejected(self, bad, part, index):
+        grid = make_log_grid(64, -3.0, 3.0)
+        values = np.exp(-grid.x**2) * (1.0 + 0.5j)
+        if part == 1.0:
+            values.real[index] = bad
+        else:
+            values.imag[index] = bad
+        with pytest.raises(NonFiniteSample):
+            HalfLineFunction(grid, values)
+
+    def test_caller_array_is_copied(self):
+        grid = make_log_grid(64, -3.0, 3.0)
+        values = np.exp(-grid.x**2) + 0j
+        f = HalfLineFunction(grid, values)
+        values[0] = 5.0
+        assert f.values[0] != 5.0
+
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_norm_is_the_trapezoid_norm(self, grid, name, terms):
+        f = sample_terms(terms, grid)
+        uncached = float(np.sqrt(trapezoid(np.abs(f.values) ** 2, grid.h)))
+        assert f.norm == uncached
+        assert "norm" in vars(f)  # computed once, then held
+        assert base_norm(f) == weighted_norm(f, 0.0) == uncached
+
+
+class TestUnderflow:
+    """Norms of tiny nonzero samples underflow to 0; a quotient by one is NaN."""
+
+    def test_relative_difference_to_underflowing_reference(self, grid):
+        tiny = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
+        assert tiny.norm == 0.0
+        assert np.isnan(relative_difference(lin_comb(2.0, tiny, 0.0, tiny), tiny))
+
+    def test_relative_difference_to_zero_reference(self, grid):
+        f = sample_terms(make_terms([(1.0, 2, 1.0)]), grid)
+        zero = sample(lambda r: 0.0 * r, grid)
+        assert relative_difference(f, zero) == f.norm
 
 
 class TestLinComb:

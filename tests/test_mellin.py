@@ -6,6 +6,7 @@ from twisteq.errors import InvalidGrid, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, gaussian_log, make_terms, sample_terms
 from twisteq.grid import HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
+    MellinLine,
     Strip,
     derivative_rule_defect,
     line_energy,
@@ -83,6 +84,23 @@ class TestLineRepresentation:
         expected = trapezoid(np.abs(line.values) ** 2, dt)
         assert line_energy(line) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("index", [0, 2048, 4095], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_spectrum_rejected(self, grid, bad, part, index):
+        spectrum = mellin_line(gaussian_log(grid), 0.0).spectrum.copy()
+        getattr(spectrum, part)[index] = bad
+        with pytest.raises(InvalidGrid):
+            MellinLine(0.0, grid, spectrum, True)
+
+    def test_line_zero_is_the_plain_transform(self, grid):
+        # the weight e^{0 x} is exactly 1, so line 0 is the FFT of the samples
+        f = sample_terms(family_member("mix_23"), grid)
+        line = mellin_line(f, 0.0)
+        assert np.array_equal(line.spectrum, np.fft.fft(f.values))
+        back = mellin_inverse_line(line, grid)
+        assert np.array_equal(back.values, np.fft.ifft(line.spectrum))
+
     @pytest.mark.filterwarnings("error")
     def test_divide_on_pole_line_rejected(self, grid):
         # the pole is named before any division, so numpy warns of nothing
@@ -121,6 +139,11 @@ class TestParseval:
 
     def test_zero(self, grid):
         assert parseval_defect(sample(lambda r: 0.0 * r, grid)) == 0.0
+
+    def test_underflowing_norm_is_not_measured(self, grid):
+        # ||f||^2 underflows to 0 on nonzero samples: NaN, not a passing 0
+        f = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
+        assert np.isnan(parseval_defect(f))
 
     def test_gamma_member_both_sides(self, grid):
         # both sides equal ||r e^-r||^2 = 1/4

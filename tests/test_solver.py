@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from twisteq import grid as grid_module
 from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
-from twisteq.grid import base_norm, lin_comb, make_log_grid, sample, weighted_norm
+from twisteq.grid import (
+    base_norm,
+    lin_comb,
+    make_log_grid,
+    relative_difference,
+    sample,
+    weighted_norm,
+)
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight, fractional_weight_u2
 from twisteq.solver import (
     estimate_sweep,
@@ -172,6 +180,73 @@ class TestSolveMellin:
                     g = sample_terms(terms, wide_grid)
                     report = solve_mellin(g, p, lines=(0.0,))
                     assert report.base_norm_ratio <= 1.0 + 1e-8, (name, m, lam)
+
+
+class TestResidual:
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_one_buffer_equals_composed_operators(self, grid, name, terms):
+        # accumulating X f + m f - g in one buffer changes no bit of the result
+        m = 0.75
+        f = sample_terms(terms, grid)
+        for g in (sample_terms(flow_rhs(terms, m), grid), sample_terms(terms, grid)):
+            composed = relative_difference(lin_comb(1.0, apply_X(f), m, f), g)
+            assert residual(f, g, m) == composed, name
+
+
+class TestWorkPerSolve:
+    """solve_mellin transforms each line once; the residual adds one FFT pair."""
+
+    @pytest.mark.parametrize("lines, pairs", [((0.0,), 2), ((0.0, -0.4, -0.8), 4)])
+    def test_fft_count(self, monkeypatch, grid, lines, pairs):
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        g = sample_terms(family_member("r2_exp"), grid)
+        solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0), lines=lines)
+        assert calls == {"fft": pairs, "ifft": pairs}
+
+    def test_decay_test_once_per_weight(self, monkeypatch, grid):
+        runs = []
+        original = grid_module._decays
+
+        def counted(w, tol):
+            runs.append(tol)
+            return original(w, tol)
+
+        monkeypatch.setattr(grid_module, "_decays", counted)
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        # lines 0, -0.4, -0.8 and the obstruction strip's far edge -m - 0.05
+        solve_mellin(g, p, lines=(0.0, -0.4, -0.8))
+        assert len(runs) == 4
+        solve_mellin(g, p, lines=(0.0, -0.4))
+        assert len(runs) == 4
+
+
+class TestUnderflowingNorms:
+    """||g|| underflows to 0 on nonzero samples: the quotients are NaN, not 0."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, wide_grid):
+        return sample_terms(make_terms([(1e-300, 2, 1.0)]), wide_grid)
+
+    def test_residual(self, tiny, p):
+        assert np.isnan(residual(solve_semigroup(tiny, p.m), tiny, p.m))
+
+    def test_base_norm_ratio(self, tiny, p):
+        report = solve_mellin(tiny, p, lines=(0.0,))
+        assert np.isnan(report.base_norm_ratio) and np.isnan(report.residual)
+
+    def test_zero_input_still_reads_zero(self, wide_grid, p):
+        zero = sample(lambda r: 0.0 * r, wide_grid)
+        report = solve_mellin(zero, p, lines=(0.0,))
+        assert report.base_norm_ratio == 0.0 and report.residual == 0.0
 
 
 class TestRegularityDichotomy:
