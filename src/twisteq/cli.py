@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import sys
@@ -482,16 +483,20 @@ def _sweep_cases(cfg: ExperimentConfig) -> list[Case]:
         else np.array([0.0])
     )
     points = [(cfg.lambda1 + dl, cfg.m + dm) for dl in offsets for dm in offsets]
-    return [(f"({lam:g},{m:g})", (grid, inputs, lam, m)) for lam, m in points]
+    # Each input is sampled on its first use and shared by every point, so its
+    # line-0 spectrum is transformed once per run.  A failed sampling is not
+    # held: it raises again, and becomes an error row, in every case.
+    sampled = functools.cache(functools.partial(sample_terms, grid=grid))
+    return [(f"({lam:g},{m:g})", (sampled, inputs, lam, m)) for lam, m in points]
 
 
 def _sweep_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    grid, inputs, lam, m = case
+    sampled, inputs, lam, m = case
     params = f"m={m:.6g};lambda1={lam:.6g}"
     p = cfg.rep(m=m, lambda1=lam)
     checks = []
     for fun, terms in inputs:
-        g = sample_terms(terms, grid)
+        g = sampled(terms)
         report = solve_mellin(g, p, lines=(0.0,))
         ratio = report.base_norm_ratio
         checks += [

@@ -75,8 +75,8 @@ class HalfLineFunction:
     """Complex samples f(r_j) of a function on the half-line.
 
     The samples are a private read-only copy, so what depends on them alone
-    is computed at most once: the L2(dr/r) norm, and each decay test
-    (held in `_decay` by its (a, tol)).
+    is computed at most once: the L2(dr/r) norm, the FFT spectrum, and each
+    decay test (held in `_decay` by its (a, tol)).
     """
 
     grid: LogGrid
@@ -98,6 +98,13 @@ class HalfLineFunction:
     def norm(self) -> float:
         """L2(dr/r) norm: the square root of the trapezoid of |f|^2 in x."""
         return _l2_norm(np.abs(self.values), self.grid.h)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only FFT of the samples: the line-0 spectrum of every solve of f."""
+        spectrum = np.fft.fft(self.values)
+        spectrum.flags.writeable = False
+        return spectrum
 
     def with_values(self, values: np.ndarray) -> "HalfLineFunction":
         return HalfLineFunction(self.grid, values)
@@ -123,10 +130,10 @@ def sample(expr: Callable[[np.ndarray], np.ndarray], grid: LogGrid) -> HalfLineF
     """Evaluate a pointwise expression of r on the grid nodes."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         values = np.asarray(expr(grid.r), dtype=np.complex128)
-    values = np.broadcast_to(values, (grid.n_points,))
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteSample("expression produced NaN or Inf on the grid")
-    return HalfLineFunction(grid, values)
+    try:
+        return HalfLineFunction(grid, np.broadcast_to(values, (grid.n_points,)))
+    except NonFiniteSample:
+        raise NonFiniteSample("expression produced NaN or Inf on the grid") from None
 
 
 def trapezoid(samples: np.ndarray, h: float) -> float | complex:

@@ -108,15 +108,15 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
     values[k] = (h/sqrt(2 pi)) * sum_j f_j e^{-a x_j} e^{-i t_k x_j}, the
     rectangle-rule Fourier transform of the weighted samples.  Admissibility
     is recorded, not required: the discrete transform is always defined and
-    exactly invertible.
+    exactly invertible.  The line a = 0 is f's held, read-only spectrum.
     """
     grid = f.grid
-    weighted = f.values
-    if a != 0:
-        with np.errstate(over="ignore", under="ignore"):
-            weighted = weighted * np.exp(-a * grid.x)
-        if not all_finite(weighted):
-            raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
+    if a == 0:
+        return MellinLine(0.0, grid, f.spectrum, line_admissible(f, a))
+    with np.errstate(over="ignore", under="ignore"):
+        weighted = f.values * np.exp(-a * grid.x)
+    if not all_finite(weighted):
+        raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
     return MellinLine(float(a), grid, np.fft.fft(weighted), line_admissible(f, a))
 
 

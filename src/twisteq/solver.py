@@ -28,6 +28,7 @@ from .grid import (
     relative_difference,
     relative_to,
     trapezoid,
+    vanishes,
 )
 from .mellin import (
     MellinLine,
@@ -36,7 +37,6 @@ from .mellin import (
     line_admissible,
     mellin_inverse_line,
     mellin_line,
-    spectral_dx,
     strip_admissible,
 )
 from .reps import ModelRepParams, fractional_weight, regularity_norm
@@ -169,12 +169,18 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally.
+    """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally."""
+    return _defect(np.fft.fft(f.values), f, g, m)
 
-    X f + m f - g is accumulated in one buffer, and only that final
-    difference is wrapped (and scanned for NaN/Inf) as a HalfLineFunction.
+
+def _defect(spectrum: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
+    """||(X+m)f - g|| / ||g||, with X f read off `spectrum`, the FFT of f.
+
+    X f + m f - g is accumulated in one buffer, in the order of
+    spectral_dx(f) + m f - g, and only that final difference is wrapped
+    (and scanned for NaN/Inf) as a HalfLineFunction.
     """
-    defect = spectral_dx(f.values, f.grid.h)
+    defect = np.fft.ifft(spectrum * (1j * fft_frequencies(f.grid)))
     defect += m * f.values
     defect -= g.values
     return relative_to(base_norm(HalfLineFunction(f.grid, defect)), g)
@@ -242,7 +248,12 @@ def solve_mellin(
             )
 
     grid = g.grid
-    base = _invert_line(mellin_line(g, 0.0), m, grid)
+    divided = divide_line(mellin_line(g, 0.0), m)
+    base = mellin_inverse_line(divided, grid)
+    # The divided spectrum is the spectrum of base, so the residual needs no
+    # forward FFT; drop it before the other lines are transformed.
+    base_residual = _defect(divided.spectrum, base, g, m)
+    del divided
 
     defects = [
         relative_difference(_invert_line(mellin_line(g, a), m, grid), base)
@@ -271,7 +282,7 @@ def solve_mellin(
     return SolveReport(
         solution=base,
         obstruction=d_val,
-        residual=residual(base, g, m),
+        residual=base_residual,
         base_norm_ratio=relative_to(m * base_norm(base), g),
         weighted_norms=tuple(entries),
         coincidence_defect=coincidence,
@@ -349,10 +360,11 @@ def estimate_sweep(
         lhs = base_norm(wf)
         rhs = regularity_norm(g, t, p)
         cls = bound_class(t, p, s)
-        if cls in ("resolvent", "base"):
-            ratio = lhs * (p.m - t * p.lambda1) / rhs if rhs > 0 else 0.0
-        else:
-            ratio = lhs / rhs if rhs > 0 else 0.0
+        factor = p.m - t * p.lambda1 if cls in ("resolvent", "base") else 1.0
+        if rhs > 0:
+            ratio = lhs * factor / rhs
+        else:  # rhs underflows to 0 on a nonzero g: the ratio is not measured
+            ratio = 0.0 if vanishes(g) else float("nan")
         admissible = line_admissible(wf, 0.0, decay_tol) and np.isfinite(lhs)
         rows.append(EstimateRow(float(t), lhs, rhs, cls, float(ratio), admissible))
     return rows

@@ -428,3 +428,17 @@ class TestDegenerateInputs:
         steps = [r for r in rows if r["quantity"] in ("energy_growth", "energy_drift")]
         assert len(steps) == 4
         assert all(r["flags"] == "non-finite" and r["passed"] == "fail" for r in steps)
+
+    def test_underflowing_estimate_rhs_is_not_measured(self, tmp_path):
+        # the samples are nonzero, but the estimate's rhs norm underflows to 0
+        path = write(
+            tmp_path,
+            f"suite = estimate-sweep\nfamily = none\nfunction = 1e-300,4,1\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "estimate-sweep")
+        ratios = [r for r in rows if r["quantity"] == "estimate_ratio"]
+        assert len(ratios) == 4
+        for r in ratios:
+            assert r["value"] == "nan" and "non-finite" in r["flags"].split(";"), r

@@ -57,7 +57,7 @@ class TestSample:
 
     def test_overflowing_expression(self):
         g = make_log_grid(32, -1.0, 800.0)  # r down to e^-800, 1/r overflows
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(NonFiniteSample, match="expression produced NaN or Inf on the grid"):
             sample(lambda r: 1.0 / r, g)
 
     def test_values_immutable(self, grid):

@@ -101,6 +101,14 @@ class TestLineRepresentation:
         back = mellin_inverse_line(line, grid)
         assert np.array_equal(back.values, np.fft.ifft(line.spectrum))
 
+    def test_line_zero_is_the_held_spectrum(self, grid):
+        # every line-0 transform of f shares f's one read-only spectrum
+        f = sample_terms(family_member("r2_exp"), grid)
+        first, second = mellin_line(f, 0.0), mellin_line(f, 0.0)
+        assert first.spectrum is f.spectrum and second.spectrum is f.spectrum
+        with pytest.raises(ValueError):
+            f.spectrum[0] = 0.0
+
     @pytest.mark.filterwarnings("error")
     def test_divide_on_pole_line_rejected(self, grid):
         # the pole is named before any division, so numpy warns of nothing

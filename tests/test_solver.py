@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+import twisteq
 from twisteq import grid as grid_module
 from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
@@ -192,12 +193,25 @@ class TestResidual:
             composed = relative_difference(lin_comb(1.0, apply_X(f), m, f), g)
             assert residual(f, g, m) == composed, name
 
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_solve_residual_at_rounding_level(self, wide_grid, p, name, terms):
+        # read off the divided spectrum, and recomputed from the samples
+        g = sample_terms(terms, wide_grid)
+        report = solve_mellin(g, p, lines=(0.0,))
+        assert report.residual <= 1e-12, name
+        assert residual(report.solution, g, p.m) <= 1e-12, name
+
 
 class TestWorkPerSolve:
-    """solve_mellin transforms each line once; the residual adds one FFT pair."""
+    """g's line-0 spectrum is computed once, on its first solve; every other
+    line adds one forward and one inverse FFT, and the residual one inverse."""
 
-    @pytest.mark.parametrize("lines, pairs", [((0.0,), 2), ((0.0, -0.4, -0.8), 4)])
-    def test_fft_count(self, monkeypatch, grid, lines, pairs):
+    @pytest.mark.parametrize(
+        "lines, first, repeat",
+        [((0.0,), (1, 2), (0, 2)), ((0.0, -0.4, -0.8), (3, 4), (2, 4))],
+        ids=["line0", "three-lines"],
+    )
+    def test_fft_count(self, monkeypatch, grid, lines, first, repeat):
         calls = {"fft": 0, "ifft": 0}
         for name in calls:
             original = getattr(np.fft, name)
@@ -208,8 +222,11 @@ class TestWorkPerSolve:
 
             monkeypatch.setattr(np.fft, name, counted)
         g = sample_terms(family_member("r2_exp"), grid)
-        solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0), lines=lines)
-        assert calls == {"fft": pairs, "ifft": pairs}
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        for expected in (first, repeat):
+            calls.update(fft=0, ifft=0)
+            solve_mellin(g, p, lines=lines)
+            assert (calls["fft"], calls["ifft"]) == expected
 
     def test_decay_test_once_per_weight(self, monkeypatch, grid):
         runs = []
@@ -227,6 +244,28 @@ class TestWorkPerSolve:
         assert len(runs) == 4
         solve_mellin(g, p, lines=(0.0, -0.4))
         assert len(runs) == 4
+
+
+@pytest.mark.skipif(
+    not twisteq._heap_thresholds_fixed, reason="glibc's heap thresholds were not set"
+)
+class TestHeapThresholds:
+    def test_warm_solve_faults_no_pages(self, p):
+        # with glibc's adaptive thresholds, one such solve faulted ~1300 pages
+        import resource  # POSIX only, like mallopt
+
+        grid = make_log_grid(19200, -12.0, 40.0)
+
+        def solve():
+            g = sample_terms(flow_rhs(family_member("r2_exp"), p.m), grid)
+            solve_mellin(g, p, lines=(0.0, -0.4), t_list=(0.0, 0.5))
+            solve_semigroup(g, p.m)
+
+        for _ in range(3):
+            solve()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        solve()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50
 
 
 class TestUnderflowingNorms:
@@ -247,6 +286,12 @@ class TestUnderflowingNorms:
         zero = sample(lambda r: 0.0 * r, wide_grid)
         report = solve_mellin(zero, p, lines=(0.0,))
         assert report.base_norm_ratio == 0.0 and report.residual == 0.0
+
+    def test_estimate_ratio(self, wide_grid, tiny, p):
+        zero = sample(lambda r: 0.0 * r, wide_grid)
+        t_grid = (0.0, 0.5, 2.0)
+        assert all(np.isnan(row.ratio) for row in estimate_sweep(tiny, p, 1.0, t_grid))
+        assert all(row.ratio == 0.0 for row in estimate_sweep(zero, p, 1.0, t_grid))
 
 
 class TestRegularityDichotomy:
