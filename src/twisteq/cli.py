@@ -78,6 +78,14 @@ class ExperimentConfig:
             m=self.m if m is None else m,
         )
 
+    def tolerances(self) -> dict[str, float]:
+        """The tol.* keys, as keyword arguments of the solver's solves."""
+        return {
+            "eps_pole": self.eps_pole,
+            "obstruction_tol": self.obstruction_tol,
+            "decay_tol": self.decay_tol,
+        }
+
     def cases(self) -> tuple[tuple[str, Terms], ...]:
         """Input functions: the published family, an inline function, or both."""
         cases: list[tuple[str, Terms]] = []
@@ -311,11 +319,7 @@ def _solve_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> lis
         bump = sample_terms(make_terms([(1.0, bump_k, 2.0)]), grid)
         g = project_obstruction(g, p, bump, decay_tol=cfg.decay_tol)
         lines = cfg.lines
-    report = solve_mellin(
-        g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid,
-        eps_pole=cfg.eps_pole, obstruction_tol=cfg.obstruction_tol,
-        decay_tol=cfg.decay_tol,
-    )
+    report = solve_mellin(g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid, **cfg.tolerances())
     oracle = solve_semigroup(g, cfg.m)
     agreement = relative_difference(report.solution, oracle)
     flags = ";".join(report.flags)
@@ -370,7 +374,7 @@ def _estimate_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> 
     curves = []
     for grid in grids:
         g = sample_terms(terms, grid)
-        curves.append(estimate_sweep(g, p, cfg.s, cfg.t_grid, decay_tol=cfg.decay_tol))
+        curves.append(estimate_sweep(g, p, cfg.s, cfg.t_grid, **cfg.tolerances()))
     checks = []
     for entry, refined in zip(*curves):
         params = f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
@@ -403,7 +407,7 @@ def _scan_checks(cfg: ExperimentConfig, label: str, case, plot: PlotData) -> lis
         g = sample_terms(terms, grid)
         if project:
             g = project_obstruction(g, p, sample_terms(bump_terms, grid), decay_tol=cfg.decay_tol)
-        report = solve_mellin(g, p, lines=(0.0,))
+        report = solve_mellin(g, p, lines=(0.0,), **cfg.tolerances())
         series.append(weighted_norm(report.solution, cfg.m) ** 2)
 
     params_base = f"m={cfg.m:g};x_min={cfg.x_min:g}"
@@ -497,7 +501,7 @@ def _sweep_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> lis
     checks = []
     for fun, terms in inputs:
         g = sampled(terms)
-        report = solve_mellin(g, p, lines=(0.0,))
+        report = solve_mellin(g, p, lines=(0.0,), **cfg.tolerances())
         ratio = report.base_norm_ratio
         checks += [
             Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),

@@ -60,6 +60,13 @@ class LogGrid:
         r.flags.writeable = False
         return r
 
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order."""
+        omega = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
+        omega.flags.writeable = False
+        return omega
+
 
 def make_log_grid(n_points: int, x_min: float, x_max: float) -> LogGrid:
     return LogGrid(int(n_points), float(x_min), float(x_max))
@@ -75,13 +82,14 @@ class HalfLineFunction:
     """Complex samples f(r_j) of a function on the half-line.
 
     The samples are a private read-only copy, so what depends on them alone
-    is computed at most once: the L2(dr/r) norm, the FFT spectrum, and each
-    decay test (held in `_decay` by its (a, tol)).
+    is computed at most once: the L2(dr/r) norm, the FFT spectrum, and, held
+    in `_held` by a tagged key, each decay test ("decay", a, tol) and each
+    Mellin solve ("solve", m, lines, tolerances) of solver.solve_mellin.
     """
 
     grid: LogGrid
     values: np.ndarray
-    _decay: dict = field(default_factory=dict, init=False, repr=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.complex128)
@@ -217,10 +225,10 @@ def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> b
     tol * max; a profile whose boundary value rivals its maximum signals a
     divergent (or unresolved) weighted integral.  Runs once per (f, a, tol).
     """
-    key = (a, tol)
-    if key not in f._decay:
-        f._decay[key] = _decays(weighted_samples(f, a), tol)
-    return f._decay[key]
+    key = ("decay", a, tol)
+    if key not in f._held:
+        f._held[key] = _decays(weighted_samples(f, a), tol)
+    return f._held[key]
 
 
 def _decays(w: np.ndarray, tol: float) -> bool:

@@ -88,8 +88,8 @@ class StripCheck(NamedTuple):
 
 
 def fft_frequencies(grid: LogGrid) -> np.ndarray:
-    """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order."""
-    return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h)
+    """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order (read-only)."""
+    return grid.frequencies
 
 
 def line_frequencies(grid: LogGrid) -> np.ndarray:
@@ -161,18 +161,17 @@ def parseval_defect(f: HalfLineFunction) -> float:
 
 def log_derivative(f: HalfLineFunction) -> HalfLineFunction:
     """r d/dr f, computed spectrally as -d/dx on the log grid."""
-    return HalfLineFunction(f.grid, -spectral_dx(f.values, f.grid.h))
+    return HalfLineFunction(f.grid, -spectral_dx(f.values, f.grid))
 
 
-def spectral_dx(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dx by DFT multiplier, including the (unpaired) Nyquist mode.
+def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
+    """d/dx of samples on `grid` by DFT multiplier, including the (unpaired)
+    Nyquist mode.
 
     Keeping the Nyquist mode makes the multiplier the exact inverse image of
     the line frequencies, so derivative identities hold bin-by-bin.
     """
-    n = len(values)
-    omega = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    return np.fft.ifft(np.fft.fft(values) * (1j * omega))
+    return np.fft.ifft(np.fft.fft(values) * (1j * fft_frequencies(grid)))
 
 
 def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:

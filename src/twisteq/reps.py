@@ -61,7 +61,7 @@ class ModelRepParams:
 
 def apply_X(f: HalfLineFunction) -> HalfLineFunction:
     """X f = -r d/dr f, computed as +d/dx by spectral differentiation."""
-    return HalfLineFunction(f.grid, spectral_dx(f.values, f.grid.h))
+    return HalfLineFunction(f.grid, spectral_dx(f.values, f.grid))
 
 
 def _imaginary_power_multiply(

@@ -225,7 +225,58 @@ def solve_mellin(
 
     t_list adds weighted-norm diagnostics ||(I-u1^2)^(t/2) f||, each tagged
     with its bound class and an admissibility flag.
+
+    X acts as -r d/dr whatever lambda1 is, so the solve depends on g, m, the
+    lines and the tolerances alone, and lambda1 and s reach only the
+    weighted norms.  The report without them is held on g per (m, lines,
+    tolerances), and reports that share it share one read-only solution.  A
+    solve that raises is not held.
     """
+    lines = tuple(lines)
+    key = ("solve", p.m, lines, eps_pole, obstruction_tol, decay_tol)
+    held = g._held.get(key)
+    if held is None:
+        held = _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol)
+        g._held[key] = held
+    base = held.solution
+    flags = list(held.flags)
+    entries = []
+    for t in t_list:
+        wf = fractional_weight(base, t, p)
+        value = base_norm(wf)
+        admissible = line_admissible(wf, 0.0, decay_tol) and np.isfinite(value)
+        if not admissible:
+            flags.append(f"weighted-norm-t={t:g}-not-admissible")
+        entries.append(
+            WeightedNormEntry(
+                t=float(t),
+                value=value,
+                bound_class=bound_class(t, p, s),
+                admissible=admissible,
+            )
+        )
+    return SolveReport(
+        solution=base,
+        obstruction=held.obstruction,
+        residual=held.residual,
+        base_norm_ratio=held.base_norm_ratio,
+        weighted_norms=tuple(entries),
+        coincidence_defect=held.coincidence_defect,
+        flags=tuple(flags),
+    )
+
+
+def _solve(
+    g: HalfLineFunction,
+    p: ModelRepParams,
+    lines: tuple[float, ...],
+    eps_pole: float,
+    obstruction_tol: float,
+    decay_tol: float,
+) -> SolveReport:
+    """The report of solve_mellin with an empty t_list: the gates, the
+    obstruction, the line-0 solve and the coincidence lines.  Of p only the
+    twist m is read."""
     m = p.m
     flags: list[str] = []
     for a in lines:
@@ -263,28 +314,12 @@ def solve_mellin(
     # np.max, unlike max(), keeps a NaN defect
     coincidence = float(np.max(defects, initial=0.0))
 
-    entries = []
-    for t in t_list:
-        wf = fractional_weight(base, t, p)
-        value = base_norm(wf)
-        admissible = line_admissible(wf, 0.0, decay_tol) and np.isfinite(value)
-        if not admissible:
-            flags.append(f"weighted-norm-t={t:g}-not-admissible")
-        entries.append(
-            WeightedNormEntry(
-                t=float(t),
-                value=value,
-                bound_class=bound_class(t, p, s),
-                admissible=admissible,
-            )
-        )
-
     return SolveReport(
         solution=base,
         obstruction=d_val,
         residual=base_residual,
         base_norm_ratio=relative_to(m * base_norm(base), g),
-        weighted_norms=tuple(entries),
+        weighted_norms=(),
         coincidence_defect=coincidence,
         flags=tuple(flags),
     )
@@ -340,6 +375,8 @@ def estimate_sweep(
     p: ModelRepParams,
     s: float,
     t_grid: tuple[float, ...],
+    eps_pole: float = DEFAULT_EPS_POLE,
+    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL,
     decay_tol: float = DECAY_TOL,
 ) -> list[EstimateRow]:
     """Tabulate ||(I-u1^2)^(t/2) f|| against its bound class for each t.
@@ -352,7 +389,10 @@ def estimate_sweep(
     """
     if not line_admissible(g, -s * p.lambda1, decay_tol):
         raise NotAdmissible(f"g lacks decay for regularity {s} at lambda1={p.lambda1}")
-    report = solve_mellin(g, p, s=s, lines=(0.0,), decay_tol=decay_tol)
+    report = solve_mellin(
+        g, p, s=s, lines=(0.0,), eps_pole=eps_pole, obstruction_tol=obstruction_tol,
+        decay_tol=decay_tol,
+    )
     f = report.solution
     rows = []
     for t in t_grid:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from twisteq import solver
 from twisteq.cli import _KEYS, main, parse_config
 from twisteq.errors import ConfigError
 
@@ -274,6 +275,24 @@ class TestPerturbationSweep:
         uniform = [r for r in rows if r["quantity"] == "uniform_bound_ratio"]
         assert all(float(r["value"]) <= 1.0 for r in uniform)
 
+    def test_each_input_and_twist_solved_once(self, tmp_path, monkeypatch):
+        # 8 inputs at 25 (lambda1, m) points, 5 distinct m: 40 of the 200
+        # solves divide and invert, the others reuse the solve held on g
+        divided = []
+        original = solver.divide_line
+
+        def counted(g_line, m):
+            divided.append((g_line.a, m))
+            return original(g_line, m)
+
+        monkeypatch.setattr(solver, "divide_line", counted)
+        config = str(CONFIG_DIR / "perturbation.cfg")
+        assert main(["run", config, "--out", str(tmp_path)]) == 0
+        assert len(divided) == 40 and len(set(divided)) == 5
+        assert all(a == 0.0 for a, _ in divided)
+        rows = read_rows(tmp_path, "perturbation-sweep")
+        assert len([r for r in rows if r["quantity"] == "residual_mellin"]) == 200
+
     def test_degenerate_sweep_reproduces_base(self, tmp_path):
         base = write(
             tmp_path,
@@ -352,6 +371,41 @@ class TestOtherSuites:
         assert main(["run", str(path)]) == 1
         rows = read_rows(tmp_path / "out", "solve")
         assert any("NotAdmissible" in r["flags"] for r in rows)
+
+    @pytest.mark.parametrize(
+        "suite, text, case, error",
+        [
+            # r e^{-r} at r = e^12 is 1.7e-5 of its peak
+            (
+                "perturbation-sweep", "function = 1,1,1\nsweep.steps = 2\ntol.decay = 1e-12",
+                "(0.9,0.9)", "NotAdmissible: g lacks decay for the requested line Re z = 0.0",
+            ),
+            (
+                "obstruction-scan", "function = 1,1,1\ntol.decay = 1e-12",
+                "obstructed", "NotAdmissible: g lacks decay for the requested line Re z = 0.0",
+            ),
+            # line 0 lies within 2 of the pole -m = -1, and the data are obstructed
+            (
+                "perturbation-sweep", "function = 1,1,1\nsweep.steps = 2\ntol.eps_pole = 2",
+                "(0.9,0.9)", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
+            ),
+            (
+                "obstruction-scan", "function = 1,1,1\ntol.eps_pole = 2",
+                "obstructed", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
+            ),
+            (
+                "estimate-sweep", "family = none\nfunction = 1,4,1\nt_grid = 0\ntol.eps_pole = 2",
+                "inline", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
+            ),
+        ],
+        ids=["sweep-decay", "scan-decay", "sweep-eps-pole", "scan-eps-pole", "estimate-eps-pole"],
+    )
+    def test_tolerances_reach_every_solve(self, tmp_path, suite, text, case, error):
+        path = write(tmp_path, f"suite = {suite}\n{text}\nout.dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", suite)
+        errors = {r["function"]: r["flags"] for r in rows if r["quantity"] == "error"}
+        assert errors[case].startswith(error)
 
     @pytest.mark.parametrize(
         "suite, text",

@@ -9,11 +9,13 @@ from twisteq.mellin import (
     MellinLine,
     Strip,
     derivative_rule_defect,
+    fft_frequencies,
     line_energy,
     log_derivative,
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
+    spectral_dx,
     strip_admissible,
 )
 from twisteq.solver import divide_line
@@ -59,6 +61,16 @@ class TestMellinLine:
         assert abs(t[np.argmin(np.abs(t))]) == 0.0
         spacing = 2.0 * np.pi / (grid.n_points * grid.h)
         assert np.allclose(np.diff(t), spacing, rtol=1e-12)
+
+    def test_frequencies_held_on_the_grid(self):
+        grid = make_log_grid(19200, -12.0, 40.0)
+        omega = fft_frequencies(grid)
+        assert omega is grid.frequencies and not omega.flags.writeable
+        assert np.array_equal(omega, 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h))
+        # spectral_dx reads the held frequencies and keeps every bit
+        f = sample_terms(family_member("r2_exp"), grid)
+        direct = np.fft.ifft(np.fft.fft(f.values) * (1j * omega))
+        assert np.array_equal(spectral_dx(f.values, grid), direct)
 
 
 class TestLineRepresentation:

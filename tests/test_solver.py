@@ -7,6 +7,7 @@ from twisteq import grid as grid_module
 from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import (
+    HalfLineFunction,
     base_norm,
     lin_comb,
     make_log_grid,
@@ -204,14 +205,13 @@ class TestResidual:
 
 class TestWorkPerSolve:
     """g's line-0 spectrum is computed once, on its first solve; every other
-    line adds one forward and one inverse FFT, and the residual one inverse."""
+    line adds one forward and one inverse FFT, and the residual one inverse.
+    The solve itself is held on g per (m, lines, tolerances): a repeat runs
+    no FFT at all."""
 
-    @pytest.mark.parametrize(
-        "lines, first, repeat",
-        [((0.0,), (1, 2), (0, 2)), ((0.0, -0.4, -0.8), (3, 4), (2, 4))],
-        ids=["line0", "three-lines"],
-    )
-    def test_fft_count(self, monkeypatch, grid, lines, first, repeat):
+    @pytest.fixture
+    def ffts(self, monkeypatch):
+        """count(solve) runs solve and returns its (fft, ifft) call counts."""
         calls = {"fft": 0, "ifft": 0}
         for name in calls:
             original = getattr(np.fft, name)
@@ -221,12 +221,46 @@ class TestWorkPerSolve:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
+
+        def count(solve):
+            calls.update(fft=0, ifft=0)
+            solve()
+            return calls["fft"], calls["ifft"]
+
+        return count
+
+    @pytest.mark.parametrize(
+        "lines, first", [((0.0,), (1, 2)), ((0.0, -0.4, -0.8), (3, 4))], ids=["line0", "three-lines"]
+    )
+    def test_fft_count(self, ffts, grid, lines, first):
         g = sample_terms(family_member("r2_exp"), grid)
         p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
-        for expected in (first, repeat):
-            calls.update(fft=0, ifft=0)
-            solve_mellin(g, p, lines=lines)
-            assert (calls["fft"], calls["ifft"]) == expected
+        assert ffts(lambda: solve_mellin(g, p, lines=lines)) == first
+        assert ffts(lambda: solve_mellin(g, p, lines=lines)) == (0, 0)
+        # lambda1, s and t_list reach only the weighted norms
+        other = ModelRepParams(sigma=1, lambda1=-0.7, m=1.0)
+        assert ffts(lambda: solve_mellin(g, other, s=2.0, lines=lines)) == (0, 0)
+
+    def test_new_twist_divides_and_inverts_again(self, ffts, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0))
+        assert ffts(lambda: solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.5))) == (0, 2)
+
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            ({"decay_tol": 0.25}, (0, 2)),
+            ({"eps_pole": 0.1}, (0, 2)),
+            ({"obstruction_tol": 1e-8}, (0, 2)),
+            ({"lines": (0.0, -0.4)}, (1, 3)),
+        ],
+        ids=["decay_tol", "eps_pole", "obstruction_tol", "lines"],
+    )
+    def test_changed_key_misses_the_held_solve(self, ffts, grid, change, expected):
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        solve_mellin(g, p)
+        assert ffts(lambda: solve_mellin(g, p, **change)) == expected
 
     def test_decay_test_once_per_weight(self, monkeypatch, grid):
         runs = []
@@ -244,6 +278,47 @@ class TestWorkPerSolve:
         assert len(runs) == 4
         solve_mellin(g, p, lines=(0.0, -0.4))
         assert len(runs) == 4
+
+
+def _equal(a, b) -> bool:
+    """a == b, with NaN taken to equal NaN."""
+    return a == b or (a != a and b != b)
+
+
+class TestHeldSolve:
+    """What a held solve gives back equals a cold solve, bit for bit."""
+
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_hit_equals_cold_solve(self, grid, name, terms):
+        g = sample_terms(terms, grid)
+        kwargs = dict(s=2.0, lines=(0.0, -0.4), t_list=(0.0, 0.5, 1.0))
+        solve_mellin(g, ModelRepParams(sigma=1, lambda1=-1.0, m=1.0), **kwargs)
+        for lam in (-1.0, 0.8, 1.2):
+            p = ModelRepParams(sigma=1, lambda1=lam, m=1.0)
+            hit = solve_mellin(g, p, **kwargs)
+            cold = solve_mellin(HalfLineFunction(g.grid, g.values), p, **kwargs)
+            assert hit.solution is not cold.solution
+            assert np.array_equal(hit.solution.values, cold.solution.values), (name, lam)
+            for field in ("obstruction", "residual", "base_norm_ratio", "coincidence_defect"):
+                assert _equal(getattr(hit, field), getattr(cold, field)), (name, lam, field)
+            assert hit.flags == cold.flags, (name, lam)
+            assert len(hit.weighted_norms) == len(cold.weighted_norms) == 3
+            for a, b in zip(hit.weighted_norms, cold.weighted_norms):
+                assert all(_equal(vars(a)[k], vars(b)[k]) for k in vars(a)), (name, lam, a, b)
+
+    def test_reports_at_two_lambda1_share_the_solution(self, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        first = solve_mellin(g, ModelRepParams(sigma=1, lambda1=0.8, m=1.0))
+        second = solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.2, m=1.0), t_list=(0.5,))
+        assert first.solution is second.solution
+        assert not first.solution.values.flags.writeable
+
+    def test_failed_solve_is_not_held(self, wide_grid, p):
+        g = sample_terms(family_member("r2_exp"), wide_grid)
+        for _ in range(2):
+            with pytest.raises(PoleOnLine):
+                solve_mellin(g, p, lines=(0.0, -1.0))
+        assert not [key for key in g._held if key[0] == "solve"]
 
 
 @pytest.mark.skipif(
