@@ -83,6 +83,7 @@ from .reps import (
     apply_u1,
     apply_u2,
     flow_action,
+    fractional_norm,
     fractional_weight,
     fractional_weight_u2,
     nearest_bin_shift,

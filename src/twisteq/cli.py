@@ -240,17 +240,26 @@ class Check(NamedTuple):
     function: str | None = None  # names the input when a case covers several
 
 
+def _error(exc: TwisteqError, params: str = "", function: str | None = None) -> Check:
+    """The failing `error` row of a module error; its NaN value is no measurement."""
+    return Check("error", params, float("nan"), None, flags=f"{type(exc).__name__}: {exc}",
+                 function=function)
+
+
 def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> ReportRow:
     value = float(check.value)
     flags = check.flags
-    if not math.isfinite(value):
-        flags = f"{flags};non-finite" if flags else "non-finite"
-    if check.bound is None:
-        passed = True
-    elif check.direction == "<=":
-        passed = value <= check.bound
+    if check.quantity == "error":
+        passed = False
     else:
-        passed = value >= check.bound
+        if not math.isfinite(value):
+            flags = f"{flags};non-finite" if flags else "non-finite"
+        if check.bound is None:
+            passed = True
+        elif check.direction == "<=":
+            passed = value <= check.bound
+        else:
+            passed = value >= check.bound
     return ReportRow(
         cfg.suite, case_id, check.function or function, check.quantity, check.params,
         value, check.bound, check.direction, passed and not (cfg.strict and flags), flags,
@@ -500,8 +509,11 @@ def _sweep_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> lis
     p = cfg.rep(m=m, lambda1=lam)
     checks = []
     for fun, terms in inputs:
-        g = sampled(terms)
-        report = solve_mellin(g, p, lines=(0.0,), **cfg.tolerances())
+        try:  # one input's module error must not hide the other inputs' rows
+            report = solve_mellin(sampled(terms), p, lines=(0.0,), **cfg.tolerances())
+        except TwisteqError as exc:
+            checks.append(_error(exc, params, fun))
+            continue
         ratio = report.base_norm_ratio
         checks += [
             Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),
@@ -551,12 +563,7 @@ def run_suite(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
         try:
             checks = checks_of(cfg, name, case, plot)
         except TwisteqError as exc:
-            rows.append(
-                ReportRow(
-                    cfg.suite, case_id, name, "error", "", float("nan"), None, "<=", False,
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
+            rows.append(_row(cfg, case_id, name, _error(exc)))
             continue
         rows.extend(_row(cfg, case_id, name, check) for check in checks)
     if finish is not None:

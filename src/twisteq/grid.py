@@ -67,6 +67,13 @@ class LogGrid:
         omega.flags.writeable = False
         return omega
 
+    @cached_property
+    def _held(self) -> dict:
+        """Arrays derived from the grid and a parameter, by tagged key: the
+        log-weight ("log_weight", lambda1) of reps.fractional_weight.  Not a
+        field, so it enters neither equality nor the hash."""
+        return {}
+
 
 def make_log_grid(n_points: int, x_min: float, x_max: float) -> LogGrid:
     return LogGrid(int(n_points), float(x_min), float(x_max))

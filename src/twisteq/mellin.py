@@ -161,7 +161,7 @@ def parseval_defect(f: HalfLineFunction) -> float:
 
 def log_derivative(f: HalfLineFunction) -> HalfLineFunction:
     """r d/dr f, computed spectrally as -d/dx on the log grid."""
-    return HalfLineFunction(f.grid, -spectral_dx(f.values, f.grid))
+    return HalfLineFunction(f.grid, -_dx(f.spectrum, f.grid))
 
 
 def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
@@ -171,7 +171,12 @@ def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
     Keeping the Nyquist mode makes the multiplier the exact inverse image of
     the line frequencies, so derivative identities hold bin-by-bin.
     """
-    return np.fft.ifft(np.fft.fft(values) * (1j * fft_frequencies(grid)))
+    return _dx(np.fft.fft(values), grid)
+
+
+def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
+    """d/dx of the samples whose FFT is `spectrum`, as in spectral_dx."""
+    return np.fft.ifft(spectrum * (1j * fft_frequencies(grid)))
 
 
 def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:

@@ -16,13 +16,16 @@ import numpy as np
 
 from .errors import BinRoundingWarning, MissingParams, TruncationWarning
 from .grid import (
+    DECAY_TOL,
     MACHINE_TAIL_TOL,
     HalfLineFunction,
     LogGrid,
+    _decays,
+    _l2_norm,
     base_norm,
-    weighted_norm,
+    decay_admissible,
 )
-from .mellin import spectral_dx
+from .mellin import _dx
 
 MAX_SOBOLEV_ORDER = 6
 
@@ -61,7 +64,7 @@ class ModelRepParams:
 
 def apply_X(f: HalfLineFunction) -> HalfLineFunction:
     """X f = -r d/dr f, computed as +d/dx by spectral differentiation."""
-    return HalfLineFunction(f.grid, spectral_dx(f.values, f.grid))
+    return HalfLineFunction(f.grid, _dx(f.spectrum, f.grid))
 
 
 def _imaginary_power_multiply(
@@ -134,18 +137,49 @@ def _stable_power_multiply(
     f: HalfLineFunction, log_sq_mult: np.ndarray, t: float
 ) -> HalfLineFunction:
     """f times exp((t/2) * log_sq_mult), zeroing only where f itself is zero."""
-    with np.errstate(over="ignore", under="ignore"):
-        values = f.values * np.exp((t / 2.0) * log_sq_mult)
-    values = np.where(f.values == 0, 0.0, values)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weight = np.exp((t / 2.0) * log_sq_mult)
+        values = f.values * weight
+    if not np.isfinite(weight.max()):  # 0 * inf is NaN where f vanishes
+        values = np.where(f.values == 0, 0.0, values)
     return HalfLineFunction(f.grid, values)
+
+
+def _log_weight(grid: LogGrid, lambda1: float) -> np.ndarray:
+    """log(1 + r^(-2*lambda1)) on the grid, held on it per lambda1 (read-only)."""
+    key = ("log_weight", lambda1)
+    log_sq = grid._held.get(key)
+    if log_sq is None:
+        log_sq = np.logaddexp(0.0, 2.0 * lambda1 * grid.x)
+        log_sq.flags.writeable = False
+        grid._held[key] = log_sq
+    return log_sq
 
 
 def fractional_weight(f: HalfLineFunction, t: float, p: ModelRepParams) -> HalfLineFunction:
     """(I - u1^2)^(t/2) f = (1 + r^(-2*lambda1))^(t/2) * f."""
     if t == 0:
         return f
-    log_sq = np.logaddexp(0.0, 2.0 * p.lambda1 * f.grid.x)
-    return _stable_power_multiply(f, log_sq, t)
+    return _stable_power_multiply(f, _log_weight(f.grid, p.lambda1), t)
+
+
+def fractional_norm(
+    f: HalfLineFunction, t: float, p: ModelRepParams, decay_tol: float = DECAY_TOL
+) -> tuple[float, bool]:
+    """||(I - u1^2)^(t/2) f|| and whether it is admissible: finite, with
+    weighted samples that pass the line-0 decay test.
+
+    The norm and the decay test read one |.| pass over the weighted samples;
+    at t = 0 they are f's held norm and decay test.
+    """
+    if t == 0:
+        value = f.norm
+        decays = decay_admissible(f, 0.0, decay_tol)
+    else:
+        w = np.abs(fractional_weight(f, t, p).values)
+        value = _l2_norm(w, f.grid.h)
+        decays = _decays(w, decay_tol)
+    return value, bool(decays and np.isfinite(value))
 
 
 def fractional_weight_u2(f: HalfLineFunction, t: float, p: ModelRepParams) -> HalfLineFunction:
@@ -206,4 +240,4 @@ def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:
     Stands in for the order-t Sobolev norm on the right-hand side of bounds;
     equivalent to it up to fixed factors for the model generators.
     """
-    return weighted_norm(fractional_weight(f, t, p), 0.0) + base_norm(f)
+    return fractional_norm(f, t, p)[0] + base_norm(f)

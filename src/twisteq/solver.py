@@ -33,13 +33,14 @@ from .grid import (
 from .mellin import (
     MellinLine,
     Strip,
+    _dx,
     fft_frequencies,
     line_admissible,
     mellin_inverse_line,
     mellin_line,
     strip_admissible,
 )
-from .reps import ModelRepParams, fractional_weight, regularity_norm
+from .reps import ModelRepParams, fractional_norm, regularity_norm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -180,7 +181,7 @@ def _defect(spectrum: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: f
     spectral_dx(f) + m f - g, and only that final difference is wrapped
     (and scanned for NaN/Inf) as a HalfLineFunction.
     """
-    defect = np.fft.ifft(spectrum * (1j * fft_frequencies(f.grid)))
+    defect = _dx(spectrum, f.grid)
     defect += m * f.values
     defect -= g.values
     return relative_to(base_norm(HalfLineFunction(f.grid, defect)), g)
@@ -242,9 +243,7 @@ def solve_mellin(
     flags = list(held.flags)
     entries = []
     for t in t_list:
-        wf = fractional_weight(base, t, p)
-        value = base_norm(wf)
-        admissible = line_admissible(wf, 0.0, decay_tol) and np.isfinite(value)
+        value, admissible = fractional_norm(base, t, p, decay_tol)
         if not admissible:
             flags.append(f"weighted-norm-t={t:g}-not-admissible")
         entries.append(
@@ -396,8 +395,7 @@ def estimate_sweep(
     f = report.solution
     rows = []
     for t in t_grid:
-        wf = fractional_weight(f, t, p)
-        lhs = base_norm(wf)
+        lhs, admissible = fractional_norm(f, t, p, decay_tol)
         rhs = regularity_norm(g, t, p)
         cls = bound_class(t, p, s)
         factor = p.m - t * p.lambda1 if cls in ("resolvent", "base") else 1.0
@@ -405,6 +403,5 @@ def estimate_sweep(
             ratio = lhs * factor / rhs
         else:  # rhs underflows to 0 on a nonzero g: the ratio is not measured
             ratio = 0.0 if vanishes(g) else float("nan")
-        admissible = line_admissible(wf, 0.0, decay_tol) and np.isfinite(lhs)
         rows.append(EstimateRow(float(t), lhs, rhs, cls, float(ratio), admissible))
     return rows

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -27,3 +28,24 @@ def grid():
 def wide_grid():
     """Window sized so k=1 tails sit below the 1e-7 oracle tolerances."""
     return make_log_grid(6144, -12.0, 24.0)
+
+
+@pytest.fixture
+def ffts(monkeypatch):
+    """count(call) runs call and returns its (fft, ifft) call counts."""
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def count(call):
+        calls.update(fft=0, ifft=0)
+        call()
+        return calls["fft"], calls["ifft"]
+
+    return count

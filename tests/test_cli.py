@@ -293,6 +293,27 @@ class TestPerturbationSweep:
         rows = read_rows(tmp_path, "perturbation-sweep")
         assert len([r for r in rows if r["quantity"] == "residual_mellin"]) == 200
 
+    def test_failing_input_hides_no_other_rows(self, tmp_path):
+        # r e^{-0.00001 r} does not decay on the default window; the family does
+        path = write(
+            tmp_path,
+            "suite = perturbation-sweep\nfunction = 1,1,0.00001\nsweep.steps = 2\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "perturbation-sweep")
+        errors = [r for r in rows if r["quantity"] == "error"]
+        assert [(r["case_id"], r["function"]) for r in errors] == [
+            (str(case), "inline") for case in range(4)
+        ]
+        assert all(r["flags"].startswith("NotAdmissible") for r in errors)
+        assert all(r["passed"] == "fail" and r["params"].startswith("m=") for r in errors)
+        members = [r for r in rows if r["function"] not in ("inline", "summary")]
+        assert len(members) == 4 * 8 * 3 and all(r["passed"] == "pass" for r in members)
+        assert [r["quantity"] for r in rows if r["function"] == "summary"] == [
+            "base_norm_ratio_spread"
+        ]
+
     def test_degenerate_sweep_reproduces_base(self, tmp_path):
         base = write(
             tmp_path,
@@ -378,7 +399,7 @@ class TestOtherSuites:
             # r e^{-r} at r = e^12 is 1.7e-5 of its peak
             (
                 "perturbation-sweep", "function = 1,1,1\nsweep.steps = 2\ntol.decay = 1e-12",
-                "(0.9,0.9)", "NotAdmissible: g lacks decay for the requested line Re z = 0.0",
+                "inline", "NotAdmissible: g lacks decay for the requested line Re z = 0.0",
             ),
             (
                 "obstruction-scan", "function = 1,1,1\ntol.decay = 1e-12",
@@ -387,7 +408,7 @@ class TestOtherSuites:
             # line 0 lies within 2 of the pole -m = -1, and the data are obstructed
             (
                 "perturbation-sweep", "function = 1,1,1\nsweep.steps = 2\ntol.eps_pole = 2",
-                "(0.9,0.9)", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
+                "inline", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
             ),
             (
                 "obstruction-scan", "function = 1,1,1\ntol.eps_pole = 2",

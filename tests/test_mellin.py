@@ -18,6 +18,7 @@ from twisteq.mellin import (
     spectral_dx,
     strip_admissible,
 )
+from twisteq.reps import apply_X
 from twisteq.solver import divide_line
 
 from oracles import mellin_exact, rel_err
@@ -201,6 +202,15 @@ class TestDerivativeRule:
         f = sample_terms(family_member("r_exp"), grid)
         with pytest.raises(NotAdmissible):
             derivative_rule_defect(f, -1.5)
+
+    def test_derivatives_read_the_held_spectrum(self, ffts, grid):
+        f = sample_terms(family_member("r2_exp"), grid)
+        assert ffts(lambda: f.spectrum) == (1, 0)
+        # d/dx is one inverse FFT; the line-0 rule adds the derivative's forward one
+        assert ffts(lambda: derivative_rule_defect(f, 0.0)) == (1, 1)
+        assert ffts(lambda: apply_X(f)) == (0, 1)
+        assert np.array_equal(log_derivative(f).values, -spectral_dx(f.values, grid))
+        assert np.array_equal(apply_X(f).values, spectral_dx(f.values, grid))
 
 
 class TestStripAdmissible:

@@ -2,27 +2,33 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twisteq.errors import BinRoundingWarning, MissingParams
-from twisteq.families import family_member, sample_terms
+from twisteq.errors import BinRoundingWarning, MissingParams, NonFiniteSample
+from twisteq.families import FAMILY, family_member, sample_terms
 from twisteq.grid import (
+    DECAY_TOL,
     HalfLineFunction,
     base_norm,
     inner,
     lin_comb,
+    make_log_grid,
     sample,
     weighted_norm,
 )
+from twisteq.mellin import line_admissible
 from twisteq.reps import (
     ModelRepParams,
     apply_X,
     apply_u1,
     apply_u2,
     flow_action,
+    fractional_norm,
     fractional_weight,
     fractional_weight_u2,
     nearest_bin_shift,
+    regularity_norm,
     sobolev_norm,
 )
+from twisteq.solver import solve_mellin
 
 def _mollified_plateau(x: np.ndarray) -> np.ndarray:
     """1 on |x| <= 6, C-infinity transition to 0 across 6 <= |x| <= 11."""
@@ -204,6 +210,70 @@ class TestFractionalWeight:
         exact = np.sqrt(1.0 + 4.0 * grid.r ** (-1.0)) * f.values
         sel = np.isfinite(exact)
         assert np.abs(out.values[sel] - exact[sel]).max() <= 1e-9
+
+
+class TestFractionalNorm:
+    """fractional_norm weighs with the log-weight held on the grid and reads
+    one |.| pass; it equals the norm and decay test of the weighted function."""
+
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_equals_norm_and_decay_of_the_weighted_function(self, grid, name, terms):
+        g = sample_terms(terms, grid)
+        solution = solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0)).solution
+        for f in (g, solution):
+            for lam in (-1.0, 0.8, 1.2):
+                p = ModelRepParams(sigma=1, lambda1=lam, m=1.0)
+                log_sq = np.logaddexp(0.0, 2.0 * lam * grid.x)
+                for t in (0.0, 0.5, 1.25, 2.9):
+                    values = f.values * np.exp((t / 2.0) * log_sq)
+                    wf = HalfLineFunction(grid, np.where(f.values == 0, 0.0, values))
+                    value = base_norm(wf)
+                    for tol in (DECAY_TOL, 1e-3):
+                        admissible = line_admissible(wf, 0.0, tol) and np.isfinite(value)
+                        got = fractional_norm(f, t, p, tol)
+                        assert got == (value, admissible), (name, lam, t, tol)
+                    assert regularity_norm(f, t, p) == value + base_norm(f), (name, lam, t)
+
+    def test_log_weight_held_per_grid_and_lambda1(self, monkeypatch):
+        calls = []
+        original = np.logaddexp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "logaddexp", counted)
+        grid = make_log_grid(4096, -12.0, 12.0)
+        f = sample_terms(family_member("r2_exp"), grid)
+        g = sample_terms(family_member("r3_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=0.8, m=1.0)
+        fractional_weight(f, 0.5, p)
+        assert len(calls) == 1
+        fractional_weight(f, 1.25, p)
+        fractional_weight(g, 2.0, p)
+        fractional_norm(g, 2.9, p)
+        assert len(calls) == 1
+        fractional_weight(f, 0.5, ModelRepParams(sigma=1, lambda1=1.2, m=1.0))
+        assert len(calls) == 2
+        held = [w for key, w in grid._held.items() if key[0] == "log_weight"]
+        assert len(held) == 2 and not any(w.flags.writeable for w in held)
+        # held on the grid object: an equal grid has equal hash and holds nothing
+        twin = make_log_grid(4096, -12.0, 12.0)
+        assert twin == grid and hash(twin) == hash(grid)
+        fractional_weight(sample_terms(family_member("r2_exp"), twin), 0.5, p)
+        assert len(calls) == 3
+
+    def test_overflowing_weight(self, grid, p):
+        # (1 + r^-2)^40 overflows as r -> 0 (x -> 12), where f vanishes
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(40.0 * np.logaddexp(0.0, 2.0 * grid.x))).any()
+        values = np.where(grid.x < 0.0, 1.0, 0.0)
+        out = fractional_weight(HalfLineFunction(grid, values), 80.0, p)
+        assert np.all(out.values[grid.x >= 0.0] == 0.0)
+        assert np.all(np.isfinite(out.values)) and np.all(out.values[grid.x < 0.0] >= 1.0)
+        values[-1] = 1e-300
+        with pytest.raises(NonFiniteSample):
+            fractional_weight(HalfLineFunction(grid, values), 80.0, p)
 
 
 class TestSobolevNorm:

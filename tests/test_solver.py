@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 import twisteq
 from twisteq import grid as grid_module
+from twisteq.cli import main
 from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import (
@@ -209,26 +212,6 @@ class TestWorkPerSolve:
     The solve itself is held on g per (m, lines, tolerances): a repeat runs
     no FFT at all."""
 
-    @pytest.fixture
-    def ffts(self, monkeypatch):
-        """count(solve) runs solve and returns its (fft, ifft) call counts."""
-        calls = {"fft": 0, "ifft": 0}
-        for name in calls:
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-
-        def count(solve):
-            calls.update(fft=0, ifft=0)
-            solve()
-            return calls["fft"], calls["ifft"]
-
-        return count
-
     @pytest.mark.parametrize(
         "lines, first", [((0.0,), (1, 2)), ((0.0, -0.4, -0.8), (3, 4))], ids=["line0", "three-lines"]
     )
@@ -278,6 +261,22 @@ class TestWorkPerSolve:
         assert len(runs) == 4
         solve_mellin(g, p, lines=(0.0, -0.4))
         assert len(runs) == 4
+
+
+def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
+    # 8 inputs, 4 weights and 2 grids: every weighted norm reads the log-weight
+    # held on its grid for lambda1 = -1, one per grid
+    calls = []
+    original = np.logaddexp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "logaddexp", counted)
+    config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def _equal(a, b) -> bool:
