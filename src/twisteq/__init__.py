@@ -100,7 +100,6 @@ from .solver import (
     residual,
     solve_mellin,
     solve_semigroup,
-    solve_spectral_line,
 )
 
 __version__ = "0.1.0"

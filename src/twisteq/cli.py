@@ -27,7 +27,7 @@ from . import families
 from .cocycle import CocycleData, common_solution, cartan_reduce, reconstruct_g1
 from .errors import ConfigError, MissingParams, TwisteqError
 from .families import Terms, family_member, flow_rhs, make_terms, min_power, sample_terms, scale_terms
-from .grid import LogGrid, make_log_grid, relative_difference, weighted_norm
+from .grid import DECAY_TOL, LogGrid, make_log_grid, relative_difference, weighted_norm
 from .mellin import (
     derivative_rule_defect,
     line_energy,
@@ -37,6 +37,8 @@ from .mellin import (
 )
 from .reps import ModelRepParams
 from .solver import (
+    DEFAULT_EPS_POLE,
+    DEFAULT_OBSTRUCTION_TOL,
     divide_line,
     estimate_sweep,
     project_obstruction,
@@ -59,9 +61,9 @@ class ExperimentConfig:
     lines: tuple[float, ...] = (0.0, -0.4, -0.8)
     family: str = "default"
     function: Terms | None = None
-    decay_tol: float = 0.5
-    obstruction_tol: float = 1e-9
-    eps_pole: float = 0.05
+    decay_tol: float = DECAY_TOL
+    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL
+    eps_pole: float = DEFAULT_EPS_POLE
     out_dir: str = "reports"
     sweep_delta: float = 0.2
     sweep_steps: int = 5

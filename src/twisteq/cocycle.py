@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero, ZeroEigenvalue
+from .errors import IncompatibleCocycle, ObstructionNonzero, ZeroEigenvalue
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
@@ -29,9 +27,9 @@ from .grid import (
 from .mellin import Strip, strip_admissible
 from .reps import ModelRepParams, apply_X
 from .solver import (
+    DEFAULT_ADMISSIBILITY_MARGIN,
     DEFAULT_OBSTRUCTION_TOL,
-    obstruction,
-    obstruction_scale,
+    obstructed,
     residual,
     solve_mellin,
 )
@@ -105,25 +103,18 @@ def common_solution(
         raise IncompatibleCocycle(
             f"compatibility defect {defect:.3e} exceeds tolerance {compat_tol:.1e}"
         )
-    flags: list[str] = []
-    g1_regular = strip_admissible(d.g1, Strip(-d.m - 0.05, 0.0), decay_tol).ok
-    try:
-        d_val = obstruction(d.g2, d.p, decay_tol=decay_tol)
-        scale = max(obstruction_scale(d.g2), np.finfo(float).tiny)
-        if abs(d_val) > obstruction_tol * scale:
-            if g1_regular:
-                raise ObstructionNonzero(
-                    f"obstruction {abs(d_val):.3e} contradicts compatibility at this "
-                    f"regularity; discretization failure"
-                )
-            flags.append("obstruction-nonzero-low-regularity")
-    except NotAdmissible:
-        d_val = complex("nan")
-        flags.append("obstruction-undefined")
-
     report = solve_mellin(
         d.g2, d.p, lines=(0.0,), obstruction_tol=obstruction_tol, decay_tol=decay_tol
     )
+    flags: tuple[str, ...] = ()
+    if obstructed(d.g2, report.obstruction, obstruction_tol):
+        margin = Strip(-d.m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0)
+        if strip_admissible(d.g1, margin, decay_tol).ok:
+            raise ObstructionNonzero(
+                f"obstruction {abs(report.obstruction):.3e} contradicts compatibility at "
+                f"this regularity; discretization failure"
+            )
+        flags = ("obstruction-nonzero-low-regularity",)
     h = report.solution
     return CommonSolutionReport(
         solution=h,
@@ -132,9 +123,9 @@ def common_solution(
             HalfLineFunction(h.grid, d.character * h.values), d.g1
         ),
         compatibility_defect=defect,
-        obstruction=d_val,
+        obstruction=report.obstruction,
         base_norm_ratio=report.base_norm_ratio,
-        flags=tuple(flags) + report.flags,
+        flags=flags + report.flags,
     )
 
 

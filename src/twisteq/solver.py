@@ -15,6 +15,8 @@ their bound classes are collected by estimate_sweep.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +72,11 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
-def obstruction_scale(g: HalfLineFunction) -> float:
-    """Sup-norm scale used to interpret the relative obstruction tolerance."""
-    return float(np.abs(g.values).max())
+def obstructed(g: HalfLineFunction, d: complex, tol: float) -> bool:
+    """Whether |D(g)| = |d| exceeds tol relative to the sup norm of g.
+
+    An undefined (NaN) obstruction is not obstructed."""
+    return abs(d) > tol * max(float(np.abs(g.values).max()), np.finfo(float).tiny)
 
 
 def obstruction(
@@ -103,7 +107,7 @@ def project_obstruction(
 ) -> HalfLineFunction:
     """g minus the bump scaled to cancel the obstruction exactly."""
     d_bump = obstruction(bump, p, decay_tol=decay_tol)
-    if abs(d_bump) <= tol * max(obstruction_scale(bump), np.finfo(float).tiny):
+    if not obstructed(bump, d_bump, tol):
         raise DegenerateBump("bump has (near-)zero obstruction")
     d_g = obstruction(g, p, decay_tol=decay_tol)
     return lin_comb(1.0, g, -d_g / d_bump, bump)
@@ -122,34 +126,43 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
         raise ZeroTwist(f"semigroup solve needs m > 0, got {m}")
     grid = g.grid
     h = grid.h
+    x = grid.x
     G = g.values
     n = grid.n_points
-    decay = np.exp(-m * h)
-    # The arrays below are updated in place to keep the working set small;
-    # each complex product keeps its operand order (G * emx, psi[0] * damp),
-    # because swapping the operands of a complex product can change its
-    # last bit.
-    if m * max(abs(grid.x_min), abs(grid.x_max)) < 600.0:
-        # Scaled cumulative sum: W_j = trapezoid of G e^{m y} up to x_j.
-        with np.errstate(under="ignore"):
-            emx = np.exp(m * grid.x)
-            Ge = G * emx
-            F = np.empty(n, dtype=np.complex128)
-            F[0] = 0.0
-            np.cumsum(0.5 * h * (Ge[1:] + Ge[:-1]), out=F[1:])
-            F /= emx
-    else:
-        # Fall back to the stable recurrence when e^{m x} would overflow.
-        F = np.zeros(n, dtype=np.complex128)
-        for j in range(1, n):
-            F[j] = decay * F[j - 1] + 0.5 * h * (G[j] + decay * G[j - 1])
+    # One scaled cumulative sum per block k = rint(m x / 600): block k is
+    # weighed by e^{m(x - 600 k/m)}, which stays within e^{+-300}, and takes
+    # the previous block's integral over into its own scale.  The block
+    # holding x = 0 is weighed by e^{m x} itself.  The arrays are updated in
+    # place to keep the working set small; each complex product keeps its
+    # operand order (G * scale, psi[0] * damp), because swapping the
+    # operands of a complex product can change its last bit.
+    w = 600.0 / m  # the width of a block in x
+    F = np.empty(n, dtype=np.complex128)
+    F[0] = 0.0
+    start = 0
+    with np.errstate(under="ignore"):
+        while start < n:
+            k = np.rint(x[start] / w)
+            edge = ((k + 0.5) * w - grid.x_min) / h  # first index past block k
+            stop = n if not edge < n else max(start + 1, math.ceil(edge))
+            lo = max(start - 1, 0)
+            scale = x[lo:stop] - k * w
+            scale *= m
+            np.exp(scale, out=scale)
+            Ge = G[lo:stop] * scale
+            step = 0.5 * h * (Ge[1:] + Ge[:-1])
+            if start:
+                step[0] += F[start - 1] * scale[0]
+            np.cumsum(step, out=F[lo + 1 : stop])
+            F[lo + 1 : stop] /= scale[1:]
+            start = stop
     # Euler-Maclaurin h^2 endpoint correction, evaluated in scaled form:
     # the boundary term at x_j is (G' + m G)(x_j); the one at x_0 arrives
     # damped by e^{m(x_0 - x_j)}.
     psi = _fd_derivative(G, h)
     psi += m * G
     with np.errstate(under="ignore"):
-        damp = np.exp(m * (grid.x_min - grid.x))
+        damp = np.exp(m * (grid.x_min - x))
     psi -= psi[0] * damp
     psi *= h * h / 12.0
     F -= psi
@@ -239,30 +252,14 @@ def solve_mellin(
     if held is None:
         held = _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol)
         g._held[key] = held
-    base = held.solution
     flags = list(held.flags)
     entries = []
     for t in t_list:
-        value, admissible = fractional_norm(base, t, p, decay_tol)
+        value, admissible = fractional_norm(held.solution, t, p, decay_tol)
         if not admissible:
             flags.append(f"weighted-norm-t={t:g}-not-admissible")
-        entries.append(
-            WeightedNormEntry(
-                t=float(t),
-                value=value,
-                bound_class=bound_class(t, p, s),
-                admissible=admissible,
-            )
-        )
-    return SolveReport(
-        solution=base,
-        obstruction=held.obstruction,
-        residual=held.residual,
-        base_norm_ratio=held.base_norm_ratio,
-        weighted_norms=tuple(entries),
-        coincidence_defect=held.coincidence_defect,
-        flags=tuple(flags),
-    )
+        entries.append(WeightedNormEntry(float(t), value, bound_class(t, p, s), admissible))
+    return dataclasses.replace(held, weighted_norms=tuple(entries), flags=tuple(flags))
 
 
 def _solve(
@@ -288,10 +285,9 @@ def _solve(
         d_val = complex("nan")
         d_known = False
         flags.append("obstruction-undefined")
-    scale = max(obstruction_scale(g), np.finfo(float).tiny)
-    obstructed = d_known and abs(d_val) > obstruction_tol * scale
+    pole_excluded = obstructed(g, d_val, obstruction_tol) or not d_known
     for a in lines:
-        if abs(a + m) < eps_pole and (obstructed or not d_known):
+        if abs(a + m) < eps_pole and pole_excluded:
             raise PoleOnLine(
                 f"line Re z = {a} passes within {eps_pole} of the pole -m = {-m} "
                 f"while the obstruction is not negligible"
@@ -344,19 +340,6 @@ def bound_class(t: float, p: ModelRepParams, s: float | None) -> str:
     return "regular" if abs(t * lam - m) >= eps else "near-critical"
 
 
-def solve_spectral_line(values: np.ndarray, dx: float, s: float) -> np.ndarray:
-    """Translation-flow twisted solve on the real line by Fourier division.
-
-    f_hat(w) = g_hat(w) / (s + i w); since |s + i w| >= |s| the solution
-    obeys ||f|| <= ||g|| / |s|.
-    """
-    if s == 0:
-        raise ZeroTwist("spectral division needs s != 0")
-    values = np.asarray(values, dtype=np.complex128)
-    omega = 2.0 * np.pi * np.fft.fftfreq(len(values), d=dx)
-    return np.fft.ifft(np.fft.fft(values) / (s + 1j * omega))
-
-
 @dataclass(frozen=True)
 class EstimateRow:
     """One (t, weighted norm) row of an estimate sweep."""
@@ -389,19 +372,17 @@ def estimate_sweep(
     if not line_admissible(g, -s * p.lambda1, decay_tol):
         raise NotAdmissible(f"g lacks decay for regularity {s} at lambda1={p.lambda1}")
     report = solve_mellin(
-        g, p, s=s, lines=(0.0,), eps_pole=eps_pole, obstruction_tol=obstruction_tol,
-        decay_tol=decay_tol,
+        g, p, s=s, lines=(0.0,), t_list=t_grid, eps_pole=eps_pole,
+        obstruction_tol=obstruction_tol, decay_tol=decay_tol,
     )
-    f = report.solution
     rows = []
-    for t in t_grid:
-        lhs, admissible = fractional_norm(f, t, p, decay_tol)
+    for entry in report.weighted_norms:
+        t, lhs, cls = entry.t, entry.value, entry.bound_class
         rhs = regularity_norm(g, t, p)
-        cls = bound_class(t, p, s)
         factor = p.m - t * p.lambda1 if cls in ("resolvent", "base") else 1.0
         if rhs > 0:
             ratio = lhs * factor / rhs
         else:  # rhs underflows to 0 on a nonzero g: the ratio is not measured
             ratio = 0.0 if vanishes(g) else float("nan")
-        rows.append(EstimateRow(float(t), lhs, rhs, cls, float(ratio), admissible))
+        rows.append(EstimateRow(t, lhs, rhs, cls, float(ratio), entry.admissible))
     return rows

@@ -362,6 +362,14 @@ class TestOtherSuites:
         rows = read_rows(out, "cocycle")
         assert sum(r["quantity"] == "residual_flow" for r in rows) == 3
 
+    def test_cocycle_flag_once_per_row(self, tmp_path):
+        # past the twist depth of every dataset the obstruction is undefined
+        text = (CONFIG_DIR / "cocycle.cfg").read_text().replace("twist.m = 1.0", "twist.m = 2.5")
+        assert main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 0
+        rows = [r for r in read_rows(tmp_path / "out", "cocycle") if r["quantity"] == "residual_flow"]
+        assert len(rows) == 3
+        assert all(r["flags"].split(";").count("obstruction-undefined") == 1 for r in rows)
+
     def test_obstruction_scan(self, shipped):
         code, out = shipped("obstruction")
         assert code == 0

@@ -8,9 +8,9 @@ from twisteq.cocycle import (
     reconstruct_g1,
     verify_cocycle,
 )
-from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, ZeroEigenvalue
+from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine, ZeroEigenvalue
 from twisteq.families import family_member, flow_rhs, make_terms, sample_terms, scale_terms
-from twisteq.grid import base_norm, lin_comb, sample
+from twisteq.grid import base_norm, lin_comb, make_log_grid, sample
 from twisteq.reps import ModelRepParams
 
 from oracles import rel_err
@@ -74,6 +74,15 @@ class TestCommonSolution:
         assert abs(report.obstruction) <= 1e-8
         assert "obstruction-nonzero-low-regularity" not in report.flags
 
+    def test_each_flag_once(self):
+        # g2 = (X + 2.5)(r e^-r) ~ r has no obstruction at m = 2.5; the solve
+        # flags that once and the common solution adds no second copy
+        grid = make_log_grid(6144, -12.0, 24.0)
+        d = _dataset(make_terms([(1.0, 1, 1.0)]), v=1.0, m1=0.0, m=2.5, grid=grid)
+        report = common_solution(d)
+        assert report.flags == ("obstruction-undefined",)
+        assert np.isnan(report.obstruction)
+
     def test_zero_data_zero_solution(self, wide_grid, p):
         z = sample(lambda r: 0.0 * r, wide_grid)
         d = CocycleData(z, z, v=1.0, m1=0.0, p=p)
@@ -102,6 +111,15 @@ class TestCommonSolution:
         d_bad = CocycleData(d.g1, g2_bad, v=2.0, m1=1.0, p=p)
         with pytest.raises(ObstructionNonzero):
             common_solution(d_bad, compat_tol=1.0)
+
+    def test_pole_on_line_raised_by_the_solve(self, wide_grid):
+        # at m = 0.04 line 0 lies within the default eps_pole of the pole -m;
+        # the solve rejects the obstructed g2 before its obstruction is judged
+        h_terms = make_terms([(1.0, 2, 2.0)])
+        d = _dataset(h_terms, v=2.0, m1=1.0, m=0.04, grid=wide_grid)
+        g2_bad = lin_comb(1.0, d.g2, 0.05, sample_terms(make_terms([(1.0, 2, 1.0)]), wide_grid))
+        with pytest.raises(PoleOnLine):
+            common_solution(CocycleData(d.g1, g2_bad, v=2.0, m1=1.0, p=d.p), compat_tol=1.0)
 
     def test_linearity(self, wide_grid):
         a = _dataset(make_terms([(1.0, 2, 2.0)]), v=2.0, m1=1.0, m=1.0, grid=wide_grid)

@@ -2,12 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 import twisteq
 from twisteq import grid as grid_module
-from twisteq.cli import main
-from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
+from twisteq.cli import main, parse_config
+from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
@@ -26,12 +25,13 @@ from twisteq.solver import (
     residual,
     solve_mellin,
     solve_semigroup,
-    solve_spectral_line,
 )
 
-from oracles import rel_err
+from oracles import rel_err, semigroup_recurrence
 
 INV_SQRT2PI = 0.3989422804014327
+
+SOLVE_CFG = parse_config(Path(__file__).resolve().parent.parent / "configs" / "solve.cfg")
 
 
 @pytest.fixture(scope="module")
@@ -128,14 +128,35 @@ class TestSolveSemigroup:
                 assert m * base_norm(f) <= (1.0 + 1e-8) * base_norm(g), (name, m)
 
     def test_overflow_regime_recurrence(self):
-        # m * max|x| = 13 * 48 >= 600: e^{m x} would overflow, so the solve
-        # takes the stable recurrence instead of the scaled cumulative sum.
+        # m * max|x| = 13 * 48 >= 600: e^{m x} would overflow, so the
+        # cumulative sum runs in two blocks, each in its own scale.
         grid = make_log_grid(8192, -12.0, 48.0)
         exact_terms = make_terms([(1.0, 2, 1.0)])
         g = sample_terms(flow_rhs(exact_terms, 13.0), grid)
         f = solve_semigroup(g, 13.0)
         assert rel_err(f, sample_terms(exact_terms, grid)) <= 1e-6
         assert residual(f, g, 13.0) <= 1e-6
+
+    @pytest.mark.parametrize("input_kind", ["bump", "family"])
+    @pytest.mark.parametrize(
+        "m, n, x_min, x_max",
+        [
+            (SOLVE_CFG.m, SOLVE_CFG.n_points, SOLVE_CFG.x_min, SOLVE_CFG.x_max),
+            (13.0, 8192, -12.0, 48.0),  # two blocks
+            (40.0, 8192, -40.0, 76.0),  # nine blocks, k = -3 .. 5
+        ],
+        ids=["solve-cfg", "two-blocks", "nine-blocks"],
+    )
+    def test_blocked_sum_matches_recurrence(self, m, n, x_min, x_max, input_kind):
+        grid = make_log_grid(n, x_min, x_max)
+        if input_kind == "bump":
+            # a broad oscillating bump in x puts weight in every block
+            centre, width = (x_min + x_max) / 2.0, (x_max - x_min) / 6.0
+            x = grid.x
+            g = HalfLineFunction(grid, np.exp(-0.5 * ((x - centre) / width) ** 2 + 1j * x))
+        else:
+            g = sample_terms(flow_rhs(make_terms([(1.0, 2, 1.0)]), m), grid)
+        assert rel_err(solve_semigroup(g, m), semigroup_recurrence(g, m)) <= 1e-12
 
 
 class TestSolveMellin:
@@ -386,34 +407,6 @@ class TestRegularityDichotomy:
         proj = energies["projected"]
         assert abs(proj[1] / proj[0] - 1.0) <= 0.01
         assert abs(proj[2] / proj[1] - 1.0) <= 0.01
-
-
-class TestSolveSpectralLine:
-    def test_gaussian_against_convolution_oracle(self):
-        n = 8192
-        dx = 40.0 / (n - 1)
-        x = -14.0 + dx * np.arange(n)
-        g = np.exp(-0.5 * x * x)
-        f = solve_spectral_line(g, dx, 1.0)
-        # f(x) = integral_0^inf e^-t g(x-t) dt has an erfc closed form
-        oracle = np.exp(0.5 - x) * np.sqrt(np.pi / 2.0) * erfc((1.0 - x) / np.sqrt(2.0))
-        assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-6
-        assert np.linalg.norm(f) * dx**0.5 <= np.pi**0.25 + 1e-9
-
-    def test_norm_bound(self):
-        n, dx = 4096, 0.01
-        rng_free = np.cos(np.linspace(0, 7, n)) * np.exp(-np.linspace(-8, 8, n) ** 2)
-        for s in (0.5, -1.5, 3.0):
-            f = solve_spectral_line(rng_free, dx, s)
-            assert np.linalg.norm(f) <= np.linalg.norm(rng_free) / abs(s) + 1e-12
-
-    def test_zero_input(self):
-        f = solve_spectral_line(np.zeros(64), 0.1, 1.0)
-        assert np.all(f == 0)
-
-    def test_zero_twist(self):
-        with pytest.raises(ZeroTwist):
-            solve_spectral_line(np.ones(64), 0.1, 0.0)
 
 
 class TestEstimateSweep:
