@@ -14,16 +14,12 @@ import ctypes
 import sys
 
 from .cocycle import (
-    CartanReduction,
     CocycleData,
     CommonSolutionReport,
-    cartan_reduce,
     common_solution,
-    reconstruct_g1,
     verify_cocycle,
 )
 from .errors import (
-    BinRoundingWarning,
     ConfigError,
     DegenerateBump,
     GridMismatch,
@@ -34,9 +30,7 @@ from .errors import (
     NotAdmissible,
     ObstructionNonzero,
     PoleOnLine,
-    TruncationWarning,
     TwisteqError,
-    ZeroEigenvalue,
     ZeroTwist,
 )
 from .families import (
@@ -44,7 +38,6 @@ from .families import (
     GammaTerm,
     family_member,
     flow_rhs,
-    gaussian_log,
     make_terms,
     min_power,
     sample_terms,
@@ -58,7 +51,6 @@ from .grid import (
     base_norm,
     decay_admissible,
     default_grid,
-    inner,
     lin_comb,
     make_log_grid,
     sample,
@@ -80,15 +72,9 @@ from .mellin import (
 from .reps import (
     ModelRepParams,
     apply_X,
-    apply_u1,
-    apply_u2,
-    flow_action,
     fractional_norm,
     fractional_weight,
-    fractional_weight_u2,
-    nearest_bin_shift,
     regularity_norm,
-    sobolev_norm,
 )
 from .solver import (
     EstimateRow,

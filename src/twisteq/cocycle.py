@@ -7,15 +7,15 @@ One frequency component carries the pair of equations
 where the R-factor character chi acts as the scalar i*v, v != 0.  When the
 data satisfy the compatibility equation (X+m) g1 = (i v + m1) g2, solving the
 flow equation alone produces the common solution; both residuals are
-reported.  The Cartan-case reduction rewrites a twisted cocycle pair over a
-bracket eigenvalue lambda into this nilpotent form.
+reported.  This is the nilpotent case; the Cartan case, where the second
+generator lies in a Cartan subalgebra, is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleCocycle, ObstructionNonzero, ZeroEigenvalue
+from .errors import IncompatibleCocycle, ObstructionNonzero
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
@@ -28,6 +28,7 @@ from .mellin import Strip, strip_admissible
 from .reps import ModelRepParams, apply_X
 from .solver import (
     DEFAULT_ADMISSIBILITY_MARGIN,
+    DEFAULT_EPS_POLE,
     DEFAULT_OBSTRUCTION_TOL,
     obstructed,
     residual,
@@ -89,6 +90,7 @@ def common_solution(
     compat_tol: float = 1e-7,
     obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL,
     decay_tol: float = DECAY_TOL,
+    eps_pole: float = DEFAULT_EPS_POLE,
 ) -> CommonSolutionReport:
     """Solve both equations of a compatible component with a single h.
 
@@ -104,7 +106,12 @@ def common_solution(
             f"compatibility defect {defect:.3e} exceeds tolerance {compat_tol:.1e}"
         )
     report = solve_mellin(
-        d.g2, d.p, lines=(0.0,), obstruction_tol=obstruction_tol, decay_tol=decay_tol
+        d.g2,
+        d.p,
+        lines=(0.0,),
+        eps_pole=eps_pole,
+        obstruction_tol=obstruction_tol,
+        decay_tol=decay_tol,
     )
     flags: tuple[str, ...] = ()
     if obstructed(d.g2, report.obstruction, obstruction_tol):
@@ -127,51 +134,3 @@ def common_solution(
         base_norm_ratio=report.base_norm_ratio,
         flags=flags + report.flags,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class CartanReduction:
-    """Twisted cocycle pair rewritten over a bracket eigenvalue lambda.
-
-    The pair ((X+m), g2) together with the mixed operator
-    (X + m - phi_x/lambda * (u + m1)) applied to the same unknown equals the
-    original system; the second right-hand side is g2 - phi_x/lambda * g1.
-    """
-
-    lam: float
-    phi_x: float
-    m: float
-    m1: float
-    rhs_flow: HalfLineFunction
-    rhs_mixed: HalfLineFunction
-
-
-def cartan_reduce(
-    g1: HalfLineFunction,
-    g2: HalfLineFunction,
-    lam: float,
-    phi_x: float,
-    m: float,
-    m1: float,
-) -> CartanReduction:
-    """Map cocycle data to the nilpotent-case pair of right-hand sides."""
-    if lam == 0:
-        raise ZeroEigenvalue("bracket eigenvalue lambda must be nonzero")
-    require_same_grid(g1, g2)
-    rhs_mixed = lin_comb(1.0, g2, -phi_x / lam, g1)
-    return CartanReduction(
-        lam=float(lam), phi_x=float(phi_x), m=float(m), m1=float(m1),
-        rhs_flow=g2, rhs_mixed=rhs_mixed,
-    )
-
-
-def reconstruct_g1(red: CartanReduction) -> HalfLineFunction:
-    """Undo the reduction: g1 = (rhs_flow - rhs_mixed) * lambda / phi_x.
-
-    Subtracting the two transformed equations leaves
-    phi_x/lambda * (u + m1) h = rhs_flow - rhs_mixed, so recovering g1 this
-    way is the recombination identity; it is linear and exact on samples.
-    """
-    if red.phi_x == 0:
-        raise ZeroEigenvalue("recombination needs phi(X) != 0")
-    return lin_comb(red.lam / red.phi_x, red.rhs_flow, -red.lam / red.phi_x, red.rhs_mixed)

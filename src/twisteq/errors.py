@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class TwisteqError(Exception):
@@ -45,17 +45,5 @@ class ObstructionNonzero(TwisteqError):
     """A nonzero obstruction where the theory guarantees zero (discretization failure)."""
 
 
-class ZeroEigenvalue(TwisteqError):
-    """The Cartan reduction needs a nonzero bracket eigenvalue."""
-
-
 class ConfigError(TwisteqError):
     """An experiment configuration failed to parse or validate."""
-
-
-class BinRoundingWarning(UserWarning):
-    """A flow time was rounded to the nearest grid bin."""
-
-
-class TruncationWarning(UserWarning):
-    """An operation dropped non-negligible mass at a grid boundary."""

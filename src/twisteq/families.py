@@ -87,11 +87,6 @@ def min_power(terms: Terms) -> int:
     return min(powers)
 
 
-def gaussian_log(grid: LogGrid) -> HalfLineFunction:
-    """f(r) = exp(-(log r)^2 / 2): a Gaussian in the x coordinate."""
-    return sample(lambda r: np.exp(-0.5 * np.log(r) ** 2), grid)
-
-
 # The published verification family: six pure Gamma terms spanning
 # k in {1,2,3}, c in {1,2}, plus two fixed combinations.
 FAMILY: tuple[tuple[str, Terms], ...] = (

@@ -22,9 +22,6 @@ from .errors import GridMismatch, InvalidGrid, NonFiniteSample
 # maximum is treated as non-decaying (divergent weighted integral).
 DECAY_TOL = 0.5
 
-# Relative mass below which a truncated boundary tail counts as machine noise.
-MACHINE_TAIL_TOL = 1e-10
-
 MIN_POINTS = 16
 
 
@@ -187,12 +184,6 @@ def weighted_norm(f: HalfLineFunction, a: float) -> float:
 
 def base_norm(f: HalfLineFunction) -> float:
     return f.norm
-
-
-def inner(f: HalfLineFunction, g: HalfLineFunction) -> complex:
-    """L2(dr/r) inner product <f, g> by trapezoidal quadrature."""
-    require_same_grid(f, g)
-    return complex(trapezoid(f.values * np.conj(g.values), f.grid.h))
 
 
 def require_same_grid(f: HalfLineFunction, g: HalfLineFunction) -> None:

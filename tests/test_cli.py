@@ -426,8 +426,18 @@ class TestOtherSuites:
                 "estimate-sweep", "family = none\nfunction = 1,4,1\nt_grid = 0\ntol.eps_pole = 2",
                 "inline", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
             ),
+            # configs/cocycle.cfg's grid; every g2 reads as obstructed at
+            # tol.obstruction = 1e-30
+            (
+                "cocycle",
+                "grid.n_points = 6144\ngrid.x_max = 24\ntol.obstruction = 1e-30\ntol.eps_pole = 2",
+                "h=r*exp(-r)", "PoleOnLine: line Re z = 0.0 passes within 2.0 of the pole",
+            ),
         ],
-        ids=["sweep-decay", "scan-decay", "sweep-eps-pole", "scan-eps-pole", "estimate-eps-pole"],
+        ids=[
+            "sweep-decay", "scan-decay", "sweep-eps-pole", "scan-eps-pole", "estimate-eps-pole",
+            "cocycle-eps-pole",
+        ],
     )
     def test_tolerances_reach_every_solve(self, tmp_path, suite, text, case, error):
         path = write(tmp_path, f"suite = {suite}\n{text}\nout.dir = {tmp_path / 'out'}\n")

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from twisteq.cocycle import (
-    CocycleData,
-    cartan_reduce,
-    common_solution,
-    reconstruct_g1,
-    verify_cocycle,
-)
-from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine, ZeroEigenvalue
-from twisteq.families import family_member, flow_rhs, make_terms, sample_terms, scale_terms
+from twisteq.cocycle import CocycleData, common_solution, verify_cocycle
+from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine
+from twisteq.families import flow_rhs, make_terms, sample_terms, scale_terms
 from twisteq.grid import base_norm, lin_comb, make_log_grid, sample
 from twisteq.reps import ModelRepParams
 
@@ -133,40 +127,3 @@ class TestCommonSolution:
         )
         h_combined = common_solution(combined).solution
         assert rel_err(h_combined, h_sum) <= 1e-8
-
-
-class TestCartanReduce:
-    def test_zero_g1_leaves_rhs(self, wide_grid):
-        z = sample(lambda r: 0.0 * r, wide_grid)
-        g2 = sample_terms(family_member("r2_exp"), wide_grid)
-        red = cartan_reduce(z, g2, lam=1.0, phi_x=1.0, m=1.0, m1=0.0)
-        assert np.array_equal(red.rhs_mixed.values, g2.values)
-
-    def test_linear_algebra(self, wide_grid):
-        w = sample_terms(family_member("r2_exp"), wide_grid)
-        g1 = lin_comb(2.0, w, 0.0, w)
-        g2 = sample_terms(family_member("r3_exp2"), wide_grid)
-        red = cartan_reduce(g1, g2, lam=2.0, phi_x=1.0, m=1.0, m1=0.0)
-        assert np.abs(red.rhs_mixed.values - (g2.values - w.values)).max() <= 1e-15
-
-    def test_round_trip_identity(self, wide_grid):
-        d = _dataset(make_terms([(1.0, 2, 2.0)]), v=2.0, m1=1.0, m=1.0, grid=wide_grid)
-        red = cartan_reduce(d.g1, d.g2, lam=2.0, phi_x=1.5, m=1.0, m1=1.0)
-        recon = reconstruct_g1(red)
-        scale = np.abs(d.g1.values).max()
-        assert np.abs(recon.values - d.g1.values).max() <= 4 * np.finfo(float).eps * scale
-
-    def test_round_trip_through_solver(self, wide_grid):
-        # solving the flow equation of the reduced pair recovers the same h
-        h_terms = make_terms([(1.0, 2, 2.0)])
-        d = _dataset(h_terms, v=2.0, m1=1.0, m=1.0, grid=wide_grid)
-        red = cartan_reduce(d.g1, d.g2, lam=2.0, phi_x=1.0, m=1.0, m1=1.0)
-        d_back = CocycleData(reconstruct_g1(red), red.rhs_flow, v=2.0, m1=1.0, p=d.p)
-        h1 = common_solution(d).solution
-        h2 = common_solution(d_back).solution
-        assert rel_err(h2, h1) <= 1e-12
-
-    def test_zero_eigenvalue(self, wide_grid):
-        g = sample_terms(family_member("r2_exp"), wide_grid)
-        with pytest.raises(ZeroEigenvalue):
-            cartan_reduce(g, g, lam=0.0, phi_x=1.0, m=1.0, m1=0.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample
-from twisteq.families import FAMILY, gaussian_log, make_terms, sample_terms
+from twisteq.families import FAMILY, make_terms, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
     base_norm,
@@ -17,6 +17,7 @@ from twisteq.grid import (
 )
 
 from oracles import weighted_norm_exact
+from rep_algebra import gaussian_log
 
 PI_QUARTER = 1.3313353638003897  # pi**(1/4)
 SQRT_E_PI_QUARTER = 2.195000932732996  # e**(1/2) * pi**(1/4)

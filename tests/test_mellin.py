@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twisteq.errors import InvalidGrid, NotAdmissible, PoleOnLine
-from twisteq.families import FAMILY, family_member, gaussian_log, make_terms, sample_terms
+from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
     MellinLine,
@@ -22,6 +22,7 @@ from twisteq.reps import apply_X
 from twisteq.solver import divide_line
 
 from oracles import mellin_exact, rel_err
+from rep_algebra import gaussian_log
 
 INV_SQRT2PI = 0.3989422804014327  # 1/sqrt(2 pi)
 

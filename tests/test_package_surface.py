@@ -1,0 +1,56 @@
+"""Every public top-level function and class of the package has a user.
+
+A definition that nothing names except itself and its re-export in
+__init__.py is code the package carries for the tests alone; such helpers
+belong under tests/ (as rep_algebra.py and oracles.py hold them).  Uses are
+read with ast from the package's modules, its own module included, and from
+the benchmark under perfbench/, whose tracer also names functions by
+"layer.name" strings.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twisteq"
+PERFBENCH = ROOT / "perfbench"
+
+
+def _names(node: ast.AST, layers: frozenset[str] = frozenset()) -> set[str]:
+    """Names that node uses; with layers, also the name of a "layer.name" string."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif layers and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            layer, dot, name = sub.value.partition(".")
+            if dot and layer in layers and name.isidentifier():
+                names.add(name)
+    return names
+
+
+def test_every_public_definition_is_used():
+    modules = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    layers = frozenset(modules)
+    bench = set().union(
+        *(_names(ast.parse(path.read_text(), str(path)), layers) for path in PERFBENCH.rglob("*.py"))
+    )
+    used_by = {stem: _names(tree) for stem, tree in modules.items()}
+    unused = []
+    for stem, tree in modules.items():
+        elsewhere = bench.union(*(names for other, names in used_by.items() if other != stem))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set().union(*(_names(sibling) for sibling in tree.body if sibling is not node))
+            if node.name not in elsewhere | own:
+                unused.append(f"{stem}.{node.name}")
+    assert not unused, f"public definitions nothing uses: {unused}"

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twisteq.errors import BinRoundingWarning, MissingParams, NonFiniteSample
+from twisteq.errors import MissingParams, NonFiniteSample
 from twisteq.families import FAMILY, family_member, sample_terms
 from twisteq.grid import (
     DECAY_TOL,
     HalfLineFunction,
     base_norm,
-    inner,
     lin_comb,
     make_log_grid,
     sample,
@@ -18,17 +17,25 @@ from twisteq.mellin import line_admissible
 from twisteq.reps import (
     ModelRepParams,
     apply_X,
+    fractional_norm,
+    fractional_weight,
+    regularity_norm,
+)
+from twisteq.solver import solve_mellin
+
+from rep_algebra import (
+    BinRoundingWarning,
+    RankTwoParams,
+    TruncationWarning,
     apply_u1,
     apply_u2,
     flow_action,
-    fractional_norm,
-    fractional_weight,
     fractional_weight_u2,
+    gaussian_log,
+    inner,
     nearest_bin_shift,
-    regularity_norm,
     sobolev_norm,
 )
-from twisteq.solver import solve_mellin
 
 def _mollified_plateau(x: np.ndarray) -> np.ndarray:
     """1 on |x| <= 6, C-infinity transition to 0 across 6 <= |x| <= 11."""
@@ -46,7 +53,7 @@ def p():
 
 @pytest.fixture(scope="module")
 def p_rank2():
-    return ModelRepParams(sigma=1, lambda1=1.0, m=1.0, lambda2=0.5, s0=2.0)
+    return RankTwoParams(sigma=1, lambda1=1.0, m=1.0, lambda2=0.5, s0=2.0)
 
 
 class TestParams:
@@ -64,7 +71,7 @@ class TestParams:
 
     def test_s0_needs_lambda2(self):
         with pytest.raises(MissingParams):
-            ModelRepParams(sigma=1, lambda1=1.0, m=1.0, s0=2.0)
+            RankTwoParams(sigma=1, lambda1=1.0, m=1.0, s0=2.0)
 
 
 class TestApplyX:
@@ -101,7 +108,7 @@ class TestMultipliers:
         assert np.array_equal(plus.values, -minus.values)
 
     def test_u2_closed_form(self, grid, p_rank2):
-        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0, lambda2=1.0, s0=2.0)
+        p = RankTwoParams(sigma=1, lambda1=1.0, m=1.0, lambda2=1.0, s0=2.0)
         f = sample_terms(family_member("r2_exp"), grid)
         out = apply_u2(f, p)
         exact = 2j * grid.r * np.exp(-grid.r)
@@ -155,8 +162,6 @@ class TestFlowAction:
             flow_action(f, np.exp(1.5 * grid.h))
 
     def test_dropped_mass_warns(self, grid):
-        from twisteq.errors import TruncationWarning
-
         # support concentrated at the large-r boundary; a positive shift
         # drops that end off the grid
         f = HalfLineFunction(grid, np.exp(-0.5 * (grid.x + 11.0) ** 2))
@@ -310,16 +315,12 @@ class TestCommutators:
 
     def test_x_u1_commutator(self, grid, p):
         # [X, u1] = lambda1 u1
-        from twisteq.families import gaussian_log
-
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u1(f, p)), -1.0, apply_u1(apply_X(f), p))
         defect = base_norm(lin_comb(1.0, lhs, -p.lambda1, apply_u1(f, p)))
         assert defect / base_norm(apply_u1(f, p)) <= 1e-6
 
     def test_x_u1_commutator_noninteger_rate(self, grid):
-        from twisteq.families import gaussian_log
-
         p = ModelRepParams(sigma=-1, lambda1=0.6, m=1.0)
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u1(f, p)), -1.0, apply_u1(apply_X(f), p))
@@ -327,8 +328,6 @@ class TestCommutators:
         assert defect / base_norm(apply_u1(f, p)) <= 1e-6
 
     def test_x_u2_commutator(self, grid, p_rank2):
-        from twisteq.families import gaussian_log
-
         p = p_rank2
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u2(f, p)), -1.0, apply_u2(apply_X(f), p))

@@ -17,7 +17,7 @@ from twisteq.grid import (
     sample,
     weighted_norm,
 )
-from twisteq.reps import ModelRepParams, apply_X, fractional_weight, fractional_weight_u2
+from twisteq.reps import ModelRepParams, apply_X, fractional_weight
 from twisteq.solver import (
     estimate_sweep,
     obstruction,
@@ -28,6 +28,7 @@ from twisteq.solver import (
 )
 
 from oracles import rel_err, semigroup_recurrence
+from rep_algebra import RankTwoParams, fractional_weight_u2
 
 INV_SQRT2PI = 0.3989422804014327
 
@@ -460,7 +461,7 @@ class TestRankTwoInterchange:
     def test_u2_weight_controlled_by_u1(self, wide_grid):
         # lambda1 >= lambda2 > 0: the u2-weighted norm of the solution obeys
         # the interchange sandwich via the u1 weight
-        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0, lambda2=0.5, s0=1.5)
+        p = RankTwoParams(sigma=1, lambda1=1.0, m=1.0, lambda2=0.5, s0=1.5)
         g = sample_terms(family_member("r3_exp"), wide_grid)
         bump = sample_terms(make_terms([(1.0, 4, 2.0)]), wide_grid)
         g = project_obstruction(g, p, bump)
