@@ -41,12 +41,15 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
 
     Raises InvalidGrid when terms with a nonzero coefficient sample to zero
     at every node: the window misses the function, and every measurement on
-    it would be one of the zero function.
+    it would be one of the zero function.  Each distinct power r^k and rate
+    e^(-c r) is computed once per call, and none is kept after it.
     """
     def expr(r):
+        powers = {k: r**k for k in {t.k for t in terms}}
+        decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
         acc = np.zeros_like(r, dtype=np.complex128)
         for coef, k, c in terms:
-            acc += coef * r**k * np.exp(-c * r)
+            acc += coef * powers[k] * decays[c]
         return acc
 
     f = sample(expr, grid)

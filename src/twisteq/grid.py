@@ -65,10 +65,29 @@ class LogGrid:
         return omega
 
     @cached_property
+    def i_frequencies(self) -> np.ndarray:
+        """The multiplier i t_k of d/dx, in FFT bin order (read-only)."""
+        i_omega = 1j * self.frequencies
+        i_omega.flags.writeable = False
+        return i_omega
+
+    def weight(self, a: float) -> np.ndarray:
+        """e^(a x) on the grid, held per a (read-only); +Inf where it overflows."""
+        key = ("weight", a)
+        w = self._held.get(key)
+        if w is None:
+            with np.errstate(over="ignore", under="ignore"):
+                w = np.exp(a * self.x)
+            w.flags.writeable = False
+            self._held[key] = w
+        return w
+
+    @cached_property
     def _held(self) -> dict:
-        """Arrays derived from the grid and a parameter, by tagged key: the
-        log-weight ("log_weight", lambda1) of reps.fractional_weight.  Not a
-        field, so it enters neither equality nor the hash."""
+        """Arrays derived from the grid and a parameter, by tagged key: each
+        weight ("weight", a), and reps.fractional_weight's log-weight
+        ("log_weight", lambda1) and weight ("fractional_weight", lambda1, t).
+        Not a field, so it enters neither equality nor the hash."""
         return {}
 
 
@@ -86,9 +105,10 @@ class HalfLineFunction:
     """Complex samples f(r_j) of a function on the half-line.
 
     The samples are a private read-only copy, so what depends on them alone
-    is computed at most once: the L2(dr/r) norm, the FFT spectrum, and, held
-    in `_held` by a tagged key, each decay test ("decay", a, tol) and each
-    Mellin solve ("solve", m, lines, tolerances) of solver.solve_mellin.
+    is computed at most once: the L2(dr/r) norm, the sup norm, the FFT
+    spectrum, and, held in `_held` by a tagged key, each decay test
+    ("decay", a, tol) and each Mellin solve ("solve", m, lines, tolerances)
+    of solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -112,9 +132,20 @@ class HalfLineFunction:
         return _l2_norm(np.abs(self.values), self.grid.h)
 
     @cached_property
+    def sup(self) -> float:
+        """max |f(r_j)|."""
+        return float(np.abs(self.values).max())
+
+    @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only FFT of the samples: the line-0 spectrum of every solve of f."""
+        """Read-only FFT of the samples: the line-0 spectrum of every solve of f.
+
+        Checked for NaN/Inf here, once, so the line-0 lines that share it
+        need no scan of their own.
+        """
         spectrum = np.fft.fft(self.values)
+        if not all_finite(spectrum):
+            raise InvalidGrid("Mellin line values contain NaN or Inf")
         spectrum.flags.writeable = False
         return spectrum
 
@@ -158,7 +189,7 @@ def weighted_samples(f: HalfLineFunction, a: float) -> np.ndarray:
     if a == 0:
         return np.abs(f.values)
     with np.errstate(over="ignore", under="ignore"):
-        return np.abs(f.values) * np.exp(a * f.grid.x)
+        return np.abs(f.values) * f.grid.weight(a)
 
 
 def _l2_norm(w: np.ndarray, h: float) -> float:
@@ -227,6 +258,18 @@ def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> b
     if key not in f._held:
         f._held[key] = _decays(weighted_samples(f, a), tol)
     return f._held[key]
+
+
+def decay_and_norm(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> tuple[bool, float]:
+    """decay_admissible(f, a, tol) and weighted_norm(f, a), read off one
+    pass over the weighted samples."""
+    if a == 0:
+        return decay_admissible(f, a, tol), f.norm
+    w = weighted_samples(f, a)
+    key = ("decay", a, tol)
+    if key not in f._held:
+        f._held[key] = _decays(w, tol)
+    return f._held[key], _l2_norm(w, f.grid.h)
 
 
 def _decays(w: np.ndarray, tol: float) -> bool:

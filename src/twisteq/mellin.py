@@ -18,7 +18,7 @@ applied only when a caller reads `MellinLine.values` or `t_samples`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -31,9 +31,9 @@ from .grid import (
     LogGrid,
     all_finite,
     decay_admissible,
+    decay_and_norm,
     trapezoid,
     vanishes,
-    weighted_norm,
 )
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -47,16 +47,18 @@ class MellinLine:
     at frequency fft_frequencies(grid)[k]).  `values` and `t_samples` give
     the transform itself with the frequencies in increasing order,
     symmetric about 0.  `admissible` records whether f decays fast enough
-    for the line to approximate the continuum transform.
+    for the line to approximate the continuum transform.  The spectrum is
+    scanned for NaN/Inf unless `checked` says its maker already did.
     """
 
     a: float
     grid: LogGrid
     spectrum: np.ndarray
     admissible: bool
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        if not all_finite(self.spectrum):
+    def __post_init__(self, checked):
+        if not checked and not all_finite(self.spectrum):
             raise InvalidGrid("Mellin line values contain NaN or Inf")
 
     @cached_property
@@ -108,13 +110,14 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
     values[k] = (h/sqrt(2 pi)) * sum_j f_j e^{-a x_j} e^{-i t_k x_j}, the
     rectangle-rule Fourier transform of the weighted samples.  Admissibility
     is recorded, not required: the discrete transform is always defined and
-    exactly invertible.  The line a = 0 is f's held, read-only spectrum.
+    exactly invertible.  The line a = 0 is f's held, read-only spectrum,
+    which was checked for NaN/Inf when it was computed.
     """
     grid = f.grid
     if a == 0:
-        return MellinLine(0.0, grid, f.spectrum, line_admissible(f, a))
+        return MellinLine(0.0, grid, f.spectrum, line_admissible(f, a), checked=True)
     with np.errstate(over="ignore", under="ignore"):
-        weighted = f.values * np.exp(-a * grid.x)
+        weighted = f.values * grid.weight(-a)
     if not all_finite(weighted):
         raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
     return MellinLine(float(a), grid, np.fft.fft(weighted), line_admissible(f, a))
@@ -130,7 +133,7 @@ def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
     values = np.fft.ifft(line.spectrum)
     if line.a != 0:
         with np.errstate(over="ignore", under="ignore"):
-            values *= np.exp(line.a * grid.x)
+            values *= grid.weight(line.a)
     return HalfLineFunction(grid, values)
 
 
@@ -176,7 +179,7 @@ def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
 
 def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
     """d/dx of the samples whose FFT is `spectrum`, as in spectral_dx."""
-    return np.fft.ifft(spectrum * (1j * fft_frequencies(grid)))
+    return np.fft.ifft(spectrum * grid.i_frequencies)
 
 
 def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:
@@ -194,7 +197,7 @@ def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL
     # in the ratio, so their spectra are compared directly.
     lhs = mellin_line(df, a).spectrum
     rhs = mellin_line(f, a).spectrum
-    z = a + 1j * fft_frequencies(f.grid)
+    z = a + f.grid.i_frequencies
     num = np.abs(lhs + z * rhs).max()
     den = np.abs(rhs).max()
     if den == 0.0:
@@ -206,12 +209,14 @@ def strip_admissible(f: HalfLineFunction, strip: Strip, tol: float = DECAY_TOL) 
     """Check the hypotheses for analyticity of M(f, .) on a vertical strip.
 
     Each edge Re z = e weights f by r^{+e}; the function must pass the decay
-    test and have a finite weighted norm at both edges.  The diagnostic names
-    the first failing edge.
+    test and have a finite weighted norm at both edges; both are read off one
+    pass over the weighted samples.  The diagnostic names the first failing
+    edge.
     """
     for edge in (strip.lo, strip.hi):
-        if not line_admissible(f, edge, tol):
+        decays, norm = decay_and_norm(f, -edge, tol)
+        if not decays:
             return StripCheck(False, f"non-decaying weighted samples at edge {edge}")
-        if not np.isfinite(weighted_norm(f, -edge)):
+        if not np.isfinite(norm):
             return StripCheck(False, f"weighted norm overflows at edge {edge}")
     return StripCheck(True, "ok")

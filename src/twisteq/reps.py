@@ -64,15 +64,28 @@ def _log_weight(grid: LogGrid, lambda1: float) -> np.ndarray:
     return log_sq
 
 
+def _weight(grid: LogGrid, lambda1: float, t: float) -> tuple[np.ndarray, bool]:
+    """(1 + r^(-2*lambda1))^(t/2) on the grid and whether it is finite
+    everywhere, held on it per (lambda1, t) (read-only)."""
+    key = ("fractional_weight", lambda1, t)
+    held = grid._held.get(key)
+    if held is None:
+        with np.errstate(over="ignore", under="ignore"):
+            weight = np.exp((t / 2.0) * _log_weight(grid, lambda1))
+        weight.flags.writeable = False
+        held = grid._held[key] = (weight, bool(np.isfinite(weight.max())))
+    return held
+
+
 def fractional_weight(f: HalfLineFunction, t: float, p: ModelRepParams) -> HalfLineFunction:
     """(I - u1^2)^(t/2) f = (1 + r^(-2*lambda1))^(t/2) * f, zeroing only
     where f itself is zero."""
     if t == 0:
         return f
+    weight, finite = _weight(f.grid, p.lambda1, t)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        weight = np.exp((t / 2.0) * _log_weight(f.grid, p.lambda1))
         values = f.values * weight
-    if not np.isfinite(weight.max()):  # 0 * inf is NaN where f vanishes
+    if not finite:  # 0 * inf is NaN where f vanishes
         values = np.where(f.values == 0, 0.0, values)
     return HalfLineFunction(f.grid, values)
 

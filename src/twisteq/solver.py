@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
+from .errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine, ZeroTwist
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
+    _l2_norm,
+    all_finite,
     base_norm,
     lin_comb,
     relative_difference,
@@ -36,7 +38,6 @@ from .mellin import (
     MellinLine,
     Strip,
     _dx,
-    fft_frequencies,
     line_admissible,
     mellin_inverse_line,
     mellin_line,
@@ -76,7 +77,7 @@ def obstructed(g: HalfLineFunction, d: complex, tol: float) -> bool:
     """Whether |D(g)| = |d| exceeds tol relative to the sup norm of g.
 
     An undefined (NaN) obstruction is not obstructed."""
-    return abs(d) > tol * max(float(np.abs(g.values).max()), np.finfo(float).tiny)
+    return abs(d) > tol * max(g.sup, np.finfo(float).tiny)
 
 
 def obstruction(
@@ -94,7 +95,7 @@ def obstruction(
     check = strip_admissible(g, Strip(-m - eps, 0.0), decay_tol)
     if not check.ok:
         raise NotAdmissible(f"obstruction undefined: {check.diagnostic}")
-    integrand = g.values * np.exp(m * g.grid.x)
+    integrand = g.values * g.grid.weight(m)
     return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
 
 
@@ -191,13 +192,15 @@ def _defect(spectrum: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: f
     """||(X+m)f - g|| / ||g||, with X f read off `spectrum`, the FFT of f.
 
     X f + m f - g is accumulated in one buffer, in the order of
-    spectral_dx(f) + m f - g, and only that final difference is wrapped
-    (and scanned for NaN/Inf) as a HalfLineFunction.
+    spectral_dx(f) + m f - g; only that final difference is scanned for
+    NaN/Inf before its norm is taken.
     """
     defect = _dx(spectrum, f.grid)
     defect += m * f.values
     defect -= g.values
-    return relative_to(base_norm(HalfLineFunction(f.grid, defect)), g)
+    if not all_finite(defect):
+        raise NonFiniteSample("values contain NaN or Inf")
+    return relative_to(_l2_norm(np.abs(defect), f.grid.h), g)
 
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:
@@ -207,8 +210,7 @@ def divide_line(g_line: MellinLine, m: float) -> MellinLine:
     """
     if m + g_line.a == 0:
         raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
-    z = 1j * fft_frequencies(g_line.grid)
-    z += m + g_line.a
+    z = g_line.grid.i_frequencies + (m + g_line.a)
     ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
     return MellinLine(g_line.a, g_line.grid, ratio, g_line.admissible)
 
@@ -243,8 +245,9 @@ def solve_mellin(
     X acts as -r d/dr whatever lambda1 is, so the solve depends on g, m, the
     lines and the tolerances alone, and lambda1 and s reach only the
     weighted norms.  The report without them is held on g per (m, lines,
-    tolerances), and reports that share it share one read-only solution.  A
-    solve that raises is not held.
+    tolerances), and reports that share it share one read-only solution; with
+    an empty t_list the held report itself is returned.  A solve that raises
+    is not held.
     """
     lines = tuple(lines)
     key = ("solve", p.m, lines, eps_pole, obstruction_tol, decay_tol)
@@ -252,6 +255,8 @@ def solve_mellin(
     if held is None:
         held = _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol)
         g._held[key] = held
+    if not t_list:
+        return held
     flags = list(held.flags)
     entries = []
     for t in t_list:

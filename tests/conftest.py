@@ -49,3 +49,23 @@ def ffts(monkeypatch):
         return calls["fft"], calls["ifft"]
 
     return count
+
+
+@pytest.fixture
+def exps(monkeypatch):
+    """count(call) runs call and returns its np.exp call count."""
+    calls = []
+    original = np.exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    return count

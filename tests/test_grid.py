@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample
-from twisteq.families import FAMILY, make_terms, sample_terms
+from twisteq.families import FAMILY, flow_rhs, make_terms, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
     base_norm,
@@ -44,6 +44,44 @@ class TestMakeLogGrid:
     def test_reversed_bounds(self):
         with pytest.raises(InvalidGrid):
             make_log_grid(32, 1.0, -1.0)
+
+
+class TestHeldWeights:
+    @pytest.mark.parametrize("a", [-0.8, -0.05, 0.4, 1.05, 40.0])
+    def test_weight_is_the_exponential(self, a):
+        grid = make_log_grid(4096, -12.0, 24.0)
+        with np.errstate(over="ignore"):
+            expected = np.exp(a * grid.x)
+        w = grid.weight(a)
+        assert np.array_equal(w, expected)  # bit for bit, +Inf included at a = 40
+        assert not w.flags.writeable
+        assert grid.weight(a) is w
+        # held on the grid object: an equal grid holds its own copy
+        twin = make_log_grid(4096, -12.0, 24.0)
+        assert twin == grid and hash(twin) == hash(grid)
+        assert twin.weight(a) is not w and np.array_equal(twin.weight(a), w)
+
+    def test_i_frequencies(self):
+        grid = make_log_grid(64, -3.0, 3.0)
+        i_omega = grid.i_frequencies
+        assert np.array_equal(i_omega, 1j * grid.frequencies)
+        assert not i_omega.flags.writeable and grid.i_frequencies is i_omega
+
+    def test_sampling_rates_computed_once_per_call(self, exps):
+        grid = make_log_grid(4096, -12.0, 12.0)
+        grid.r
+        # (X + m) of one term has three terms, all at the rate c = 1.5
+        terms = flow_rhs(make_terms([(1.0, 2, 1.5)]), 0.7)
+        assert exps(lambda: sample_terms(terms, grid)) == 1
+        f = sample_terms(terms, grid)
+        with np.errstate(under="ignore"):
+            acc = np.zeros(grid.n_points, dtype=np.complex128)
+            for coef, k, c in terms:
+                acc += coef * grid.r**k * np.exp(-c * grid.r)
+        assert np.array_equal(f.values, acc)
+        # nothing is held across calls
+        assert exps(lambda: sample_terms(terms, grid)) == 1
+        assert not grid._held
 
 
 class TestSample:

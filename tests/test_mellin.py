@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twisteq import grid as grid_module
+from twisteq import mellin as mellin_module
 from twisteq.errors import InvalidGrid, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
-from twisteq.grid import HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
+from twisteq.grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
     MellinLine,
     Strip,
@@ -114,6 +116,30 @@ class TestLineRepresentation:
         assert np.array_equal(line.spectrum, np.fft.fft(f.values))
         back = mellin_inverse_line(line, grid)
         assert np.array_equal(back.values, np.fft.ifft(line.spectrum))
+
+    def test_line_zero_is_not_rescanned(self, monkeypatch, grid):
+        # the held spectrum is checked once, when it is computed
+        scans = []
+        original = mellin_module.all_finite
+
+        def counted(values):
+            scans.append(values)
+            return original(values)
+
+        monkeypatch.setattr(mellin_module, "all_finite", counted)
+        f = sample_terms(family_member("r2_exp"), grid)
+        f.spectrum
+        mellin_line(f, 0.0)
+        mellin_line(f, 0.0)
+        assert scans == []
+
+    def test_non_finite_held_spectrum_rejected(self):
+        grid = make_log_grid(64, -3.0, 3.0)
+        f = HalfLineFunction(grid, np.full(64, 1e308))  # the sum overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGrid):
+            f.spectrum
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGrid):
+            mellin_line(f, 0.0)
 
     def test_line_zero_is_the_held_spectrum(self, grid):
         # every line-0 transform of f shares f's one read-only spectrum
@@ -228,6 +254,20 @@ class TestStripAdmissible:
     def test_zero_everywhere(self, grid):
         f = sample(lambda r: 0.0 * r, grid)
         assert strip_admissible(f, Strip(-5.0, 5.0)).ok
+
+    def test_one_weighted_pass_per_nonzero_edge(self, monkeypatch, grid):
+        weights = []
+        original = grid_module.weighted_samples
+
+        def counted(f, a):
+            weights.append(a)
+            return original(f, a)
+
+        monkeypatch.setattr(grid_module, "weighted_samples", counted)
+        f = sample_terms(family_member("r_exp"), grid)
+        assert strip_admissible(f, Strip(-0.9, 0.0)).ok
+        assert [a for a in weights if a != 0] == [0.9]
+        assert f._held[("decay", 0.9, DECAY_TOL)]
 
 
 coef = st.complex_numbers(

@@ -6,6 +6,9 @@ belong under tests/ (as rep_algebra.py and oracles.py hold them).  Uses are
 read with ast from the package's modules, its own module included, and from
 the benchmark under perfbench/, whose tracer also names functions by
 "layer.name" strings.
+
+A second walk keeps one path for the grid weights e^{a x}: no np.exp of a
+product with a grid's x outside LogGrid.weight, which holds them.
 """
 
 import ast
@@ -54,3 +57,40 @@ def test_every_public_definition_is_used():
             if node.name not in elsewhere | own:
                 unused.append(f"{stem}.{node.name}")
     assert not unused, f"public definitions nothing uses: {unused}"
+
+
+def _grid_exponentials(tree: ast.AST) -> list[int]:
+    """Lines of np.exp(<expr> * <obj>.x) calls outside LogGrid.weight."""
+    held = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "LogGrid":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "weight":
+                    held.update(map(id, ast.walk(item)))
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args) or id(node) in held:
+            continue
+        func, arg = node.func, node.args[0]
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "exp"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "np"
+            and isinstance(arg, ast.BinOp)
+            and isinstance(arg.op, ast.Mult)
+            and isinstance(arg.right, ast.Attribute)
+            and arg.right.attr == "x"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_path_for_grid_weights():
+    # e^{a x} on a grid comes from LogGrid.weight, which holds it per a
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _grid_exponentials(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"np.exp(a * grid.x) outside LogGrid.weight: {found}"

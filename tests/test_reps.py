@@ -268,6 +268,21 @@ class TestFractionalNorm:
         fractional_weight(sample_terms(family_member("r2_exp"), twin), 0.5, p)
         assert len(calls) == 3
 
+    def test_weight_held_per_lambda1_and_t(self, exps):
+        grid = make_log_grid(4096, -12.0, 12.0)
+        f = sample_terms(family_member("r2_exp"), grid)
+        g = sample_terms(family_member("r3_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=0.8, m=1.0)
+        assert exps(lambda: fractional_weight(f, 0.5, p)) == 1
+        assert exps(lambda: fractional_weight(g, 0.5, p)) == 0
+        assert exps(lambda: fractional_norm(g, 0.5, p)) == 0
+        assert exps(lambda: fractional_weight(f, 1.0, p)) == 1
+        weight, finite = grid._held[("fractional_weight", 0.8, 0.5)]
+        assert finite and not weight.flags.writeable
+        with np.errstate(over="ignore"):
+            expected = np.exp(0.25 * np.logaddexp(0.0, 1.6 * grid.x))
+        assert np.array_equal(weight, expected)
+
     def test_overflowing_weight(self, grid, p):
         # (1 + r^-2)^40 overflows as r -> 0 (x -> 12), where f vanishes
         with np.errstate(over="ignore"):

@@ -6,7 +6,7 @@ import pytest
 import twisteq
 from twisteq import grid as grid_module
 from twisteq.cli import main, parse_config
-from twisteq.errors import DegenerateBump, NotAdmissible, PoleOnLine
+from twisteq.errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
@@ -227,6 +227,14 @@ class TestResidual:
         assert report.residual <= 1e-12, name
         assert residual(report.solution, g, p.m) <= 1e-12, name
 
+    def test_non_finite_defect_rejected(self):
+        grid = make_log_grid(64, -3.0, 3.0)
+        values = np.zeros(64)
+        values[0] = 1e308  # m f and X f overflow
+        f = HalfLineFunction(grid, values)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteSample):
+            residual(f, f, 10.0)
+
 
 class TestWorkPerSolve:
     """g's line-0 spectrum is computed once, on its first solve; every other
@@ -267,6 +275,28 @@ class TestWorkPerSolve:
         solve_mellin(g, p)
         assert ffts(lambda: solve_mellin(g, p, **change)) == expected
 
+    def test_cold_solve_on_a_weighed_grid_runs_no_exponential(self, exps):
+        # every weight of a solve is held on its grid: only sampling and r
+        # compute exponentials
+        grid = make_log_grid(4096, -12.0, 12.0)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        lines = (0.0, -0.4, -0.8)
+        solve_mellin(sample_terms(family_member("r2_exp"), grid), p, lines=lines)
+        g2 = sample_terms(family_member("mix_23"), grid)
+        assert exps(lambda: solve_mellin(g2, p, lines=lines)) == 0
+
+    def test_held_report_returned_without_t_list(self, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        report = solve_mellin(g, p)
+        assert solve_mellin(g, ModelRepParams(sigma=1, lambda1=0.5, m=1.0)) is report
+        assert solve_mellin(g, p, t_list=(0.5,)) is not report
+
+    def test_sup_held(self, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0))
+        assert vars(g)["sup"] == float(np.abs(g.values).max())
+
     def test_decay_test_once_per_weight(self, monkeypatch, grid):
         runs = []
         original = grid_module._decays
@@ -299,6 +329,14 @@ def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
     assert main(["run", str(config), "--out", str(tmp_path)]) == 0
     assert len(calls) == 2
+
+
+def test_contracting_config_exponential_count(exps, tmp_path):
+    # per grid (2): r, 10 sampling rates over the 8 inputs, the grid weights
+    # e^{a x} at a = -2 (the regularity gate's line Re z = 2), m and m + 0.05
+    # (the obstruction strip), and the fractional weights at t = 0.5, 1, 2
+    config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
+    assert exps(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 34
 
 
 def _equal(a, b) -> bool:
