@@ -58,16 +58,12 @@ from .grid import (
 )
 from .mellin import (
     MellinLine,
-    Strip,
-    StripCheck,
     derivative_rule_defect,
     line_admissible,
     line_energy,
-    log_derivative,
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
-    strip_admissible,
 )
 from .reps import (
     ModelRepParams,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleCocycle, ObstructionNonzero
+from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
@@ -24,13 +24,12 @@ from .grid import (
     relative_difference,
     require_same_grid,
 )
-from .mellin import Strip, strip_admissible
 from .reps import ModelRepParams, apply_X
 from .solver import (
-    DEFAULT_ADMISSIBILITY_MARGIN,
     DEFAULT_EPS_POLE,
     DEFAULT_OBSTRUCTION_TOL,
     obstructed,
+    obstruction,
     residual,
     solve_mellin,
 )
@@ -115,13 +114,15 @@ def common_solution(
     )
     flags: tuple[str, ...] = ()
     if obstructed(d.g2, report.obstruction, obstruction_tol):
-        margin = Strip(-d.m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0)
-        if strip_admissible(d.g1, margin, decay_tol).ok:
+        try:
+            obstruction(d.g1, d.p, decay_tol)
+        except NotAdmissible:  # g1 lacks the regularity that forces D(g2) = 0
+            flags = ("obstruction-nonzero-low-regularity",)
+        else:
             raise ObstructionNonzero(
                 f"obstruction {abs(report.obstruction):.3e} contradicts compatibility at "
                 f"this regularity; discretization failure"
             )
-        flags = ("obstruction-nonzero-low-regularity",)
     h = report.solution
     return CommonSolutionReport(
         solution=h,

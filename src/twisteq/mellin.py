@@ -18,9 +18,8 @@ applied only when a caller reads `MellinLine.values` or `t_samples`.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .grid import (
     LogGrid,
     all_finite,
     decay_admissible,
-    decay_and_norm,
     trapezoid,
     vanishes,
 )
@@ -44,59 +42,32 @@ class MellinLine:
     """Samples of M(f, a + i t_k) along the vertical line Re z = a.
 
     `spectrum` is the FFT of f e^{-a x} on `grid`, in FFT bin order (bin k
-    at frequency fft_frequencies(grid)[k]).  `values` and `t_samples` give
-    the transform itself with the frequencies in increasing order,
-    symmetric about 0.  `admissible` records whether f decays fast enough
-    for the line to approximate the continuum transform.  The spectrum is
-    scanned for NaN/Inf unless `checked` says its maker already did.
+    at frequency grid.frequencies[k]).  `values` and `t_samples` give the
+    transform itself with the frequencies in increasing order, symmetric
+    about 0.  Lines are made by mellin_line and checked_line, which see
+    that the spectrum holds no NaN/Inf.
     """
 
     a: float
     grid: LogGrid
     spectrum: np.ndarray
-    admissible: bool
-    checked: InitVar[bool] = False
-
-    def __post_init__(self, checked):
-        if not checked and not all_finite(self.spectrum):
-            raise InvalidGrid("Mellin line values contain NaN or Inf")
 
     @cached_property
     def t_samples(self) -> np.ndarray:
-        return line_frequencies(self.grid)
+        return np.fft.fftshift(self.grid.frequencies)
 
     @cached_property
     def values(self) -> np.ndarray:
         grid = self.grid
-        phase = np.exp(-1j * fft_frequencies(grid) * grid.x_min)
+        phase = np.exp(-1j * grid.frequencies * grid.x_min)
         return np.fft.fftshift((grid.h / _SQRT2PI) * phase * self.spectrum)
 
 
-@dataclass(frozen=True)
-class Strip:
-    """Closed vertical strip lo <= Re z <= hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise InvalidGrid(f"strip needs lo <= hi, got [{self.lo}, {self.hi}]")
-
-
-class StripCheck(NamedTuple):
-    ok: bool
-    diagnostic: str
-
-
-def fft_frequencies(grid: LogGrid) -> np.ndarray:
-    """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order (read-only)."""
-    return grid.frequencies
-
-
-def line_frequencies(grid: LogGrid) -> np.ndarray:
-    """DFT bin frequencies t_k = 2 pi k/(n h), fftshifted to increasing order."""
-    return np.fft.fftshift(fft_frequencies(grid))
+def checked_line(a: float, grid: LogGrid, spectrum: np.ndarray) -> MellinLine:
+    """The line Re z = a with `spectrum`, which is scanned for NaN/Inf."""
+    if not all_finite(spectrum):
+        raise InvalidGrid("Mellin line values contain NaN or Inf")
+    return MellinLine(a, grid, spectrum)
 
 
 def line_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
@@ -109,18 +80,18 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
 
     values[k] = (h/sqrt(2 pi)) * sum_j f_j e^{-a x_j} e^{-i t_k x_j}, the
     rectangle-rule Fourier transform of the weighted samples.  Admissibility
-    is recorded, not required: the discrete transform is always defined and
-    exactly invertible.  The line a = 0 is f's held, read-only spectrum,
-    which was checked for NaN/Inf when it was computed.
+    is not tested: the discrete transform is always defined and exactly
+    invertible.  The line a = 0 is f's held, read-only spectrum, which was
+    checked for NaN/Inf when it was computed.
     """
     grid = f.grid
     if a == 0:
-        return MellinLine(0.0, grid, f.spectrum, line_admissible(f, a), checked=True)
+        return MellinLine(0.0, grid, f.spectrum)
     with np.errstate(over="ignore", under="ignore"):
         weighted = f.values * grid.weight(-a)
     if not all_finite(weighted):
         raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
-    return MellinLine(float(a), grid, np.fft.fft(weighted), line_admissible(f, a))
+    return checked_line(float(a), grid, np.fft.fft(weighted))
 
 
 def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
@@ -162,11 +133,6 @@ def parseval_defect(f: HalfLineFunction) -> float:
     return abs(norm_sq - energy) / scale
 
 
-def log_derivative(f: HalfLineFunction) -> HalfLineFunction:
-    """r d/dr f, computed spectrally as -d/dx on the log grid."""
-    return HalfLineFunction(f.grid, -_dx(f.spectrum, f.grid))
-
-
 def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
     """d/dx of samples on `grid` by DFT multiplier, including the (unpaired)
     Nyquist mode.
@@ -183,40 +149,24 @@ def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
 
 
 def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:
-    """Sup-norm defect of M(r f', a+it) = -(a+it) M(f, a+it).
+    """Sup-norm defect of M(Xf, a+it) = (a+it) M(f, a+it), where X = -r d/dr.
 
-    The left side uses the spectrally computed log-derivative; both f and
-    r f' must pass the decay test for the line, otherwise NotAdmissible.
+    Xf is computed spectrally, as apply_X does; both f and Xf must pass the
+    decay test for the line, otherwise NotAdmissible.
     """
-    df = log_derivative(f)
+    grid = f.grid
+    xf = HalfLineFunction(grid, _dx(f.spectrum, grid))
     if not line_admissible(f, a, tol):
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
-    if not line_admissible(df, a, tol):
+    if not line_admissible(xf, a, tol):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
     # Both lines carry the same scale and unit-modulus phase, which cancel
     # in the ratio, so their spectra are compared directly.
-    lhs = mellin_line(df, a).spectrum
+    lhs = mellin_line(xf, a).spectrum
     rhs = mellin_line(f, a).spectrum
-    z = a + f.grid.i_frequencies
-    num = np.abs(lhs + z * rhs).max()
+    z = a + grid.i_frequencies
+    num = np.abs(lhs - z * rhs).max()
     den = np.abs(rhs).max()
     if den == 0.0:
         return 0.0
     return float(num / den)
-
-
-def strip_admissible(f: HalfLineFunction, strip: Strip, tol: float = DECAY_TOL) -> StripCheck:
-    """Check the hypotheses for analyticity of M(f, .) on a vertical strip.
-
-    Each edge Re z = e weights f by r^{+e}; the function must pass the decay
-    test and have a finite weighted norm at both edges; both are read off one
-    pass over the weighted samples.  The diagnostic names the first failing
-    edge.
-    """
-    for edge in (strip.lo, strip.hi):
-        decays, norm = decay_and_norm(f, -edge, tol)
-        if not decays:
-            return StripCheck(False, f"non-decaying weighted samples at edge {edge}")
-        if not np.isfinite(norm):
-            return StripCheck(False, f"weighted norm overflows at edge {edge}")
-    return StripCheck(True, "ok")

@@ -28,6 +28,7 @@ from .grid import (
     _l2_norm,
     all_finite,
     base_norm,
+    decay_and_norm,
     lin_comb,
     relative_difference,
     relative_to,
@@ -36,12 +37,11 @@ from .grid import (
 )
 from .mellin import (
     MellinLine,
-    Strip,
     _dx,
+    checked_line,
     line_admissible,
     mellin_inverse_line,
     mellin_line,
-    strip_admissible,
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
 
@@ -80,21 +80,23 @@ def obstructed(g: HalfLineFunction, d: complex, tol: float) -> bool:
     return abs(d) > tol * max(g.sup, np.finfo(float).tiny)
 
 
-def obstruction(
-    g: HalfLineFunction,
-    p: ModelRepParams,
-    eps: float = DEFAULT_ADMISSIBILITY_MARGIN,
-    decay_tol: float = DECAY_TOL,
-) -> complex:
+def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY_TOL) -> complex:
     """D(g) = M(g, -m) by direct quadrature of (2 pi)^(-1/2) g(r) r^(-m-1) dr.
 
-    Requires strip admissibility on [-m-eps, 0]: the functional is defined
-    only for data with regularity beyond m/lambda1.
+    Defined only for data with regularity beyond m/lambda1: on both edges of
+    the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
+    decay test and have a finite weighted norm, both read off one pass over
+    the weighted samples.  NotAdmissible names the first failing edge.
     """
     m = p.m
-    check = strip_admissible(g, Strip(-m - eps, 0.0), decay_tol)
-    if not check.ok:
-        raise NotAdmissible(f"obstruction undefined: {check.diagnostic}")
+    for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
+        decays, norm = decay_and_norm(g, -edge, decay_tol)
+        if not decays:
+            raise NotAdmissible(
+                f"obstruction undefined: non-decaying weighted samples at edge {edge}"
+            )
+        if not np.isfinite(norm):
+            raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
     integrand = g.values * g.grid.weight(m)
     return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
 
@@ -103,14 +105,13 @@ def project_obstruction(
     g: HalfLineFunction,
     p: ModelRepParams,
     bump: HalfLineFunction,
-    tol: float = DEFAULT_OBSTRUCTION_TOL,
     decay_tol: float = DECAY_TOL,
 ) -> HalfLineFunction:
     """g minus the bump scaled to cancel the obstruction exactly."""
-    d_bump = obstruction(bump, p, decay_tol=decay_tol)
-    if not obstructed(bump, d_bump, tol):
+    d_bump = obstruction(bump, p, decay_tol)
+    if not obstructed(bump, d_bump, DEFAULT_OBSTRUCTION_TOL):
         raise DegenerateBump("bump has (near-)zero obstruction")
-    d_g = obstruction(g, p, decay_tol=decay_tol)
+    d_g = obstruction(g, p, decay_tol)
     return lin_comb(1.0, g, -d_g / d_bump, bump)
 
 
@@ -212,11 +213,7 @@ def divide_line(g_line: MellinLine, m: float) -> MellinLine:
         raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
     z = g_line.grid.i_frequencies + (m + g_line.a)
     ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
-    return MellinLine(g_line.a, g_line.grid, ratio, g_line.admissible)
-
-
-def _invert_line(g_line: MellinLine, m: float, grid) -> HalfLineFunction:
-    return mellin_inverse_line(divide_line(g_line, m), grid)
+    return checked_line(g_line.a, g_line.grid, ratio)
 
 
 def solve_mellin(
@@ -284,7 +281,7 @@ def _solve(
         if not line_admissible(g, a, decay_tol):
             raise NotAdmissible(f"g lacks decay for the requested line Re z = {a}")
     try:
-        d_val = obstruction(g, p, decay_tol=decay_tol)
+        d_val = obstruction(g, p, decay_tol)
         d_known = True
     except NotAdmissible:
         d_val = complex("nan")
@@ -307,7 +304,7 @@ def _solve(
     del divided
 
     defects = [
-        relative_difference(_invert_line(mellin_line(g, a), m, grid), base)
+        relative_difference(mellin_inverse_line(divide_line(mellin_line(g, a), m), grid), base)
         for a in lines
         if a != 0.0
     ]

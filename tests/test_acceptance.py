@@ -32,7 +32,6 @@ from twisteq.grid import (
 from twisteq.mellin import (
     MellinLine,
     derivative_rule_defect,
-    fft_frequencies,
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
@@ -217,8 +216,8 @@ def test_criterion_08_coincidence_of_lines(p):
     inversions = {}
     for a in lines:
         gl = mellin_line(g, a)
-        z = gl.a + 1j * fft_frequencies(grid)
-        ratio_line = MellinLine(gl.a, grid, gl.spectrum / (p.m + z), gl.admissible)
+        z = gl.a + 1j * grid.frequencies
+        ratio_line = MellinLine(gl.a, grid, gl.spectrum / (p.m + z))
         inversions[a] = mellin_inverse_line(ratio_line, grid)
     scale = base_norm(inversions[0.0])
     worst = 0.0

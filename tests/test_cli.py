@@ -413,6 +413,13 @@ class TestOtherSuites:
                 "obstruction-scan", "function = 1,1,1\ntol.decay = 1e-12",
                 "obstructed", "NotAdmissible: g lacks decay for the requested line Re z = 0.0",
             ),
+            # configs/mellin.cfg's grid; the derivative rule's gate refuses a
+            # line of every member
+            (
+                "mellin-identities",
+                "grid.n_points = 6912\ngrid.x_min = -12\ngrid.x_max = 28\ntol.decay = 1e-12",
+                "r2_exp", "NotAdmissible: r d/dr f lacks decay for the line Re z = -0.5",
+            ),
             # line 0 lies within 2 of the pole -m = -1, and the data are obstructed
             (
                 "perturbation-sweep", "function = 1,1,1\nsweep.steps = 2\ntol.eps_pole = 2",
@@ -435,8 +442,8 @@ class TestOtherSuites:
             ),
         ],
         ids=[
-            "sweep-decay", "scan-decay", "sweep-eps-pole", "scan-eps-pole", "estimate-eps-pole",
-            "cocycle-eps-pole",
+            "sweep-decay", "scan-decay", "mellin-decay", "sweep-eps-pole", "scan-eps-pole",
+            "estimate-eps-pole", "cocycle-eps-pole",
         ],
     )
     def test_tolerances_reach_every_solve(self, tmp_path, suite, text, case, error):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,20 +10,16 @@ from twisteq.errors import InvalidGrid, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
-    MellinLine,
-    Strip,
+    checked_line,
     derivative_rule_defect,
-    fft_frequencies,
     line_energy,
-    log_derivative,
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
     spectral_dx,
-    strip_admissible,
 )
-from twisteq.reps import apply_X
-from twisteq.solver import divide_line
+from twisteq.reps import ModelRepParams, apply_X
+from twisteq.solver import DEFAULT_ADMISSIBILITY_MARGIN, divide_line, obstruction
 
 from oracles import mellin_exact, rel_err
 from rep_algebra import gaussian_log
@@ -56,7 +54,6 @@ class TestMellinLine:
         f = sample(lambda r: 0.0 * r, grid)
         line = mellin_line(f, 0.0)
         assert np.all(line.values == 0)
-        assert line.admissible
 
     def test_frequencies_symmetric(self, grid):
         line = mellin_line(gaussian_log(grid), 0.0)
@@ -68,7 +65,7 @@ class TestMellinLine:
 
     def test_frequencies_held_on_the_grid(self):
         grid = make_log_grid(19200, -12.0, 40.0)
-        omega = fft_frequencies(grid)
+        omega = grid.frequencies
         assert omega is grid.frequencies and not omega.flags.writeable
         assert np.array_equal(omega, 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h))
         # spectral_dx reads the held frequencies and keeps every bit
@@ -104,10 +101,11 @@ class TestLineRepresentation:
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_spectrum_rejected(self, grid, bad, part, index):
+        # the one scan that mellin_line off line 0 and divide_line go through
         spectrum = mellin_line(gaussian_log(grid), 0.0).spectrum.copy()
         getattr(spectrum, part)[index] = bad
-        with pytest.raises(InvalidGrid):
-            MellinLine(0.0, grid, spectrum, True)
+        with pytest.raises(InvalidGrid, match="NaN or Inf"):
+            checked_line(0.0, grid, spectrum)
 
     def test_line_zero_is_the_plain_transform(self, grid):
         # the weight e^{0 x} is exactly 1, so line 0 is the FFT of the samples
@@ -218,12 +216,11 @@ class TestDerivativeRule:
         assert derivative_rule_defect(f, 0.0) == 0.0
 
     def test_log_derivative_closed_form(self, wide_grid):
-        # r d/dr (r e^-r) = (1 - r) r e^-r; window wide enough that the
-        # e^-x tail sits below the spectral noise floor
+        # X = -r d/dr and r d/dr (r e^-r) = (1 - r) r e^-r; window wide enough
+        # that the e^-x tail sits below the spectral noise floor
         f = sample_terms(family_member("r_exp"), wide_grid)
-        df = log_derivative(f)
-        exact = sample(lambda r: (1.0 - r) * r * np.exp(-r), wide_grid)
-        assert np.abs(df.values - exact.values).max() <= 1e-8
+        exact = sample(lambda r: (r - 1.0) * r * np.exp(-r), wide_grid)
+        assert np.abs(apply_X(f).values - exact.values).max() <= 1e-8
 
     def test_not_admissible_line(self, grid):
         f = sample_terms(family_member("r_exp"), grid)
@@ -236,24 +233,34 @@ class TestDerivativeRule:
         # d/dx is one inverse FFT; the line-0 rule adds the derivative's forward one
         assert ffts(lambda: derivative_rule_defect(f, 0.0)) == (1, 1)
         assert ffts(lambda: apply_X(f)) == (0, 1)
-        assert np.array_equal(log_derivative(f).values, -spectral_dx(f.values, grid))
         assert np.array_equal(apply_X(f).values, spectral_dx(f.values, grid))
 
 
 class TestStripAdmissible:
+    """obstruction is defined only where g is admissible on the strip
+    -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0."""
+
     def test_inside_strip(self, grid):
-        f = sample_terms(family_member("r_exp"), grid)
-        assert strip_admissible(f, Strip(-0.9, 0.0)).ok
+        # r^2 e^-r decays like r^2 at 0, past the edge -0.9: D = Gamma(2 - m)/sqrt(2 pi)
+        f = sample_terms(family_member("r2_exp"), grid)
+        d = obstruction(f, ModelRepParams(1, 1.0, 0.85))
+        assert d == pytest.approx(INV_SQRT2PI * math.gamma(1.15), rel=1e-5)
 
     def test_divergent_edge_detected(self, grid):
         f = sample_terms(family_member("r_exp"), grid)
-        check = strip_admissible(f, Strip(-1.5, 0.0))
-        assert not check.ok
-        assert "-1.5" in check.diagnostic
+        with pytest.raises(NotAdmissible, match="at edge -1.5$"):
+            obstruction(f, ModelRepParams(1, 1.0, 1.5 - DEFAULT_ADMISSIBILITY_MARGIN))
 
     def test_zero_everywhere(self, grid):
         f = sample(lambda r: 0.0 * r, grid)
-        assert strip_admissible(f, Strip(-5.0, 5.0)).ok
+        assert obstruction(f, ModelRepParams(1, 1.0, 5.0)) == 0.0
+
+    def test_near_edge_named_as_zero(self, grid):
+        # r^2 (1 + r)^-1.5 grows like r^0.5 as r -> inf: it decays at the far
+        # edge -1.05 but not at 0, which the message names as 0.0, not -0.0
+        f = sample(lambda r: r**2 * (1.0 + r) ** -1.5, grid)
+        with pytest.raises(NotAdmissible, match=r"non-decaying weighted samples at edge 0\.0$"):
+            obstruction(f, ModelRepParams(1, 1.0, 1.0))
 
     def test_one_weighted_pass_per_nonzero_edge(self, monkeypatch, grid):
         weights = []
@@ -265,9 +272,10 @@ class TestStripAdmissible:
 
         monkeypatch.setattr(grid_module, "weighted_samples", counted)
         f = sample_terms(family_member("r_exp"), grid)
-        assert strip_admissible(f, Strip(-0.9, 0.0)).ok
-        assert [a for a in weights if a != 0] == [0.9]
-        assert f._held[("decay", 0.9, DECAY_TOL)]
+        p = ModelRepParams(1, 1.0, 0.85)
+        obstruction(f, p)
+        assert [a for a in weights if a != 0] == [p.m + DEFAULT_ADMISSIBILITY_MARGIN]
+        assert f._held[("decay", p.m + DEFAULT_ADMISSIBILITY_MARGIN, DECAY_TOL)]
 
 
 coef = st.complex_numbers(

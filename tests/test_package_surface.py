@@ -8,7 +8,11 @@ the benchmark under perfbench/, whose tracer also names functions by
 "layer.name" strings.
 
 A second walk keeps one path for the grid weights e^{a x}: no np.exp of a
-product with a grid's x outside LogGrid.weight, which holds them.
+product with a grid's x outside LogGrid.weight, which holds them.  A third
+keeps one path for Mellin lines: MellinLine is built only by
+mellin.checked_line, which scans the spectrum for NaN/Inf, and by
+mellin_line's a == 0 branch, whose held spectrum was scanned when it was
+computed.
 """
 
 import ast
@@ -94,3 +98,34 @@ def test_one_path_for_grid_weights():
         for line in _grid_exponentials(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"np.exp(a * grid.x) outside LogGrid.weight: {found}"
+
+
+def _line_constructions(tree: ast.AST) -> list[int]:
+    """Lines of MellinLine(...) calls outside checked_line and the a == 0
+    branch of mellin_line."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "checked_line":
+            allowed.update(map(id, ast.walk(node)))
+        elif isinstance(node, ast.FunctionDef) and node.name == "mellin_line":
+            for branch in ast.walk(node):
+                if isinstance(branch, ast.If) and ast.unparse(branch.test) == "a == 0":
+                    for stmt in branch.body:
+                        allowed.update(map(id, ast.walk(stmt)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "MellinLine" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and id(node) not in allowed
+    ]
+
+
+def test_one_path_for_mellin_lines():
+    # every line's spectrum is scanned for NaN/Inf once, where the line is made
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _line_constructions(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"MellinLine built outside checked_line and mellin_line's line 0: {found}"
