@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from . import families
 from .cocycle import CocycleData, common_solution
 from .errors import ConfigError, MissingParams, TwisteqError
 from .families import Terms, family_member, flow_rhs, make_terms, min_power, sample_terms, scale_terms
-from .grid import DECAY_TOL, LogGrid, make_log_grid, relative_difference, weighted_norm
+from .grid import (
+    DECAY_TOL, HalfLineFunction, LogGrid, make_log_grid, relative_difference, weighted_norm,
+)
 from .mellin import (
     derivative_rule_defect,
     line_energy,
@@ -242,10 +244,14 @@ class Check(NamedTuple):
     function: str | None = None  # names the input when a case covers several
 
 
-def _error(exc: TwisteqError, params: str = "", function: str | None = None) -> Check:
-    """The failing `error` row of a module error; its NaN value is no measurement."""
-    return Check("error", params, float("nan"), None, flags=f"{type(exc).__name__}: {exc}",
-                 function=function)
+def _measure(fn: Callable[..., Any], *args, params: str = "", function: str | None = None) -> Any:
+    """fn(*args), or [the failing `error` Check] when fn raises a module error;
+    the Check names the error, and its NaN value is no measurement."""
+    try:
+        return fn(*args)
+    except TwisteqError as exc:
+        flags = f"{type(exc).__name__}: {exc}"
+        return [Check("error", params, float("nan"), None, flags=flags, function=function)]
 
 
 def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> ReportRow:
@@ -269,217 +275,207 @@ def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> Re
 
 
 PlotData = dict[str, tuple[tuple[str, ...], np.ndarray]]
-Case = tuple[str, Any]  # (function name, inputs of the case's checks)
+Cases = list[tuple[str, list[Check]]]  # (function name, checks) per case, in report order
 
 
-def _mellin_cases(cfg: ExperimentConfig) -> list[Case]:
+def _mellin_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
-    return [(name, (grid, terms)) for name, terms in cfg.cases()]
 
-
-def _mellin_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    grid, terms = case
-    f = sample_terms(terms, grid)
-    k = min_power(terms)
-    shift = -min(k, 2) / 4.0
-    checks = [Check("parseval_defect", "", parseval_defect(f), 1e-8)]
-    for a in (0.0, shift):
-        line = mellin_line(f, a)
-        back = mellin_inverse_line(line, grid)
-        err = relative_difference(back, f)
-        checks.append(Check("roundtrip_rel_err", f"a={a:g}", err, 1e-8))
+    def derivative_rule(f: HalfLineFunction, a: float) -> list[Check]:
         defect = derivative_rule_defect(f, a, cfg.decay_tol)
-        checks.append(Check("derivative_rule_defect", f"a={a:g}", defect, 1e-6))
-    b = 0.3
-    fb = f.with_values(f.values * grid.weight(b))
-    la = mellin_line(fb, shift).spectrum  # same grid: scale and phase cancel
-    lb = mellin_line(f, shift - b).spectrum
-    num = float(np.abs(la - lb).max())
-    den = float(np.abs(lb).max())
-    checks.append(
-        Check("shift_law_rel_err", f"a={shift:g};b={b:g}", num / den if den > 0 else num, 1e-10)
-    )
-    return checks
+        return [Check("derivative_rule_defect", f"a={a:g}", defect, 1e-6)]
+
+    def identities(terms: Terms) -> list[Check]:
+        f = sample_terms(terms, grid)
+        k = min_power(terms)
+        shift = -min(k, 2) / 4.0
+        checks = [Check("parseval_defect", "", parseval_defect(f), 1e-8)]
+        for a in (0.0, shift):
+            line = mellin_line(f, a)
+            back = mellin_inverse_line(line, grid)
+            err = relative_difference(back, f)
+            checks.append(Check("roundtrip_rel_err", f"a={a:g}", err, 1e-8))
+            # a line refused by the rule's decay gate hides none of the other rows
+            checks += _measure(derivative_rule, f, a, params=f"a={a:g}")
+        b = 0.3
+        fb = HalfLineFunction(grid, f.values * grid.weight(b))
+        la = mellin_line(fb, shift).spectrum  # same grid: scale and phase cancel
+        lb = mellin_line(f, shift - b).spectrum
+        num = float(np.abs(la - lb).max())
+        den = float(np.abs(lb).max())
+        checks.append(
+            Check("shift_law_rel_err", f"a={shift:g};b={b:g}", num / den if den > 0 else num, 1e-10)
+        )
+        return checks
+
+    return [(name, _measure(identities, terms)) for name, terms in cfg.cases()]
 
 
-def _solve_cases(cfg: ExperimentConfig) -> list[Case]:
-    # Each member is solved raw (obstruction reported; solution decays only
-    # like r^m, so the solve stays on Re z = 0) and, when its regularity
-    # allows, also with the obstruction projected out and the full line set.
+def _solve_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
     p = cfg.rep()
-    cases: list[Case] = []
-    for name, terms in cfg.cases():
-        cases.append((name, (grid, p, terms, False)))
-        if min_power(terms) > cfg.m:
-            cases.append((f"{name}-projected", (grid, p, terms, True)))
-    return cases
-
-
-def _solve_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    grid, p, terms, project = case
     params = f"m={cfg.m:g};lambda1={cfg.lambda1:g}"
-    g = sample_terms(terms, grid)
-    lines = (0.0,)
-    if project:
-        # The bump is a pure r^k e^{-2r} term with k above both the data's
-        # leading power and the twist depth, so it is independent of the
-        # input and carries a nonzero obstruction.
-        bump_k = max(min_power(terms) + 1, int(np.ceil(p.m)) + 1)
-        bump = sample_terms(make_terms([(1.0, bump_k, 2.0)]), grid)
-        g = project_obstruction(g, p, bump, decay_tol=cfg.decay_tol)
-        lines = cfg.lines
-    report = solve_mellin(g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid, **cfg.tolerances())
-    oracle = solve_semigroup(g, cfg.m)
-    agreement = relative_difference(report.solution, oracle)
-    flags = ";".join(report.flags)
-    checks = [
-        Check("residual_mellin", params, report.residual, 1e-6, flags=flags),
-        Check("residual_semigroup", params, residual(oracle, g, cfg.m), 1e-6),
-        Check("oracle_agreement", params, agreement, 1e-6),
-        Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
-        Check("coincidence_defect", params, report.coincidence_defect, 1e-6),
-        Check("obstruction_abs", params, abs(report.obstruction), None),
-    ]
-    for entry in report.weighted_norms:
-        norm_params = params + f";t={entry.t:g};class={entry.bound_class}"
-        norm_flags = "" if entry.admissible else "not-admissible"
-        checks.append(Check("weighted_norm", norm_params, entry.value, None, flags=norm_flags))
-    return checks
 
-
-def _solve_finish(
-    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
-) -> list[Check]:
-    # Line-energy profile of the divided transform for the first case.
-    name, (grid, _, terms, _) = cases[0]
-    try:
+    def solve(terms: Terms, project: bool) -> list[Check]:
         g = sample_terms(terms, grid)
+        lines = (0.0,)
+        if project:
+            # The bump is a pure r^k e^{-2r} term with k above both the data's
+            # leading power and the twist depth, so it is independent of the
+            # input and carries a nonzero obstruction.
+            bump_k = max(min_power(terms) + 1, int(np.ceil(p.m)) + 1)
+            bump = sample_terms(make_terms([(1.0, bump_k, 2.0)]), grid)
+            g = project_obstruction(g, p, bump, decay_tol=cfg.decay_tol)
+            lines = cfg.lines
+        report = solve_mellin(g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid, **cfg.tolerances())
+        oracle = solve_semigroup(g, cfg.m)
+        agreement = relative_difference(report.solution, oracle)
+        flags = ";".join(report.flags)
+        checks = [
+            Check("residual_mellin", params, report.residual, 1e-6, flags=flags),
+            Check("residual_semigroup", params, residual(oracle, g, cfg.m), 1e-6),
+            Check("oracle_agreement", params, agreement, 1e-6),
+            Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
+            Check("coincidence_defect", params, report.coincidence_defect, 1e-6),
+            Check("obstruction_abs", params, abs(report.obstruction), None),
+        ]
+        for entry in report.weighted_norms:
+            norm_params = params + f";t={entry.t:g};class={entry.bound_class}"
+            norm_flags = "" if entry.admissible else "not-admissible"
+            checks.append(Check("weighted_norm", norm_params, entry.value, None, flags=norm_flags))
+        return checks
+
+    def line_profile(name: str, terms: Terms) -> None:
+        # on a grid of its own, which frees the weight each line reads
+        g = sample_terms(terms, cfg.grid())
         a_grid = np.linspace(-cfg.m - 0.9, 0.0, 41)
         energies = [  # a = -m puts the pole on the line
             line_energy(divide_line(mellin_line(g, float(a)), cfg.m)) if a != -cfg.m else np.inf
             for a in a_grid
         ]
-        plot[f"line_profile_{name}"] = (
-            ("a", "divided_line_energy"),
-            np.column_stack([a_grid, energies]),
-        )
-    except TwisteqError:
-        pass
-    return []
+        table = np.column_stack([a_grid, energies])
+        plot[f"line_profile_{name}"] = (("a", "divided_line_energy"), table)
+
+    # Each member is solved raw (obstruction reported; solution decays only
+    # like r^m, so the solve stays on Re z = 0) and, when its regularity
+    # allows, also with the obstruction projected out and the full line set.
+    cases = []
+    for name, terms in cfg.cases():
+        cases.append((name, _measure(solve, terms, False)))
+        if min_power(terms) > cfg.m:
+            cases.append((f"{name}-projected", _measure(solve, terms, True)))
+    # Line-energy profile of the divided transform for the first input; an
+    # input that fails has none, and its case reports the error.
+    _measure(line_profile, *cfg.cases()[0])
+    return cases
 
 
-def _estimate_cases(cfg: ExperimentConfig) -> list[Case]:
+def _estimate_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     p = cfg.rep()
     grids = (cfg.grid(), make_log_grid(2 * cfg.n_points, cfg.x_min, cfg.x_max))
-    return [(name, (p, grids, terms)) for name, terms in cfg.cases()]
+
+    def estimate(name: str, terms: Terms) -> list[Check]:
+        if cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1:
+            # a window that misses the data is an error, skipped or not
+            sample_terms(terms, grids[0])
+            flags = f"regularity below s={cfg.s:g} for lambda1={cfg.lambda1:g}"
+            return [Check("skipped", f"s={cfg.s:g}", 0.0, None, flags=flags)]
+        curves = []
+        for grid in grids:
+            g = sample_terms(terms, grid)
+            curves.append(estimate_sweep(g, p, cfg.s, cfg.t_grid, **cfg.tolerances()))
+        checks = []
+        for entry, refined in zip(*curves):
+            params = f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
+            flags = "" if entry.admissible else "not-admissible"
+            checks.append(Check("estimate_ratio", params, entry.ratio, None, flags=flags))
+            pair = (entry.ratio, refined.ratio)
+            spread = max(pair) / min(pair) if min(pair) > 0 else float("inf")
+            checks.append(Check("ratio_refinement_spread", params, spread, 2.0))
+        table = np.column_stack(
+            [[e.t for e in curves[0]], [e.lhs for e in curves[0]], [e.ratio for e in curves[0]]]
+        )
+        plot[f"estimate_curve_{name}"] = (("t", "weighted_norm", "ratio"), table)
+        return checks
+
+    return [(name, _measure(estimate, name, terms)) for name, terms in cfg.cases()]
 
 
-def _estimate_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    p, grids, terms = case
-    if cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1:
-        sample_terms(terms, grids[0])  # a window that misses the data is an error, skipped or not
-        flags = f"regularity below s={cfg.s:g} for lambda1={cfg.lambda1:g}"
-        return [Check("skipped", f"s={cfg.s:g}", 0.0, None, flags=flags)]
-    curves = []
-    for grid in grids:
-        g = sample_terms(terms, grid)
-        curves.append(estimate_sweep(g, p, cfg.s, cfg.t_grid, **cfg.tolerances()))
-    checks = []
-    for entry, refined in zip(*curves):
-        params = f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
-        flags = "" if entry.admissible else "not-admissible"
-        checks.append(Check("estimate_ratio", params, entry.ratio, None, flags=flags))
-        pair = (entry.ratio, refined.ratio)
-        spread = max(pair) / min(pair) if min(pair) > 0 else float("inf")
-        checks.append(Check("ratio_refinement_spread", params, spread, 2.0))
-    table = np.column_stack(
-        [[e.t for e in curves[0]], [e.lhs for e in curves[0]], [e.ratio for e in curves[0]]]
-    )
-    plot[f"estimate_curve_{name}"] = (("t", "weighted_norm", "ratio"), table)
-    return checks
-
-
-def _scan_cases(cfg: ExperimentConfig) -> list[Case]:
+def _scan_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     terms = cfg.function if cfg.function is not None else family_member("r2_exp")
-    return [("obstructed", (terms, False)), ("projected", (terms, True))]
-
-
-def _scan_checks(cfg: ExperimentConfig, label: str, case, plot: PlotData) -> list[Check]:
-    terms, project = case
     h_target = cfg.grid().h
     bump_terms = make_terms([(1.0, min_power(terms), 2.0)])
     p = cfg.rep()
-    series = []
-    for x_max in cfg.scan_x_max:
-        n = int(round((x_max - cfg.x_min) / h_target)) + 1
-        grid = make_log_grid(n, cfg.x_min, x_max)
-        g = sample_terms(terms, grid)
-        if project:
-            g = project_obstruction(g, p, sample_terms(bump_terms, grid), decay_tol=cfg.decay_tol)
-        report = solve_mellin(g, p, lines=(0.0,), **cfg.tolerances())
-        series.append(weighted_norm(report.solution, cfg.m) ** 2)
-
     params_base = f"m={cfg.m:g};x_min={cfg.x_min:g}"
-    checks = [
-        Check("weighted_energy", params_base + f";x_max={x_max:g}", value, None)
-        for x_max, value in zip(cfg.scan_x_max, series)
+    series = []  # each case's energies, once it has measured them all
+
+    def scan(project: bool) -> list[Check]:
+        energies = []
+        for x_max in cfg.scan_x_max:
+            n = int(round((x_max - cfg.x_min) / h_target)) + 1
+            grid = make_log_grid(n, cfg.x_min, x_max)
+            g = sample_terms(terms, grid)
+            if project:
+                bump = sample_terms(bump_terms, grid)
+                g = project_obstruction(g, p, bump, decay_tol=cfg.decay_tol)
+            report = solve_mellin(g, p, lines=(0.0,), **cfg.tolerances())
+            energies.append(weighted_norm(report.solution, cfg.m) ** 2)
+        series.append(energies)
+        checks = [
+            Check("weighted_energy", params_base + f";x_max={x_max:g}", value, None)
+            for x_max, value in zip(cfg.scan_x_max, energies)
+        ]
+        for i in range(len(energies) - 1):
+            with np.errstate(divide="ignore", invalid="ignore"):  # an energy may underflow to 0
+                growth = float(np.divide(energies[i + 1], energies[i]))
+            params = params_base + f";step={cfg.scan_x_max[i]:g}->{cfg.scan_x_max[i+1]:g}"
+            if project:
+                checks.append(Check("energy_drift", params, abs(growth - 1.0), 0.01))
+            else:
+                checks.append(Check("energy_growth", params, growth, 1.2, ">="))
+        return checks
+
+    cases = [
+        (label, _measure(scan, project))
+        for label, project in (("obstructed", False), ("projected", True))
     ]
-    for i in range(len(series) - 1):
-        with np.errstate(divide="ignore", invalid="ignore"):  # an energy may underflow to 0
-            growth = float(np.divide(series[i + 1], series[i]))
-        params = params_base + f";step={cfg.scan_x_max[i]:g}->{cfg.scan_x_max[i+1]:g}"
-        if project:
-            checks.append(Check("energy_drift", params, abs(growth - 1.0), 0.01))
-        else:
-            checks.append(Check("energy_growth", params, growth, 1.2, ">="))
-    return checks
+    if len(series) == len(cases):
+        scan_table = np.column_stack([list(cfg.scan_x_max), *series])
+        plot["weighted_energy_scan"] = (("x_max", "obstructed", "projected"), scan_table)
+    return cases
 
 
-def _scan_finish(
-    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
-) -> list[Check]:
-    series = [
-        [row.value for row in rows if row.function == label and row.quantity == "weighted_energy"]
-        for label, _ in cases
-    ]
-    if all(len(values) == len(cfg.scan_x_max) for values in series):
-        scan = np.column_stack([list(cfg.scan_x_max), *series])
-        plot["weighted_energy_scan"] = (("x_max", "obstructed", "projected"), scan)
-    return []
-
-
-def _cocycle_cases(cfg: ExperimentConfig) -> list[Case]:
-    """One constructed compatible dataset per known solution h: (h, v, m1)."""
+def _cocycle_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
     p = cfg.rep()
-    return [
-        ("h=r*exp(-r)", (grid, p, make_terms([(1.0, 1, 1.0)]), 1.0, 0.0)),
-        ("h=r2*exp(-2r)", (grid, p, make_terms([(1.0, 2, 2.0)]), 2.0, 1.0)),
-        ("h=mix", (grid, p, make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), -1.5, 0.5)),
-    ]
+
+    def common(h_terms: Terms, v: float, m1: float) -> list[Check]:
+        params = f"m={cfg.m:g};v={v:g};m1={m1:g}"
+        character = complex(m1, v)
+        g1 = sample_terms(scale_terms(character, h_terms), grid)
+        g2 = sample_terms(flow_rhs(h_terms, cfg.m), grid)
+        data = CocycleData(g1, g2, v=v, m1=m1, p=p)
+        report = common_solution(data, **cfg.tolerances())
+        match = relative_difference(report.solution, sample_terms(h_terms, grid))
+        flags = ";".join(report.flags)
+        return [
+            Check("compatibility_defect", params, report.compatibility_defect, 1e-7),
+            Check("residual_flow", params, report.residual_flow, 1e-6, flags=flags),
+            Check("residual_character", params, report.residual_character, 1e-6),
+            Check("solution_match", params, match, 1e-6),
+            Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
+        ]
+
+    # One constructed compatible dataset per known solution h: (h, v, m1).
+    datasets = (
+        ("h=r*exp(-r)", make_terms([(1.0, 1, 1.0)]), 1.0, 0.0),
+        ("h=r2*exp(-2r)", make_terms([(1.0, 2, 2.0)]), 2.0, 1.0),
+        ("h=mix", make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), -1.5, 0.5),
+    )
+    return [(name, _measure(common, h_terms, v, m1)) for name, h_terms, v, m1 in datasets]
 
 
-def _cocycle_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    grid, p, h_terms, v, m1 = case
-    params = f"m={cfg.m:g};v={v:g};m1={m1:g}"
-    character = complex(m1, v)
-    g1 = sample_terms(scale_terms(character, h_terms), grid)
-    g2 = sample_terms(flow_rhs(h_terms, cfg.m), grid)
-    data = CocycleData(g1, g2, v=v, m1=m1, p=p)
-    report = common_solution(data, **cfg.tolerances())
-    match = relative_difference(report.solution, sample_terms(h_terms, grid))
-    flags = ";".join(report.flags)
-    return [
-        Check("compatibility_defect", params, report.compatibility_defect, 1e-7),
-        Check("residual_flow", params, report.residual_flow, 1e-6, flags=flags),
-        Check("residual_character", params, report.residual_character, 1e-6),
-        Check("solution_match", params, match, 1e-6),
-        Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
-    ]
-
-
-def _sweep_cases(cfg: ExperimentConfig) -> list[Case]:
+def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
     inputs = cfg.cases()
     steps = cfg.sweep_steps
@@ -495,75 +491,60 @@ def _sweep_cases(cfg: ExperimentConfig) -> list[Case]:
     # line-0 spectrum is transformed once per run.  A failed sampling is not
     # held: it raises again, and becomes an error row, in every case.
     sampled = functools.cache(functools.partial(sample_terms, grid=grid))
-    return [(f"({lam:g},{m:g})", (sampled, inputs, lam, m)) for lam, m in points]
+    ratios = []  # every base_norm_ratio measured
 
-
-def _sweep_checks(cfg: ExperimentConfig, name: str, case, plot: PlotData) -> list[Check]:
-    sampled, inputs, lam, m = case
-    params = f"m={m:.6g};lambda1={lam:.6g}"
-    p = cfg.rep(m=m, lambda1=lam)
-    checks = []
-    for fun, terms in inputs:
-        try:  # one input's module error must not hide the other inputs' rows
-            report = solve_mellin(sampled(terms), p, lines=(0.0,), **cfg.tolerances())
-        except TwisteqError as exc:
-            checks.append(_error(exc, params, fun))
-            continue
+    def solve(fun: str, terms: Terms, p: ModelRepParams, params: str) -> list[Check]:
+        report = solve_mellin(sampled(terms), p, lines=(0.0,), **cfg.tolerances())
         ratio = report.base_norm_ratio
-        checks += [
+        ratios.append(ratio)
+        return [
             Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),
             # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1
-            Check("uniform_bound_ratio", params, ratio * cfg.m / (2.0 * m), 1.0, function=fun),
+            Check("uniform_bound_ratio", params, ratio * cfg.m / (2.0 * p.m), 1.0, function=fun),
             Check("residual_mellin", params, report.residual, 1e-6, function=fun),
         ]
-    return checks
+
+    def point(lam: float, m: float) -> list[Check]:
+        params = f"m={m:.6g};lambda1={lam:.6g}"
+        p = cfg.rep(m=m, lambda1=lam)
+        checks = []
+        # one input's module error must not hide the other inputs' rows
+        for fun, terms in inputs:
+            checks += _measure(solve, fun, terms, p, params, params=params, function=fun)
+        return checks
+
+    cases = [(f"({lam:g},{m:g})", _measure(point, lam, m)) for lam, m in points]
+    if ratios:
+        spread = max(ratios) - min(ratios)
+        summary = Check("base_norm_ratio_spread", f"delta={cfg.sweep_delta:g}", spread, None)
+        cases.append(("summary", [summary]))
+    return cases
 
 
-def _sweep_finish(
-    cfg: ExperimentConfig, cases: list[Case], rows: list[ReportRow], plot: PlotData
-) -> list[Check]:
-    ratios = [row.value for row in rows if row.quantity == "base_norm_ratio"]
-    if not ratios:
-        return []
-    spread = max(ratios) - min(ratios)
-    return [Check("base_norm_ratio_spread", f"delta={cfg.sweep_delta:g}", spread, None)]
-
-
-# suite -> (cases, checks of one case, finish or None); see run_suite.
+# suite -> its function, which measures every case and may add plot tables
 _SUITES = {
-    "mellin-identities": (_mellin_cases, _mellin_checks, None),
-    "solve": (_solve_cases, _solve_checks, _solve_finish),
-    "estimate-sweep": (_estimate_cases, _estimate_checks, None),
-    "obstruction-scan": (_scan_cases, _scan_checks, _scan_finish),
-    "cocycle": (_cocycle_cases, _cocycle_checks, None),
-    "perturbation-sweep": (_sweep_cases, _sweep_checks, _sweep_finish),
+    "mellin-identities": _mellin_suite,
+    "solve": _solve_suite,
+    "estimate-sweep": _estimate_suite,
+    "obstruction-scan": _scan_suite,
+    "cocycle": _cocycle_suite,
+    "perturbation-sweep": _sweep_suite,
 }
 SUITES = tuple(_SUITES)
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[list[ReportRow], PlotData]:
-    """Run every case of the configured suite.
+    """Run the configured suite and number its cases in report order.
 
-    `cases(cfg)` lists (function name, inputs) pairs; `checks(cfg, name,
-    inputs, plot)` measures one case and may add plot tables.  A module error
-    inside a case becomes that case's single failing `error` row, and the
-    other cases still run.  The optional `finish(cfg, cases, rows, plot)`
-    sees every row; its checks are reported as one more case, "summary".
+    A module error inside a case, or inside one input or line of it, becomes
+    a failing `error` row through `_measure`, and the rest still runs.
     """
-    cases_of, checks_of, finish = _SUITES[cfg.suite]
-    cases = cases_of(cfg)
-    rows: list[ReportRow] = []
     plot: PlotData = {}
-    for case_id, (name, case) in enumerate(cases):
-        try:
-            checks = checks_of(cfg, name, case, plot)
-        except TwisteqError as exc:
-            rows.append(_row(cfg, case_id, name, _error(exc)))
-            continue
-        rows.extend(_row(cfg, case_id, name, check) for check in checks)
-    if finish is not None:
-        checks = finish(cfg, cases, rows, plot)
-        rows.extend(_row(cfg, len(cases), "summary", check) for check in checks)
+    rows = [
+        _row(cfg, case_id, name, check)
+        for case_id, (name, checks) in enumerate(_SUITES[cfg.suite](cfg, plot))
+        for check in checks
+    ]
     return rows, plot
 
 

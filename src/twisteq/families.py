@@ -64,10 +64,6 @@ def scale_terms(alpha: complex, terms: Terms) -> Terms:
     return tuple(GammaTerm(alpha * t.coef, t.k, t.c) for t in terms)
 
 
-def add_terms(a: Terms, b: Terms) -> Terms:
-    return a + b
-
-
 def x_image(terms: Terms) -> Terms:
     """Terms of X f = -r d/dr f: r d/dr (r^k e^{-cr}) = k r^k e^{-cr} - c r^{k+1} e^{-cr}."""
     out = []
@@ -79,7 +75,7 @@ def x_image(terms: Terms) -> Terms:
 
 def flow_rhs(terms: Terms, m: float) -> Terms:
     """Terms of (X + m) f."""
-    return add_terms(x_image(terms), scale_terms(m, terms))
+    return x_image(terms) + scale_terms(m, terms)
 
 
 def min_power(terms: Terms) -> int:

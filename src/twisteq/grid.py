@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,11 +27,18 @@ MIN_POINTS = 16
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Uniform grid in x = -log r; r_j = exp(-x_j) is strictly decreasing."""
+    """Uniform grid in x = -log r; r_j = exp(-x_j) is strictly decreasing.
+
+    `_held` keeps arrays derived from the grid and a parameter, by tagged
+    key: each weight ("weight", a), and reps.fractional_weight's log-weight
+    ("log_weight", lambda1) and weight ("fractional_weight", lambda1, t).
+    It enters neither equality nor the hash.
+    """
 
     n_points: int
     x_min: float
     x_max: float
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_points < MIN_POINTS:
@@ -73,22 +80,22 @@ class LogGrid:
 
     def weight(self, a: float) -> np.ndarray:
         """e^(a x) on the grid, held per a (read-only); +Inf where it overflows."""
-        key = ("weight", a)
-        w = self._held.get(key)
-        if w is None:
+        def compute():
             with np.errstate(over="ignore", under="ignore"):
                 w = np.exp(a * self.x)
             w.flags.writeable = False
-            self._held[key] = w
-        return w
+            return w
 
-    @cached_property
-    def _held(self) -> dict:
-        """Arrays derived from the grid and a parameter, by tagged key: each
-        weight ("weight", a), and reps.fractional_weight's log-weight
-        ("log_weight", lambda1) and weight ("fractional_weight", lambda1, t).
-        Not a field, so it enters neither equality nor the hash."""
-        return {}
+        return _hold(self, ("weight", a), compute)
+
+
+def _hold(owner, key: tuple, compute: Callable[[], Any]) -> Any:
+    """owner._held[key], computed by compute() on first use; a compute that
+    raises holds nothing, so the next use raises again."""
+    held = owner._held
+    if key not in held:
+        held[key] = compute()
+    return held[key]
 
 
 def make_log_grid(n_points: int, x_min: float, x_max: float) -> LogGrid:
@@ -148,9 +155,6 @@ class HalfLineFunction:
             raise InvalidGrid("Mellin line values contain NaN or Inf")
         spectrum.flags.writeable = False
         return spectrum
-
-    def with_values(self, values: np.ndarray) -> "HalfLineFunction":
-        return HalfLineFunction(self.grid, values)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -254,10 +258,7 @@ def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> b
     tol * max; a profile whose boundary value rivals its maximum signals a
     divergent (or unresolved) weighted integral.  Runs once per (f, a, tol).
     """
-    key = ("decay", a, tol)
-    if key not in f._held:
-        f._held[key] = _decays(weighted_samples(f, a), tol)
-    return f._held[key]
+    return _hold(f, ("decay", a, tol), lambda: _decays(weighted_samples(f, a), tol))
 
 
 def decay_and_norm(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> tuple[bool, float]:
@@ -266,10 +267,7 @@ def decay_and_norm(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> tup
     if a == 0:
         return decay_admissible(f, a, tol), f.norm
     w = weighted_samples(f, a)
-    key = ("decay", a, tol)
-    if key not in f._held:
-        f._held[key] = _decays(w, tol)
-    return f._held[key], _l2_norm(w, f.grid.h)
+    return _hold(f, ("decay", a, tol), lambda: _decays(w, tol)), _l2_norm(w, f.grid.h)
 
 
 def _decays(w: np.ndarray, tol: float) -> bool:

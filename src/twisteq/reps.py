@@ -20,6 +20,7 @@ from .grid import (
     HalfLineFunction,
     LogGrid,
     _decays,
+    _hold,
     _l2_norm,
     base_norm,
     decay_admissible,
@@ -55,26 +56,24 @@ def apply_X(f: HalfLineFunction) -> HalfLineFunction:
 
 def _log_weight(grid: LogGrid, lambda1: float) -> np.ndarray:
     """log(1 + r^(-2*lambda1)) on the grid, held on it per lambda1 (read-only)."""
-    key = ("log_weight", lambda1)
-    log_sq = grid._held.get(key)
-    if log_sq is None:
+    def compute():
         log_sq = np.logaddexp(0.0, 2.0 * lambda1 * grid.x)
         log_sq.flags.writeable = False
-        grid._held[key] = log_sq
-    return log_sq
+        return log_sq
+
+    return _hold(grid, ("log_weight", lambda1), compute)
 
 
 def _weight(grid: LogGrid, lambda1: float, t: float) -> tuple[np.ndarray, bool]:
     """(1 + r^(-2*lambda1))^(t/2) on the grid and whether it is finite
     everywhere, held on it per (lambda1, t) (read-only)."""
-    key = ("fractional_weight", lambda1, t)
-    held = grid._held.get(key)
-    if held is None:
+    def compute():
         with np.errstate(over="ignore", under="ignore"):
             weight = np.exp((t / 2.0) * _log_weight(grid, lambda1))
         weight.flags.writeable = False
-        held = grid._held[key] = (weight, bool(np.isfinite(weight.max())))
-    return held
+        return weight, bool(np.isfinite(weight.max()))
+
+    return _hold(grid, ("fractional_weight", lambda1, t), compute)
 
 
 def fractional_weight(f: HalfLineFunction, t: float, p: ModelRepParams) -> HalfLineFunction:

@@ -25,6 +25,7 @@ from .errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine, 
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
+    _hold,
     _l2_norm,
     all_finite,
     base_norm,
@@ -248,10 +249,7 @@ def solve_mellin(
     """
     lines = tuple(lines)
     key = ("solve", p.m, lines, eps_pole, obstruction_tol, decay_tol)
-    held = g._held.get(key)
-    if held is None:
-        held = _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol)
-        g._held[key] = held
+    held = _hold(g, key, lambda: _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol))
     if not t_list:
         return held
     flags = list(held.flags)

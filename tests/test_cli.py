@@ -3,13 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from twisteq import solver
+from twisteq import cli, solver
 from twisteq.cli import _KEYS, main, parse_config
 from twisteq.errors import ConfigError
+from twisteq.grid import LogGrid
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -256,6 +258,32 @@ class TestSolveSuiteReport:
             assert obs["flags"] == "non-finite"
             assert obs["passed"] == verdict
 
+    def test_line_profile_weights_leave_with_their_grid(self, tmp_path, monkeypatch):
+        # the profile reads one weight per line, each once; it reads them on
+        # a grid of its own, so the grid the cases solve on keeps only the
+        # weights of the solves
+        asked = {}  # id(grid) -> (grid, the distinct a asked of it)
+        weight = LogGrid.weight
+
+        def recorded_weight(grid, a):
+            asked.setdefault(id(grid), (grid, set()))[1].add(a)
+            return weight(grid, a)
+
+        solved = {}
+        solve = cli.solve_mellin
+
+        def recorded_solve(g, *args, **kwargs):
+            solved[id(g.grid)] = g.grid
+            return solve(g, *args, **kwargs)
+
+        monkeypatch.setattr(LogGrid, "weight", recorded_weight)
+        monkeypatch.setattr(cli, "solve_mellin", recorded_solve)
+        assert main(["run", str(CONFIG_DIR / "solve.cfg"), "--out", str(tmp_path)]) == 0
+        (case_grid,) = solved.values()
+        assert len(asked[id(case_grid)][1]) == 6
+        (profile,) = [a for grid, a in asked.values() if grid is not case_grid]
+        assert len(profile) == 40  # the line through the pole reads none
+
     def test_deterministic_reports(self, run_dir, tmp_path):
         _, out_dir, cfg_path = run_dir
         rerun = tmp_path / "rerun"
@@ -314,6 +342,25 @@ class TestPerturbationSweep:
             "base_norm_ratio_spread"
         ]
 
+    def test_point_without_a_model_component_is_a_case_error(self, tmp_path, capsys):
+        # lambda1 = 0.1 swept by +-0.1 puts five points on lambda1 = 0, where
+        # no model component exists: each is one case-level error row
+        path = write(
+            tmp_path,
+            "suite = perturbation-sweep\nfamily = none\nfunction = 1,2,1\n"
+            f"rep.lambda1 = 0.1\nsweep.delta = 0.2\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("perturbation-sweep: 61/66 rows pass\n") and not err
+        rows = read_rows(tmp_path / "out", "perturbation-sweep")
+        assert len(rows) == 66
+        errors = [(r["function"], r["params"], r["flags"]) for r in rows if r["quantity"] == "error"]
+        assert errors == [
+            (f"(0,{m})", "", "MissingParams: lambda1 must be nonzero")
+            for m in ("0.9", "0.95", "1", "1.05", "1.1")
+        ]
+
     def test_degenerate_sweep_reproduces_base(self, tmp_path):
         base = write(
             tmp_path,
@@ -355,6 +402,27 @@ class TestOtherSuites:
         assert code == 0
         rows = read_rows(out, "mellin-identities")
         assert len(rows) == 8 * 6  # 8 family members, 6 identities each
+
+    def test_refused_derivative_line_hides_no_other_row(self, tmp_path):
+        # configs/mellin.cfg's grid at tol.decay = 1e-12: the derivative
+        # rule's gate refuses 11 of the 16 lines, each on an error row of its
+        # own, and every other identity is still measured
+        path = write(
+            tmp_path,
+            "suite = mellin-identities\ngrid.n_points = 6912\ngrid.x_min = -12\n"
+            f"grid.x_max = 28\ntol.decay = 1e-12\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "mellin-identities")
+        assert len(rows) == 48 and sum(r["passed"] == "pass" for r in rows) == 37
+        counts = Counter(r["quantity"] for r in rows)
+        assert counts == {
+            "parseval_defect": 8, "roundtrip_rel_err": 16, "shift_law_rel_err": 8,
+            "derivative_rule_defect": 5, "error": 11,
+        }
+        errors = [r for r in rows if r["quantity"] == "error"]
+        assert all(r["flags"].startswith("NotAdmissible") for r in errors)
+        assert all(r["params"] in ("a=0", "a=-0.25", "a=-0.5") for r in errors)
 
     def test_cocycle_suite(self, shipped):
         code, out = shipped("cocycle")

@@ -12,7 +12,8 @@ product with a grid's x outside LogGrid.weight, which holds them.  A third
 keeps one path for Mellin lines: MellinLine is built only by
 mellin.checked_line, which scans the spectrum for NaN/Inf, and by
 mellin_line's a == 0 branch, whose held spectrum was scanned when it was
-computed.
+computed.  A fourth keeps one get-or-compute for held values: no module but
+grid.py names `._held`; the others hold through grid._hold.
 """
 
 import ast
@@ -129,3 +130,23 @@ def test_one_path_for_mellin_lines():
         for line in _line_constructions(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"MellinLine built outside checked_line and mellin_line's line 0: {found}"
+
+
+def _held_uses(tree: ast.AST) -> list[int]:
+    """Lines that name the attribute `_held`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_held"
+    ]
+
+
+def test_one_get_or_compute_for_held_values():
+    # a value held on a grid or a function is read and stored by grid._hold
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "grid.py"
+        for line in _held_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"._held named outside grid.py: {found}"
