@@ -25,7 +25,7 @@ import numpy as np
 
 from . import families
 from .cocycle import CocycleData, common_solution
-from .errors import ConfigError, MissingParams, TwisteqError
+from .errors import ConfigError, InvalidGrid, MissingParams, TwisteqError
 from .families import Terms, family_member, flow_rhs, make_terms, min_power, sample_terms, scale_terms
 from .grid import (
     DECAY_TOL, HalfLineFunction, LogGrid, make_log_grid, relative_difference, weighted_norm,
@@ -183,15 +183,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.n_points < 16:
-        raise ConfigError(f"grid.n_points: must be >= 16, got {cfg.n_points}")
     for key, (attr, _) in _KEYS.items():
         value = getattr(cfg, attr)
         entries = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
             raise ConfigError(f"{key}: must be finite, got {value}")
-    if not cfg.x_min < cfg.x_max:
-        raise ConfigError("grid.x_min: must be below grid.x_max")
     for name, tol in (
         ("tol.decay", cfg.decay_tol),
         ("tol.obstruction", cfg.obstruction_tol),
@@ -200,13 +196,22 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not tol > 0:
             raise ConfigError(f"{name}: must be positive, got {tol}")
     try:
+        cfg.grid()
         cfg.rep()  # twist and representation parameters
+    except InvalidGrid as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     except MissingParams as exc:
         raise ConfigError(f"rep: {exc}") from exc
     if cfg.suite == "perturbation-sweep":
         if cfg.sweep_delta < 0 or cfg.sweep_delta >= cfg.m / 2.0:
             raise ConfigError(
                 f"sweep.delta: must satisfy 0 <= delta < m/2 = {cfg.m / 2.0}, "
+                f"got {cfg.sweep_delta}"
+            )
+        # the sweep's lambda1 axis spans lambda1 +- delta/2 and must miss 0
+        if cfg.sweep_delta >= 2.0 * abs(cfg.lambda1):
+            raise ConfigError(
+                f"sweep.delta: must satisfy delta < 2|lambda1| = {2.0 * abs(cfg.lambda1)}, "
                 f"got {cfg.sweep_delta}"
             )
         if cfg.sweep_steps < 1:

@@ -112,10 +112,11 @@ class HalfLineFunction:
     """Complex samples f(r_j) of a function on the half-line.
 
     The samples are a private read-only copy, so what depends on them alone
-    is computed at most once: the L2(dr/r) norm, the sup norm, the FFT
-    spectrum, and, held in `_held` by a tagged key, each decay test
-    ("decay", a, tol) and each Mellin solve ("solve", m, lines, tolerances)
-    of solver.solve_mellin.
+    is computed at most once: the FFT spectrum, and, held in `_held` by a
+    tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
+    which the norm, the sup norm, every weighted norm and every decay test
+    read, and each Mellin solve ("solve", m, lines, tolerances) of
+    solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -133,15 +134,15 @@ class HalfLineFunction:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @cached_property
+    @property
     def norm(self) -> float:
         """L2(dr/r) norm: the square root of the trapezoid of |f|^2 in x."""
-        return _l2_norm(np.abs(self.values), self.grid.h)
+        return profile(self, 0.0).norm
 
-    @cached_property
+    @property
     def sup(self) -> float:
         """max |f(r_j)|."""
-        return float(np.abs(self.values).max())
+        return profile(self, 0.0).peak
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -188,12 +189,38 @@ def trapezoid(samples: np.ndarray, h: float) -> float | complex:
     return (samples.sum() - 0.5 * (samples[0] + samples[-1])) * h
 
 
-def weighted_samples(f: HalfLineFunction, a: float) -> np.ndarray:
-    """|f(r_j) r_j^{-a}| = |f| e^{a x} on the grid."""
-    if a == 0:
-        return np.abs(f.values)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.abs(f.values) * f.grid.weight(a)
+@dataclass(frozen=True)
+class Profile:
+    """What the gates ask of weighted magnitudes w >= 0 on a grid of spacing h:
+    the L2 norm, the peak max w and the larger end value max(w[0], w[-1])."""
+
+    norm: float
+    peak: float
+    end: float
+
+    @classmethod
+    def of(cls, w: np.ndarray, h: float) -> Profile:
+        return cls(_l2_norm(w, h), float(w.max()), float(max(w[0], w[-1])))
+
+    def decays(self, tol: float) -> bool:
+        """True when both ends stay below tol * peak; a profile whose end
+        rivals its peak signals a divergent (or unresolved) weighted integral.
+        A NaN or +Inf anywhere shows in the peak, and fails."""
+        if not np.isfinite(self.peak):
+            return False
+        return self.peak == 0.0 or self.end <= tol * self.peak
+
+
+def profile(f: HalfLineFunction, a: float) -> Profile:
+    """The profile of |f(r_j) r_j^{-a}| = |f| e^{a x}, held on f per a."""
+    def compute():
+        w = np.abs(f.values)
+        if a != 0:
+            with np.errstate(over="ignore", under="ignore"):
+                w *= f.grid.weight(a)
+        return Profile.of(w, f.grid.h)
+
+    return _hold(f, ("profile", a), compute)
 
 
 def _l2_norm(w: np.ndarray, h: float) -> float:
@@ -212,9 +239,7 @@ def weighted_norm(f: HalfLineFunction, a: float) -> float:
     May overflow to +Inf for weights far outside the decay range of f; callers
     report rather than reject such values.
     """
-    if a == 0:
-        return f.norm
-    return _l2_norm(weighted_samples(f, a), f.grid.h)
+    return profile(f, a).norm
 
 
 def base_norm(f: HalfLineFunction) -> float:
@@ -252,28 +277,5 @@ def relative_to(value: float, ref: HalfLineFunction) -> float:
 
 
 def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
-    """Endpoint test for f * r^{-a} in L2(dr/r).
-
-    True when the weighted samples at both grid boundaries stay below
-    tol * max; a profile whose boundary value rivals its maximum signals a
-    divergent (or unresolved) weighted integral.  Runs once per (f, a, tol).
-    """
-    return _hold(f, ("decay", a, tol), lambda: _decays(weighted_samples(f, a), tol))
-
-
-def decay_and_norm(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> tuple[bool, float]:
-    """decay_admissible(f, a, tol) and weighted_norm(f, a), read off one
-    pass over the weighted samples."""
-    if a == 0:
-        return decay_admissible(f, a, tol), f.norm
-    w = weighted_samples(f, a)
-    return _hold(f, ("decay", a, tol), lambda: _decays(w, tol)), _l2_norm(w, f.grid.h)
-
-
-def _decays(w: np.ndarray, tol: float) -> bool:
-    mx = w.max()  # the samples are >= 0, so NaN or +Inf anywhere shows here
-    if not np.isfinite(mx):
-        return False
-    if mx == 0.0:
-        return True
-    return bool(w[0] <= tol * mx and w[-1] <= tol * mx)
+    """Endpoint test for f * r^{-a} in L2(dr/r): the held profile at a decays."""
+    return profile(f, a).decays(tol)

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingParams
-from .grid import (
-    DECAY_TOL,
-    HalfLineFunction,
-    LogGrid,
-    _decays,
-    _hold,
-    _l2_norm,
-    base_norm,
-    decay_admissible,
-)
+from .grid import DECAY_TOL, HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
 from .mellin import _dx
 
 
@@ -95,17 +86,14 @@ def fractional_norm(
     """||(I - u1^2)^(t/2) f|| and whether it is admissible: finite, with
     weighted samples that pass the line-0 decay test.
 
-    The norm and the decay test read one |.| pass over the weighted samples;
-    at t = 0 they are f's held norm and decay test.
+    The norm and the decay test read one profile of the weighted samples; at
+    t = 0 it is f's held profile.
     """
     if t == 0:
-        value = f.norm
-        decays = decay_admissible(f, 0.0, decay_tol)
+        held = profile(f, 0.0)
     else:
-        w = np.abs(fractional_weight(f, t, p).values)
-        value = _l2_norm(w, f.grid.h)
-        decays = _decays(w, decay_tol)
-    return value, bool(decays and np.isfinite(value))
+        held = Profile.of(np.abs(fractional_weight(f, t, p).values), f.grid.h)
+    return held.norm, bool(held.decays(decay_tol) and np.isfinite(held.norm))
 
 
 def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:

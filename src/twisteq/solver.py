@@ -25,12 +25,12 @@ from .errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine, 
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
+    Profile,
     _hold,
-    _l2_norm,
     all_finite,
     base_norm,
-    decay_and_norm,
     lin_comb,
+    profile,
     relative_difference,
     relative_to,
     trapezoid,
@@ -86,17 +86,17 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY
 
     Defined only for data with regularity beyond m/lambda1: on both edges of
     the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
-    decay test and have a finite weighted norm, both read off one pass over
-    the weighted samples.  NotAdmissible names the first failing edge.
+    decay test and have a finite weighted norm, both read off g's held
+    profile at the edge.  NotAdmissible names the first failing edge.
     """
     m = p.m
     for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
-        decays, norm = decay_and_norm(g, -edge, decay_tol)
-        if not decays:
+        held = profile(g, -edge)
+        if not held.decays(decay_tol):
             raise NotAdmissible(
                 f"obstruction undefined: non-decaying weighted samples at edge {edge}"
             )
-        if not np.isfinite(norm):
+        if not np.isfinite(held.norm):
             raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
     integrand = g.values * g.grid.weight(m)
     return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
@@ -202,7 +202,7 @@ def _defect(spectrum: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: f
     defect -= g.values
     if not all_finite(defect):
         raise NonFiniteSample("values contain NaN or Inf")
-    return relative_to(_l2_norm(np.abs(defect), f.grid.h), g)
+    return relative_to(Profile.of(np.abs(defect), f.grid.h).norm, g)
 
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:

@@ -69,3 +69,24 @@ def exps(monkeypatch):
         return len(calls)
 
     return count
+
+
+@pytest.fixture
+def abses(monkeypatch):
+    """count(call) runs call and returns its np.abs call count: the |.|
+    passes that norms, sup norms and decay tests read."""
+    calls = []
+    original = np.abs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    return count

@@ -34,6 +34,17 @@ def weighted_norm_exact(terms: Terms, a: float) -> float:
     return float(np.sqrt(acc.real))
 
 
+def decays_reference(w: np.ndarray, tol: float) -> bool:
+    """The endpoint decay test on weighted magnitudes w >= 0: both boundary
+    values stay below tol * max w, and a NaN or +Inf anywhere fails."""
+    mx = w.max()  # the samples are >= 0, so NaN or +Inf anywhere shows here
+    if not np.isfinite(mx):
+        return False
+    if mx == 0.0:
+        return True
+    return bool(w[0] <= tol * mx and w[-1] <= tol * mx)
+
+
 def rel_err(got: HalfLineFunction, expected: HalfLineFunction) -> float:
     scale = base_norm(expected)
     diff = base_norm(lin_comb(1.0, got, -1.0, expected))

@@ -11,6 +11,7 @@ import pytest
 from twisteq import cli, solver
 from twisteq.cli import _KEYS, main, parse_config
 from twisteq.errors import ConfigError
+from twisteq.families import make_terms
 from twisteq.grid import LogGrid
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +132,9 @@ class TestMainExitCodes:
             ("tol.eps_pole = inf\n", "tol.eps_pole: must be finite"),
             ("tol.decay = nan\n", "tol.decay: must be finite"),
             ("suite = perturbation-sweep\nsweep.delta = nan\n", "sweep.delta: must be finite"),
+            # the lambda1 axis lambda1 +- delta/2 would reach 0
+            ("suite = perturbation-sweep\nrep.lambda1 = 0.1\nsweep.delta = 0.2\n", "sweep.delta"),
+            ("grid.x_min = 5\ngrid.x_max = 5\n", "grid: x_min < x_max required"),
             ("lines = 0, nan\n", "lines: must be finite"),
             ("t_grid = 0, inf\n", "t_grid: must be finite"),
             ("suite = obstruction-scan\nscan.x_max = 8, inf\n", "scan.x_max: must be finite"),
@@ -145,6 +149,7 @@ class TestMainExitCodes:
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
              "nan-lambda1", "infinite-m", "nan-s",
              "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta",
+             "sweep-reaches-lambda1-0", "empty-window",
              "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
              "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
              *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS]],
@@ -342,20 +347,18 @@ class TestPerturbationSweep:
             "base_norm_ratio_spread"
         ]
 
-    def test_point_without_a_model_component_is_a_case_error(self, tmp_path, capsys):
+    def test_point_without_a_model_component_is_a_case_error(self):
         # lambda1 = 0.1 swept by +-0.1 puts five points on lambda1 = 0, where
-        # no model component exists: each is one case-level error row
-        path = write(
-            tmp_path,
-            "suite = perturbation-sweep\nfamily = none\nfunction = 1,2,1\n"
-            f"rep.lambda1 = 0.1\nsweep.delta = 0.2\nout.dir = {tmp_path / 'out'}\n",
+        # no model component exists: each is one case-level error row.  A
+        # config file with this sweep is refused, so the config is built
+        # directly and its suite run without validate_config.
+        cfg = cli.ExperimentConfig(
+            suite="perturbation-sweep", family="none", function=make_terms([(1.0, 2, 1.0)]),
+            lambda1=0.1, sweep_delta=0.2,
         )
-        assert main(["run", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out.startswith("perturbation-sweep: 61/66 rows pass\n") and not err
-        rows = read_rows(tmp_path / "out", "perturbation-sweep")
-        assert len(rows) == 66
-        errors = [(r["function"], r["params"], r["flags"]) for r in rows if r["quantity"] == "error"]
+        rows, _ = cli.run_suite(cfg)
+        assert len(rows) == 66 and sum(r.passed for r in rows) == 61
+        errors = [(r.function, r.params, r.flags) for r in rows if r.quantity == "error"]
         assert errors == [
             (f"(0,{m})", "", "MissingParams: lambda1 must be nonzero")
             for m in ("0.9", "0.95", "1", "1.05", "1.1")

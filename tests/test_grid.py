@@ -6,6 +6,7 @@ from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample
 from twisteq.families import FAMILY, flow_rhs, make_terms, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
+    Profile,
     base_norm,
     decay_admissible,
     lin_comb,
@@ -16,7 +17,7 @@ from twisteq.grid import (
     weighted_norm,
 )
 
-from oracles import weighted_norm_exact
+from oracles import decays_reference, weighted_norm_exact
 from rep_algebra import gaussian_log
 
 PI_QUARTER = 1.3313353638003897  # pi**(1/4)
@@ -131,6 +132,55 @@ class TestWeightedNorm:
         assert weighted_norm(f, 40.0) == np.inf
 
 
+def _ends(first: float, last: float) -> np.ndarray:
+    """16 weighted magnitudes with peak 1 and the given end values."""
+    w = np.full(16, 0.5)
+    w[8] = 1.0
+    w[0], w[-1] = first, last
+    return w
+
+
+ABOVE = np.nextafter(0.25, 1.0)  # one ulp above tol * peak at tol = 0.25
+
+
+class TestDecayTest:
+    """A profile's decay test agrees with the sample-by-sample reference."""
+
+    @pytest.mark.parametrize(
+        "w, expected",
+        [
+            (np.where(np.arange(16) == 5, np.nan, 0.1), False),
+            (_ends(np.nan, 0.0), False),
+            (np.where(np.arange(16) == 5, np.inf, 0.1), False),
+            (np.zeros(16), True),
+            (_ends(0.25, 0.1), True),
+            (_ends(0.1, 0.25), True),
+            (_ends(ABOVE, 0.1), False),
+            (_ends(0.1, ABOVE), False),
+        ],
+        ids=["nan", "nan-end", "inf", "zero", "first-end-at-bound", "last-end-at-bound",
+             "first-end-ulp-above", "last-end-ulp-above"],
+    )
+    def test_hand_built_profiles(self, w, expected):
+        assert decays_reference(w, 0.25) is expected
+        assert Profile.of(w, 0.1).decays(0.25) is expected
+        if np.isfinite(w).all():
+            f = HalfLineFunction(make_log_grid(16, -1.0, 1.0), w)
+            assert decay_admissible(f, 0.0, 0.25) is expected
+
+    def test_family(self, grid):
+        verdicts = set()
+        for name, terms in FAMILY:
+            f = sample_terms(terms, grid)
+            for a in (0.0, 0.5, -1.0):
+                w = np.abs(f.values) * grid.weight(a)
+                for tol in (0.5, 1e-3):
+                    expected = decays_reference(w, tol)
+                    assert decay_admissible(f, a, tol) is expected, (name, a, tol)
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
 class TestHalfLineFunction:
     @pytest.mark.parametrize("index", [0, 31, 63], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
@@ -157,7 +207,7 @@ class TestHalfLineFunction:
         f = sample_terms(terms, grid)
         uncached = float(np.sqrt(trapezoid(np.abs(f.values) ** 2, grid.h)))
         assert f.norm == uncached
-        assert "norm" in vars(f)  # computed once, then held
+        assert f._held[("profile", 0.0)].norm == uncached  # computed once, then held
         assert base_norm(f) == weighted_norm(f, 0.0) == uncached
 
 

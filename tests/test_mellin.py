@@ -263,19 +263,20 @@ class TestStripAdmissible:
             obstruction(f, ModelRepParams(1, 1.0, 1.0))
 
     def test_one_weighted_pass_per_nonzero_edge(self, monkeypatch, grid):
-        weights = []
-        original = grid_module.weighted_samples
-
-        def counted(f, a):
-            weights.append(a)
-            return original(f, a)
-
-        monkeypatch.setattr(grid_module, "weighted_samples", counted)
         f = sample_terms(family_member("r_exp"), grid)
+        weights = []  # the weights a at which f's profile is computed
+        original = grid_module._hold
+
+        def counted(owner, key, compute):
+            if owner is f and key[0] == "profile":
+                return original(owner, key, lambda: weights.append(key[1]) or compute())
+            return original(owner, key, compute)
+
+        monkeypatch.setattr(grid_module, "_hold", counted)
         p = ModelRepParams(1, 1.0, 0.85)
         obstruction(f, p)
         assert [a for a in weights if a != 0] == [p.m + DEFAULT_ADMISSIBILITY_MARGIN]
-        assert f._held[("decay", p.m + DEFAULT_ADMISSIBILITY_MARGIN, DECAY_TOL)]
+        assert f._held[("profile", p.m + DEFAULT_ADMISSIBILITY_MARGIN)].decays(DECAY_TOL)
 
 
 coef = st.complex_numbers(

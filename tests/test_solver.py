@@ -11,6 +11,7 @@ from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_po
 from twisteq.grid import (
     HalfLineFunction,
     base_norm,
+    decay_admissible,
     lin_comb,
     make_log_grid,
     relative_difference,
@@ -19,6 +20,7 @@ from twisteq.grid import (
 )
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight
 from twisteq.solver import (
+    DEFAULT_ADMISSIBILITY_MARGIN,
     estimate_sweep,
     obstruction,
     project_obstruction,
@@ -295,24 +297,34 @@ class TestWorkPerSolve:
     def test_sup_held(self, grid):
         g = sample_terms(family_member("r2_exp"), grid)
         solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0))
-        assert vars(g)["sup"] == float(np.abs(g.values).max())
+        assert g._held[("profile", 0.0)].peak == float(np.abs(g.values).max())
 
     def test_decay_test_once_per_weight(self, monkeypatch, grid):
-        runs = []
-        original = grid_module._decays
-
-        def counted(w, tol):
-            runs.append(tol)
-            return original(w, tol)
-
-        monkeypatch.setattr(grid_module, "_decays", counted)
         g = sample_terms(family_member("r2_exp"), grid)
+        runs = []  # the weights a at which g's profile is computed
+        original = grid_module._hold
+
+        def counted(owner, key, compute):
+            if owner is g and key[0] == "profile":
+                return original(owner, key, lambda: runs.append(key[1]) or compute())
+            return original(owner, key, compute)
+
+        monkeypatch.setattr(grid_module, "_hold", counted)
         p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
         # lines 0, -0.4, -0.8 and the obstruction strip's far edge -m - 0.05
         solve_mellin(g, p, lines=(0.0, -0.4, -0.8))
         assert len(runs) == 4
         solve_mellin(g, p, lines=(0.0, -0.4))
         assert len(runs) == 4
+
+    def test_held_profile_answers_every_tolerance(self, abses, grid):
+        # the solve's gates hold g's profiles at the lines' and the
+        # obstruction strip's weights; a new tolerance or a norm reads them
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        solve_mellin(g, p, lines=(0.0, -0.4))
+        assert abses(lambda: decay_admissible(g, 0.4, 1e-3)) == 0
+        assert abses(lambda: weighted_norm(g, p.m + DEFAULT_ADMISSIBILITY_MARGIN)) == 0
 
 
 def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
@@ -337,6 +349,15 @@ def test_contracting_config_exponential_count(exps, tmp_path):
     # (the obstruction strip), and the fractional weights at t = 0.5, 1, 2
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
     assert exps(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 34
+
+
+def test_contracting_config_abs_count(abses, tmp_path):
+    # per grid (2) and input (8), 11 |.| passes: g's profiles at a = 0, -2
+    # (the regularity gate's line Re z = 2) and m + 0.05 (the obstruction
+    # strip), the solution's profile at 0 and the residual, and the
+    # fractional weights of the solution and of g at t = 0.5, 1, 2
+    config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
+    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 176
 
 
 def _equal(a, b) -> bool:
