@@ -58,6 +58,7 @@ from .grid import (
 )
 from .mellin import (
     MellinLine,
+    apply_X,
     derivative_rule_defect,
     line_admissible,
     line_energy,
@@ -67,7 +68,6 @@ from .mellin import (
 )
 from .reps import (
     ModelRepParams,
-    apply_X,
     fractional_norm,
     fractional_weight,
     regularity_norm,

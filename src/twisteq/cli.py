@@ -559,31 +559,54 @@ def _format_value(value: float | None) -> str:
     return f"{value:.12g}"
 
 
+def _jsonable(value: float | None) -> float | None:
+    if value is None or not math.isfinite(value):
+        return None
+    return value
+
+
+# A row of the payload sits at indent level 2 of json.dumps(payload,
+# indent=2): its items one per line, 6 spaces in, its braces 4 spaces in.
+# Encoding the flat row without indent (the C encoder) with this item
+# separator gives the same text between the braces.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_row(row: ReportRow) -> str:
+    # vars, as asdict would deep-copy the row
+    record = vars(row) | {"value": _jsonable(row.value), "bound": _jsonable(row.bound)}
+    return "{\n      " + _ROW_ENCODER.encode(record)[1:-1] + "\n    }"
+
+
 def write_reports(
     rows: list[ReportRow], plot: PlotData, cfg: ExperimentConfig, out_dir: Path
 ) -> None:
+    """Write <suite>.csv, <suite>.json and the plot tables; the CSV equals
+    csv.DictWriter's and the JSON json.dumps(payload, indent=2)'s, byte for
+    byte."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = [vars(row) for row in rows]  # asdict would deep-copy every row
     with (out_dir / f"{cfg.suite}.csv").open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, [f.name for f in fields(ReportRow)], lineterminator="\n")
-        writer.writeheader()
-        for record in records:
-            cells = {key: _format_value(record[key]) for key in ("value", "bound")}
-            writer.writerow(record | cells | {"passed": "pass" if record["passed"] else "fail"})
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([f.name for f in fields(ReportRow)])
+        writer.writerows(
+            (
+                r.suite, r.case_id, r.function, r.quantity, r.params, _format_value(r.value),
+                _format_value(r.bound), r.direction, "pass" if r.passed else "fail", r.flags,
+            )
+            for r in rows
+        )
 
-    def _jsonable(value: float | None) -> float | None:
-        if value is None or not np.isfinite(value):
-            return None
-        return value
-
-    payload = {
-        "suite": cfg.suite,
-        "grid": {"n_points": cfg.n_points, "x_min": cfg.x_min, "x_max": cfg.x_max},
-        "rows": [
-            record | {key: _jsonable(record[key]) for key in ("value", "bound")} for record in records
-        ],
-    }
-    (out_dir / f"{cfg.suite}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    head = json.dumps(
+        {
+            "suite": cfg.suite,
+            "grid": {"n_points": cfg.n_points, "x_min": cfg.x_min, "x_max": cfg.x_max},
+            "rows": [],
+        },
+        indent=2,
+    ).removesuffix("[]\n}")
+    body = ",\n    ".join(map(_json_row, rows))
+    rows_text = f"[\n    {body}\n  ]" if rows else "[]"
+    (out_dir / f"{cfg.suite}.json").write_text(head + rows_text + "\n}\n")
     if plot:
         plot_dir = out_dir / "plots"
         plot_dir.mkdir(exist_ok=True)

@@ -24,7 +24,8 @@ from .grid import (
     relative_difference,
     require_same_grid,
 )
-from .reps import ModelRepParams, apply_X
+from .mellin import apply_X
+from .reps import ModelRepParams
 from .solver import (
     DEFAULT_EPS_POLE,
     DEFAULT_OBSTRUCTION_TOL,

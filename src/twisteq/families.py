@@ -43,14 +43,25 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
     at every node: the window misses the function, and every measurement on
     it would be one of the zero function.  Each distinct power r^k and rate
     e^(-c r) is computed once per call, and none is kept after it.
+
+    The real and imaginary parts are summed in real arithmetic, term by
+    term from +0, which gives the bits of the complex sum of
+    coef * r^k * e^(-c r).  A zero part adds nothing and is skipped unless
+    its power overflows, where 0 * inf leaves the NaN the complex product
+    left.
     """
     def expr(r):
         powers = {k: r**k for k in {t.k for t in terms}}
         decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
-        acc = np.zeros_like(r, dtype=np.complex128)
-        for coef, k, c in terms:
-            acc += coef * powers[k] * decays[c]
-        return acc
+        values = np.empty(r.shape, dtype=np.complex128)
+        for side in ("real", "imag"):
+            acc = np.zeros_like(r)
+            for coef, k, c in terms:
+                part = getattr(coef, side)
+                if part or not np.isfinite(powers[k][0]):  # r^k peaks at r_0
+                    acc += (powers[k] * part) * decays[c]
+            setattr(values, side, acc)
+        return values
 
     f = sample(expr, grid)
     if vanishes(f) and any(t.coef != 0 for t in terms):

@@ -115,8 +115,9 @@ class HalfLineFunction:
     is computed at most once: the FFT spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which the norm, the sup norm, every weighted norm and every decay test
-    read, and each Mellin solve ("solve", m, lines, tolerances) of
-    solver.solve_mellin.
+    read; |f| itself ("abs",) once f is weighed at some a != 0; X f ("X",)
+    of mellin.apply_X; and each Mellin solve ("solve", m, lines,
+    tolerances) of solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -212,24 +213,44 @@ class Profile:
 
 
 def profile(f: HalfLineFunction, a: float) -> Profile:
-    """The profile of |f(r_j) r_j^{-a}| = |f| e^{a x}, held on f per a."""
+    """The profile of |f(r_j) r_j^{-a}| = |f| e^{a x}, held on f per a.
+
+    The first weighted profile (a != 0) holds |f| on f, so each further
+    weight costs one product; the unweighted profile reads |f| when it is
+    held and does not hold it otherwise.
+    """
     def compute():
-        w = np.abs(f.values)
-        if a != 0:
-            with np.errstate(over="ignore", under="ignore"):
-                w *= f.grid.weight(a)
+        if a == 0:
+            held = f._held.get(("abs",))
+            return Profile.of(np.abs(f.values) if held is None else held, f.grid.h)
+        with np.errstate(over="ignore", under="ignore"):
+            w = _magnitudes(f) * f.grid.weight(a)
         return Profile.of(w, f.grid.h)
 
     return _hold(f, ("profile", a), compute)
 
 
+def _magnitudes(f: HalfLineFunction) -> np.ndarray:
+    """|f|, held on f (read-only)."""
+    def compute():
+        w = np.abs(f.values)
+        w.flags.writeable = False
+        return w
+
+    return _hold(f, ("abs",), compute)
+
+
 def _l2_norm(w: np.ndarray, h: float) -> float:
-    """Square root of the trapezoid of w^2, or +Inf when w^2 overflows."""
+    """Square root of the trapezoid of w^2, or +Inf when w^2 overflows.
+
+    A NaN or overflowing square shows in the sum, so only a sum that is
+    not finite is rescanned for an infinite square.
+    """
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sq = w * w
-        if np.isinf(sq).any():
-            return float("inf")
         val = trapezoid(sq, h)
+        if not np.isfinite(val) and np.isinf(sq).any():
+            return float("inf")
     return float(np.sqrt(val))
 
 
@@ -260,8 +281,15 @@ def lin_comb(
 
 
 def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
-    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ref = 0."""
-    return relative_to(base_norm(lin_comb(1.0, f, -1.0, ref)), ref)
+    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ref = 0.
+
+    The difference is taken in one buffer and scanned once for NaN/Inf.
+    """
+    require_same_grid(f, ref)
+    diff = f.values - ref.values
+    if not all_finite(diff):
+        raise NonFiniteSample("values contain NaN or Inf")
+    return relative_to(_l2_norm(np.abs(diff), f.grid.h), ref)
 
 
 def relative_to(value: float, ref: HalfLineFunction) -> float:

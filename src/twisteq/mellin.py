@@ -28,6 +28,7 @@ from .grid import (
     DECAY_TOL,
     HalfLineFunction,
     LogGrid,
+    _hold,
     all_finite,
     decay_admissible,
     trapezoid,
@@ -148,14 +149,19 @@ def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
     return np.fft.ifft(spectrum * grid.i_frequencies)
 
 
+def apply_X(f: HalfLineFunction) -> HalfLineFunction:
+    """X f = -r d/dr f, computed as +d/dx of f's spectrum and held on f."""
+    return _hold(f, ("X",), lambda: HalfLineFunction(f.grid, _dx(f.spectrum, f.grid)))
+
+
 def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:
     """Sup-norm defect of M(Xf, a+it) = (a+it) M(f, a+it), where X = -r d/dr.
 
-    Xf is computed spectrally, as apply_X does; both f and Xf must pass the
-    decay test for the line, otherwise NotAdmissible.
+    Xf is f's held apply_X; both f and Xf must pass the decay test for the
+    line, otherwise NotAdmissible.
     """
     grid = f.grid
-    xf = HalfLineFunction(grid, _dx(f.spectrum, grid))
+    xf = apply_X(f)
     if not line_admissible(f, a, tol):
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(xf, a, tol):

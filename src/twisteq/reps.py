@@ -1,8 +1,9 @@
 """Model irreducible representations of R⋉R on L²(R⁺, dr/r).
 
 The flow vector field X acts as -r d/dr (equivalently +d/dx on the log
-grid) and u1 as multiplication by sigma*i*r^(-lambda1); the package weighs
-with (I - u1^2)^(t/2) = (1 + r^(-2*lambda1))^(t/2).  Rank-two components
+grid; mellin.apply_X, re-exported here) and u1 as multiplication by
+sigma*i*r^(-lambda1); the package weighs with (I - u1^2)^(t/2) =
+(1 + r^(-2*lambda1))^(t/2).  Rank-two components
 (R⋉R², with u2 acting as s0*i*r^(-lambda2)) are out of scope; the u1/u2
 multipliers, the flow and the Sobolev norm over generator words live in
 tests/rep_algebra.py as a test reference.
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import MissingParams
 from .grid import DECAY_TOL, HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
-from .mellin import _dx
+from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,6 @@ class ModelRepParams:
             raise MissingParams("lambda1 must be nonzero")
         if not self.m > 0:
             raise MissingParams(f"twist m must be positive, got {self.m}")
-
-
-def apply_X(f: HalfLineFunction) -> HalfLineFunction:
-    """X f = -r d/dr f, computed as +d/dx by spectral differentiation."""
-    return HalfLineFunction(f.grid, _dx(f.spectrum, f.grid))
 
 
 def _log_weight(grid: LogGrid, lambda1: float) -> np.ndarray:

@@ -157,7 +157,9 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
             if start:
                 step[0] += F[start - 1] * scale[0]
             np.cumsum(step, out=F[lo + 1 : stop])
-            F[lo + 1 : stop] /= scale[1:]
+            # numpy divides by s + 0j as a product with 1/s, so this keeps
+            # every value (only a zero's sign may differ)
+            F[lo + 1 : stop] *= np.divide(1.0, scale[1:], out=scale[1:])
             start = stop
     # Euler-Maclaurin h^2 endpoint correction, evaluated in scaled form:
     # the boundary term at x_j is (G' + m G)(x_j); the one at x_0 arrives

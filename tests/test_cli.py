@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import json
+import math
 import os
 import re
 import subprocess
@@ -613,3 +616,70 @@ class TestDegenerateInputs:
         assert len(ratios) == 4
         for r in ratios:
             assert r["value"] == "nan" and "non-finite" in r["flags"].split(";"), r
+
+
+def _reference_reports(rows, cfg, out_dir: Path) -> None:
+    """The CSV of csv.DictWriter and the JSON of json.dumps(payload, indent=2)."""
+    out_dir.mkdir(parents=True)
+    records = [vars(row) for row in rows]
+    with (out_dir / f"{cfg.suite}.csv").open("w", newline="") as handle:
+        writer = csv.DictWriter(
+            handle, [f.name for f in dataclasses.fields(cli.ReportRow)], lineterminator="\n"
+        )
+        writer.writeheader()
+        for record in records:
+            cells = {key: cli._format_value(record[key]) for key in ("value", "bound")}
+            writer.writerow(record | cells | {"passed": "pass" if record["passed"] else "fail"})
+
+    def jsonable(value):
+        return None if value is None or not math.isfinite(value) else value
+
+    payload = {
+        "suite": cfg.suite,
+        "grid": {"n_points": cfg.n_points, "x_min": cfg.x_min, "x_max": cfg.x_max},
+        "rows": [
+            record | {"value": jsonable(record["value"]), "bound": jsonable(record["bound"])}
+            for record in records
+        ],
+    }
+    (out_dir / f"{cfg.suite}.json").write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def _assert_reports_match_reference(rows, cfg, tmp_path: Path) -> None:
+    cli.write_reports(rows, {}, cfg, tmp_path / "new")
+    _reference_reports(rows, cfg, tmp_path / "reference")
+    for ext in ("csv", "json"):
+        name = f"{cfg.suite}.{ext}"
+        new, reference = (tmp_path / side / name for side in ("new", "reference"))
+        assert new.read_bytes() == reference.read_bytes(), name
+
+
+class TestReportWriters:
+    """The CSV and JSON writers give the bytes of csv.DictWriter and of
+    json.dumps(payload, indent=2)."""
+
+    def test_awkward_rows(self, tmp_path):
+        cfg = cli.ExperimentConfig(suite="solve")
+        awkward = [
+            (float("nan"), None, True, ""),
+            (float("inf"), 1e-6, False, "non-finite"),
+            (float("-inf"), 1.0 + 1e-8, False, "a, b;non-finite"),
+            (-0.0, 0.0, True, 'quoted "flag"'),
+            (1.5e-300, 2.0, True, "line one\nline two\r\nline three"),
+            (3.0, None, False, "NotAdmissible: λ1 — ré, \"x\"\n, ünïcode"),
+        ]
+        rows = [
+            cli.ReportRow("solve", i, f"fn,{i}", "error" if not passed else "q", "m=1;a=0",
+                          value, bound, "<=" if i % 2 else ">=", passed, flags)
+            for i, (value, bound, passed, flags) in enumerate(awkward)
+        ]
+        _assert_reports_match_reference(rows, cfg, tmp_path)
+
+    def test_no_rows(self, tmp_path):
+        _assert_reports_match_reference([], cli.ExperimentConfig(suite="cocycle"), tmp_path)
+
+    @pytest.mark.parametrize("stem", SHIPPED)
+    def test_shipped_config(self, tmp_path, stem):
+        cfg = parse_config(CONFIG_DIR / f"{stem}.cfg")
+        rows, _ = cli.run_suite(cfg)
+        _assert_reports_match_reference(rows, cfg, tmp_path)

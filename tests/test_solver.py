@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from twisteq.grid import (
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight
 from twisteq.solver import (
     DEFAULT_ADMISSIBILITY_MARGIN,
+    _fd_derivative,
     estimate_sweep,
     obstruction,
     project_obstruction,
@@ -160,6 +162,51 @@ class TestSolveSemigroup:
         else:
             g = sample_terms(flow_rhs(make_terms([(1.0, 2, 1.0)]), m), grid)
         assert rel_err(solve_semigroup(g, m), semigroup_recurrence(g, m)) <= 1e-12
+
+    @pytest.mark.parametrize("input_kind", ["bump", "family"])
+    def test_blocked_sum_keeps_the_bits_of_complex_division(self, input_kind):
+        # m = 140 on [-30, 30]: blocks of width 600/140 in x, k = -7 .. 7
+        grid = make_log_grid(4096, -30.0, 30.0)
+        if input_kind == "bump":
+            x = grid.x
+            g = HalfLineFunction(grid, np.exp(-0.5 * (x / 10.0) ** 2 + 1j * x))
+        else:
+            g = sample_terms(make_terms([(0.5 - 2.0j, 1, 1.0), (1.5j, 3, 0.5)]), grid)
+        for m in (0.7, 13.0, 140.0):
+            assert np.array_equal(solve_semigroup(g, m).values, _semigroup_by_division(g, m)), m
+
+
+def _semigroup_by_division(g: HalfLineFunction, m: float) -> np.ndarray:
+    """solve_semigroup with each block divided by its complex-cast scale."""
+    grid, h, x, G, n = g.grid, g.grid.h, g.grid.x, g.values, g.grid.n_points
+    w = 600.0 / m
+    F = np.empty(n, dtype=np.complex128)
+    F[0] = 0.0
+    start = 0
+    with np.errstate(under="ignore"):
+        while start < n:
+            k = np.rint(x[start] / w)
+            edge = ((k + 0.5) * w - grid.x_min) / h
+            stop = n if not edge < n else max(start + 1, math.ceil(edge))
+            lo = max(start - 1, 0)
+            scale = x[lo:stop] - k * w
+            scale *= m
+            np.exp(scale, out=scale)
+            Ge = G[lo:stop] * scale
+            step = 0.5 * h * (Ge[1:] + Ge[:-1])
+            if start:
+                step[0] += F[start - 1] * scale[0]
+            np.cumsum(step, out=F[lo + 1 : stop])
+            F[lo + 1 : stop] /= scale[1:]
+            start = stop
+    psi = _fd_derivative(G, h)
+    psi += m * G
+    with np.errstate(under="ignore"):
+        damp = np.exp(m * (grid.x_min - x))
+    psi -= psi[0] * damp
+    psi *= h * h / 12.0
+    F -= psi
+    return F
 
 
 class TestSolveMellin:
@@ -326,6 +373,19 @@ class TestWorkPerSolve:
         assert abses(lambda: decay_admissible(g, 0.4, 1e-3)) == 0
         assert abses(lambda: weighted_norm(g, p.m + DEFAULT_ADMISSIBILITY_MARGIN)) == 0
 
+    def test_weighted_profiles_share_one_magnitude_pass(self, abses, grid):
+        # the first weighted profile holds |g|; each later weight is one
+        # product, and the unweighted profile reads the held |g| as well
+        g = sample_terms(family_member("r2_exp"), grid)
+        assert abses(lambda: [weighted_norm(g, a) for a in (0.5, -0.4, 1.05)]) == 1
+        assert abses(lambda: g.norm) == 0
+
+    def test_unweighted_profile_holds_no_magnitudes(self, abses, grid):
+        # a function only ever normed, as a held solution, keeps no |f| array
+        g = sample_terms(family_member("r2_exp"), grid)
+        assert abses(lambda: (g.norm, g.sup)) == 1
+        assert ("abs",) not in g._held
+
 
 def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
     # 8 inputs, 4 weights and 2 grids: every weighted norm reads the log-weight
@@ -352,12 +412,13 @@ def test_contracting_config_exponential_count(exps, tmp_path):
 
 
 def test_contracting_config_abs_count(abses, tmp_path):
-    # per grid (2) and input (8), 11 |.| passes: g's profiles at a = 0, -2
-    # (the regularity gate's line Re z = 2) and m + 0.05 (the obstruction
-    # strip), the solution's profile at 0 and the residual, and the
-    # fractional weights of the solution and of g at t = 0.5, 1, 2
+    # per grid (2) and input (8), 9 |.| passes: |g| once, held by its first
+    # weighted profile (a = -2, the regularity gate's line Re z = 2) and read
+    # by its profiles at m + 0.05 (the obstruction strip) and 0, the
+    # solution's profile at 0 and the residual, and the fractional weights
+    # of the solution and of g at t = 0.5, 1, 2
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
-    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 176
+    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 144
 
 
 def _equal(a, b) -> bool:
