@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -36,6 +36,7 @@ from .mellin import (
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
+    shift_law_defect,
 )
 from .reps import ModelRepParams
 from .solver import (
@@ -50,26 +51,60 @@ from .solver import (
 )
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    if not text.strip():
+        return ()
+    return tuple(float(part) for part in text.replace(";", ",").split(","))
+
+
+def _parse_suite(text: str) -> str:
+    if text not in SUITES:
+        raise ValueError(f"must be one of {', '.join(SUITES)}")
+    return text
+
+
+def _parse_terms(text: str) -> Terms | None:
+    if not text.strip():
+        return None
+    triples = []
+    for chunk in text.split(";"):
+        parts = [part.strip() for part in chunk.split(",")]
+        if len(parts) != 3:
+            raise ValueError("each term needs coefficient,power,rate")
+        coef, rate = complex(parts[0]), float(parts[2])
+        if not (cmath.isfinite(coef) and math.isfinite(rate)):
+            raise ValueError("coefficient and rate must be finite")
+        triples.append((coef, int(parts[1]), rate))
+    terms = make_terms(triples)
+    min_power(terms)  # rejects all-zero coefficients
+    return terms
+
+
+def _key(key: str, parse: Callable[[str], Any], default: Any) -> Any:
+    """A field set by the config key `key`, whose text `parse` reads."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    suite: str = "solve"
-    n_points: int = 4096
-    x_min: float = -12.0
-    x_max: float = 12.0
-    lambda1: float = 1.0
-    m: float = 1.0
-    s: float = 3.0
-    t_grid: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
-    lines: tuple[float, ...] = (0.0, -0.4, -0.8)
-    family: str = "default"
-    function: Terms | None = None
-    decay_tol: float = DECAY_TOL
-    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL
-    eps_pole: float = DEFAULT_EPS_POLE
-    out_dir: str = "reports"
-    sweep_delta: float = 0.2
-    sweep_steps: int = 5
-    scan_x_max: tuple[float, ...] = (8.0, 12.0, 16.0)
+    suite: str = _key("suite", _parse_suite, "solve")
+    n_points: int = _key("grid.n_points", int, 4096)
+    x_min: float = _key("grid.x_min", float, -12.0)
+    x_max: float = _key("grid.x_max", float, 12.0)
+    lambda1: float = _key("rep.lambda1", float, 1.0)
+    m: float = _key("twist.m", float, 1.0)
+    s: float = _key("regularity.s", float, 3.0)
+    t_grid: tuple[float, ...] = _key("t_grid", _parse_floats, (0.0, 0.5, 1.0, 2.0))
+    lines: tuple[float, ...] = _key("lines", _parse_floats, (0.0, -0.4, -0.8))
+    family: str = _key("family", str, "default")
+    function: Terms | None = _key("function", _parse_terms, None)
+    decay_tol: float = _key("tol.decay", float, DECAY_TOL)
+    obstruction_tol: float = _key("tol.obstruction", float, DEFAULT_OBSTRUCTION_TOL)
+    eps_pole: float = _key("tol.eps_pole", float, DEFAULT_EPS_POLE)
+    out_dir: str = _key("out.dir", str, "reports")
+    sweep_delta: float = _key("sweep.delta", float, 0.2)
+    sweep_steps: int = _key("sweep.steps", int, 5)
+    scan_x_max: tuple[float, ...] = _key("scan.x_max", _parse_floats, (8.0, 12.0, 16.0))
     strict: bool = False  # set by --strict
 
     def grid(self) -> LogGrid:
@@ -104,54 +139,9 @@ class ExperimentConfig:
         return tuple(cases)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    if not text.strip():
-        return ()
-    return tuple(float(part) for part in text.replace(";", ",").split(","))
-
-
-def _parse_suite(text: str) -> str:
-    if text not in SUITES:
-        raise ValueError(f"must be one of {', '.join(SUITES)}")
-    return text
-
-
-def _parse_terms(text: str) -> Terms | None:
-    if not text.strip():
-        return None
-    triples = []
-    for chunk in text.split(";"):
-        parts = [part.strip() for part in chunk.split(",")]
-        if len(parts) != 3:
-            raise ValueError("each term needs coefficient,power,rate")
-        coef, rate = complex(parts[0]), float(parts[2])
-        if not (cmath.isfinite(coef) and math.isfinite(rate)):
-            raise ValueError("coefficient and rate must be finite")
-        triples.append((coef, int(parts[1]), rate))
-    terms = make_terms(triples)
-    min_power(terms)  # rejects all-zero coefficients
-    return terms
-
-
+# config key -> (field, parser), in the order the fields are declared
 _KEYS = {
-    "suite": ("suite", _parse_suite),
-    "grid.n_points": ("n_points", int),
-    "grid.x_min": ("x_min", float),
-    "grid.x_max": ("x_max", float),
-    "rep.lambda1": ("lambda1", float),
-    "twist.m": ("m", float),
-    "regularity.s": ("s", float),
-    "t_grid": ("t_grid", _parse_floats),
-    "lines": ("lines", _parse_floats),
-    "family": ("family", str),
-    "function": ("function", _parse_terms),
-    "tol.decay": ("decay_tol", float),
-    "tol.obstruction": ("obstruction_tol", float),
-    "tol.eps_pole": ("eps_pole", float),
-    "out.dir": ("out_dir", str),
-    "sweep.delta": ("sweep_delta", float),
-    "sweep.steps": ("sweep_steps", int),
-    "scan.x_max": ("scan_x_max", _parse_floats),
+    f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(ExperimentConfig) if f.metadata
 }
 
 
@@ -188,13 +178,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         entries = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
             raise ConfigError(f"{key}: must be finite, got {value}")
-    for name, tol in (
-        ("tol.decay", cfg.decay_tol),
-        ("tol.obstruction", cfg.obstruction_tol),
-        ("tol.eps_pole", cfg.eps_pole),
-    ):
-        if not tol > 0:
-            raise ConfigError(f"{name}: must be positive, got {tol}")
+        if key.startswith("tol.") and not value > 0:
+            raise ConfigError(f"{key}: must be positive, got {value}")
     try:
         cfg.grid()
         cfg.rep()  # twist and representation parameters
@@ -303,14 +288,8 @@ def _mellin_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
             # a line refused by the rule's decay gate hides none of the other rows
             checks += _measure(derivative_rule, f, a, params=f"a={a:g}")
         b = 0.3
-        fb = HalfLineFunction(grid, f.values * grid.weight(b))
-        la = mellin_line(fb, shift).spectrum  # same grid: scale and phase cancel
-        lb = mellin_line(f, shift - b).spectrum
-        num = float(np.abs(la - lb).max())
-        den = float(np.abs(lb).max())
-        checks.append(
-            Check("shift_law_rel_err", f"a={shift:g};b={b:g}", num / den if den > 0 else num, 1e-10)
-        )
+        defect = shift_law_defect(f, shift, b)
+        checks.append(Check("shift_law_rel_err", f"a={shift:g};b={b:g}", defect, 1e-10))
         return checks
 
     return [(name, _measure(identities, terms)) for name, terms in cfg.cases()]

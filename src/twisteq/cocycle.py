@@ -19,12 +19,12 @@ from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
-    base_norm,
-    lin_comb,
-    relative_difference,
+    _difference_norm,
+    _ratio,
+    relative_to,
     require_same_grid,
 )
-from .mellin import apply_X
+from .mellin import _dx
 from .reps import ModelRepParams
 from .solver import (
     DEFAULT_EPS_POLE,
@@ -65,13 +65,13 @@ class CocycleData:
 
 
 def verify_cocycle(d: CocycleData) -> float:
-    """Compatibility defect ||(X+m) g1 - (iv+m1) g2|| / max(||g1||, ||g2||)."""
-    lhs = lin_comb(1.0, apply_X(d.g1), d.m, d.g1)
-    diff = base_norm(lin_comb(1.0, lhs, -d.character, d.g2))
-    scale = max(base_norm(d.g1), base_norm(d.g2))
-    if scale == 0.0:
-        return diff
-    return diff / scale
+    """Compatibility defect ||(X+m) g1 - (iv+m1) g2|| / max(||g1||, ||g2||) by
+    grid._ratio's rule, accumulated in one buffer from g1's held spectrum."""
+    g1, g2 = d.g1, d.g2
+    diff = _dx(g1.spectrum, g1.grid)
+    diff += d.m * g1.values
+    diff -= d.character * g2.values
+    return _ratio(_difference_norm(diff, g1.grid.h), max(g1.norm, g2.norm), g1, g2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +125,12 @@ def common_solution(
                 f"this regularity; discretization failure"
             )
     h = report.solution
+    character_defect = d.character * h.values
+    character_defect -= d.g1.values
     return CommonSolutionReport(
         solution=h,
         residual_flow=residual(h, d.g2, d.m),
-        residual_character=relative_difference(
-            HalfLineFunction(h.grid, d.character * h.values), d.g1
-        ),
+        residual_character=relative_to(_difference_norm(character_defect, h.grid.h), d.g1),
         compatibility_defect=defect,
         obstruction=report.obstruction,
         base_norm_ratio=report.base_norm_ratio,

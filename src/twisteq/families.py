@@ -46,20 +46,27 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
 
     The real and imaginary parts are summed in real arithmetic, term by
     term from +0, which gives the bits of the complex sum of
-    coef * r^k * e^(-c r).  A zero part adds nothing and is skipped unless
-    its power overflows, where 0 * inf leaves the NaN the complex product
-    left.
+    coef * r^k * e^(-c r) wherever r^k is finite; a zero part adds nothing
+    and is skipped.  Where r^k overflows, r^k * e^(-c r) would be inf * 0,
+    so the term is part * exp(k log r - c r) there.
     """
     def expr(r):
         powers = {k: r**k for k in {t.k for t in terms}}
         decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
+        # r^k peaks at r_0, so only a power infinite there overflows
+        overflows = {k: np.isinf(pk) for k, pk in powers.items() if np.isinf(pk[0])}
         values = np.empty(r.shape, dtype=np.complex128)
         for side in ("real", "imag"):
             acc = np.zeros_like(r)
             for coef, k, c in terms:
                 part = getattr(coef, side)
-                if part or not np.isfinite(powers[k][0]):  # r^k peaks at r_0
-                    acc += (powers[k] * part) * decays[c]
+                if part:
+                    term = (powers[k] * part) * decays[c]
+                    if k in overflows:
+                        big = r[overflows[k]]
+                        term[overflows[k]] = part * np.exp(k * np.log(big) - c * big)
+                    acc += term
+                    del term  # freed before the next term is allocated
             setattr(values, side, acc)
         return values
 

@@ -280,28 +280,33 @@ def lin_comb(
     return HalfLineFunction(f.grid, alpha * f.values + beta * g.values)
 
 
-def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
-    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ref = 0.
-
-    The difference is taken in one buffer and scanned once for NaN/Inf.
-    """
-    require_same_grid(f, ref)
-    diff = f.values - ref.values
+def _difference_norm(diff: np.ndarray, h: float) -> float:
+    """L2 norm of a difference taken in one buffer, scanned once for NaN/Inf."""
     if not all_finite(diff):
         raise NonFiniteSample("values contain NaN or Inf")
-    return relative_to(_l2_norm(np.abs(diff), f.grid.h), ref)
+    return _l2_norm(np.abs(diff), h)
+
+
+def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
+    """||f - ref|| / ||ref||, or the plain ||f - ref|| when ref = 0."""
+    require_same_grid(f, ref)
+    return relative_to(_difference_norm(f.values - ref.values, f.grid.h), ref)
+
+
+def _ratio(value: float, scale: float, *refs: HalfLineFunction) -> float:
+    """value / scale, or value itself when every ref is zero.
+
+    NaN when scale underflows to 0 on nonzero samples: the quotient is then
+    not measured, and must not read as 0.
+    """
+    if scale > 0:
+        return value / scale
+    return value if all(map(vanishes, refs)) else float("nan")
 
 
 def relative_to(value: float, ref: HalfLineFunction) -> float:
-    """value / ||ref||, or value itself when ref = 0.
-
-    NaN when ||ref|| underflows to 0 on nonzero samples: the quotient is
-    then not measured, and must not read as 0.
-    """
-    ref_n = ref.norm
-    if ref_n > 0:
-        return value / ref_n
-    return value if vanishes(ref) else float("nan")
+    """value / ||ref|| by the ratio rule of _ratio."""
+    return _ratio(value, ref.norm, ref)
 
 
 def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:

@@ -29,10 +29,10 @@ from .grid import (
     HalfLineFunction,
     LogGrid,
     _hold,
+    _ratio,
     all_finite,
     decay_admissible,
     trapezoid,
-    vanishes,
 )
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -121,17 +121,12 @@ def line_energy(line: MellinLine) -> float:
 
 
 def parseval_defect(f: HalfLineFunction) -> float:
-    """Relative gap between ||f||^2 and the line-0 energy integral.
-
-    NaN when ||f||^2 underflows to 0 on nonzero samples: the gap is then
-    not measured.
-    """
+    """Relative gap |E - ||f||^2| / ||f||^2 between ||f||^2 and the line-0
+    energy integral E, by the ratio rule of grid._ratio: relative at every
+    amplitude, and NaN when ||f||^2 underflows to 0 on nonzero samples."""
     norm_sq = f.norm**2
-    if norm_sq == 0.0 and not vanishes(f):
-        return float("nan")
     energy = line_energy(mellin_line(f, 0.0))
-    scale = max(norm_sq, np.finfo(float).eps)
-    return abs(norm_sq - energy) / scale
+    return _ratio(abs(norm_sq - energy), norm_sq, f)
 
 
 def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
@@ -166,13 +161,23 @@ def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(xf, a, tol):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
-    # Both lines carry the same scale and unit-modulus phase, which cancel
-    # in the ratio, so their spectra are compared directly.
     lhs = mellin_line(xf, a).spectrum
     rhs = mellin_line(f, a).spectrum
     z = a + grid.i_frequencies
-    num = np.abs(lhs - z * rhs).max()
-    den = np.abs(rhs).max()
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return _sup_relative(lhs - z * rhs, rhs, f)
+
+
+def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:
+    """Sup-norm defect of M(f r^{-b}, a+it) = M(f, a-b+it)."""
+    grid = f.grid
+    fb = HalfLineFunction(grid, f.values * grid.weight(b))
+    lhs = mellin_line(fb, a).spectrum
+    rhs = mellin_line(f, a - b).spectrum
+    return _sup_relative(lhs - rhs, rhs, f)
+
+
+def _sup_relative(diff: np.ndarray, ref: np.ndarray, f: HalfLineFunction) -> float:
+    """max|diff| / max|ref| by the ratio rule of grid._ratio, where f is the
+    function whose line is ref.  Lines on one grid share the transform's
+    scale and phase, so their spectra compare directly."""
+    return _ratio(float(np.abs(diff).max()), float(np.abs(ref).max()), f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingParams
+from .errors import MissingParams, NonFiniteSample
 from .grid import DECAY_TOL, HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
 from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
@@ -83,12 +83,17 @@ def fractional_norm(
     weighted samples that pass the line-0 decay test.
 
     The norm and the decay test read one profile of the weighted samples; at
-    t = 0 it is f's held profile.
+    t = 0 it is f's held profile.  A weight that overflows where f is
+    nonzero gives (inf, False).
     """
     if t == 0:
         held = profile(f, 0.0)
     else:
-        held = Profile.of(np.abs(fractional_weight(f, t, p).values), f.grid.h)
+        try:
+            w = np.abs(fractional_weight(f, t, p).values)
+        except NonFiniteSample:
+            return float("inf"), False
+        held = Profile.of(w, f.grid.h)
     return held.norm, bool(held.decays(decay_tol) and np.isfinite(held.norm))
 
 

@@ -21,20 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine, ZeroTwist
+from .errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from .grid import (
     DECAY_TOL,
     HalfLineFunction,
-    Profile,
+    _difference_norm,
     _hold,
-    all_finite,
+    _ratio,
     base_norm,
     lin_comb,
     profile,
     relative_difference,
     relative_to,
+    require_same_grid,
     trapezoid,
-    vanishes,
 )
 from .mellin import (
     MellinLine,
@@ -43,6 +43,7 @@ from .mellin import (
     line_admissible,
     mellin_inverse_line,
     mellin_line,
+    spectral_dx,
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
 
@@ -188,23 +189,24 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """Relative defect ||(X+m)f - g|| / ||g|| with X applied spectrally."""
-    return _defect(np.fft.fft(f.values), f, g, m)
+    """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally: to
+    f's spectrum when f holds it, otherwise to an FFT that is not held."""
+    require_same_grid(f, g)
+    held = f.__dict__.get("spectrum")
+    xf = spectral_dx(f.values, f.grid) if held is None else _dx(held, f.grid)
+    return _defect(xf, f, g, m)
 
 
-def _defect(spectrum: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """||(X+m)f - g|| / ||g||, with X f read off `spectrum`, the FFT of f.
+def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
+    """||(X+m)f - g|| / ||g||, given the scratch array xf = X f.
 
-    X f + m f - g is accumulated in one buffer, in the order of
-    spectral_dx(f) + m f - g; only that final difference is scanned for
-    NaN/Inf before its norm is taken.
+    X f + m f - g is accumulated in xf, in the order of
+    spectral_dx(f) + m f - g.
     """
-    defect = _dx(spectrum, f.grid)
+    defect = xf
     defect += m * f.values
     defect -= g.values
-    if not all_finite(defect):
-        raise NonFiniteSample("values contain NaN or Inf")
-    return relative_to(Profile.of(np.abs(defect), f.grid.h).norm, g)
+    return relative_to(_difference_norm(defect, f.grid.h), g)
 
 
 def divide_line(g_line: MellinLine, m: float) -> MellinLine:
@@ -300,7 +302,7 @@ def _solve(
     base = mellin_inverse_line(divided, grid)
     # The divided spectrum is the spectrum of base, so the residual needs no
     # forward FFT; drop it before the other lines are transformed.
-    base_residual = _defect(divided.spectrum, base, g, m)
+    base_residual = _defect(_dx(divided.spectrum, grid), base, g, m)
     del divided
 
     defects = [
@@ -382,9 +384,6 @@ def estimate_sweep(
         t, lhs, cls = entry.t, entry.value, entry.bound_class
         rhs = regularity_norm(g, t, p)
         factor = p.m - t * p.lambda1 if cls in ("resolvent", "base") else 1.0
-        if rhs > 0:
-            ratio = lhs * factor / rhs
-        else:  # rhs underflows to 0 on a nonzero g: the ratio is not measured
-            ratio = 0.0 if vanishes(g) else float("nan")
+        ratio = _ratio(lhs * factor, rhs, g)
         rows.append(EstimateRow(t, lhs, rhs, cls, float(ratio), entry.admissible))
     return rows

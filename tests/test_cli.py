@@ -603,6 +603,38 @@ class TestDegenerateInputs:
         assert len(steps) == 4
         assert all(r["flags"] == "non-finite" and r["passed"] == "fail" for r in steps)
 
+    def test_overflowing_u1_weight_hides_no_row(self, tmp_path):
+        # (1 + r^-120) overflows where f is nonzero: the t = 2 norm is inf
+        path = write(
+            tmp_path,
+            "suite = solve\ngrid.n_points = 6144\ngrid.x_min = -12\ngrid.x_max = 24\n"
+            "rep.lambda1 = 60\nt_grid = 0, 2\nfamily = none\nfunction = 1,2,1\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 0
+        rows = read_rows(tmp_path / "out", "solve")
+        assert len(rows) == 16 and all(r["passed"] == "pass" for r in rows)
+        weighted = [r for r in rows if r["quantity"] == "weighted_norm" and "t=2" in r["params"]]
+        assert len(weighted) == 2
+        assert all(r["value"] == "inf" for r in weighted)
+        assert all(r["flags"] == "not-admissible;non-finite" for r in weighted)
+
+    def test_overflowing_power_samples_as_its_term(self, tmp_path):
+        # r^3 and r^2 overflow at r = e^300; a zero term adds nothing
+        rows = {}
+        for label, function in (("one", "1,2,1"), ("zero-term", "0,3,1; 1,2,1")):
+            out = tmp_path / label
+            path = write(
+                tmp_path,
+                "suite = solve\ngrid.n_points = 8192\ngrid.x_min = -300\ngrid.x_max = 12\n"
+                f"family = none\nfunction = {function}\nout.dir = {out}\n",
+            )
+            main(["run", str(path)])
+            rows[label] = read_rows(out, "solve")
+        assert len(rows["one"]) == 20
+        assert not any(r["quantity"] == "error" for r in rows["one"])
+        assert rows["zero-term"] == rows["one"]
+
     def test_underflowing_estimate_rhs_is_not_measured(self, tmp_path):
         # the samples are nonzero, but the estimate's rhs norm underflows to 0
         path = write(

@@ -4,8 +4,10 @@ import pytest
 from twisteq.cocycle import CocycleData, common_solution, verify_cocycle
 from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine
 from twisteq.families import flow_rhs, make_terms, sample_terms, scale_terms
-from twisteq.grid import base_norm, lin_comb, make_log_grid, sample
-from twisteq.reps import ModelRepParams
+from twisteq.grid import (
+    HalfLineFunction, base_norm, lin_comb, make_log_grid, relative_difference, sample,
+)
+from twisteq.reps import ModelRepParams, apply_X
 
 from oracles import rel_err
 
@@ -33,6 +35,20 @@ class TestVerifyCocycle:
         z = sample(lambda r: 0.0 * r, wide_grid)
         d = CocycleData(z, z, v=1.0, m1=0.0, p=p)
         assert verify_cocycle(d) == 0.0
+
+    def test_underflowing_norms_are_not_measured(self, wide_grid, p):
+        # compatible data whose norms underflow to 0 on nonzero samples
+        d = _dataset(make_terms([(1e-300, 1, 1.0)]), v=1.0, m1=0.0, m=1.0, grid=wide_grid)
+        assert base_norm(d.g1) == 0.0 and d.g1.sup > 0.0
+        assert np.isnan(verify_cocycle(d))
+
+    def test_one_buffer_equals_composed_operators(self, wide_grid, p):
+        # X g1 + m g1 - (iv+m1) g2 in one buffer; lin_comb differs in the sign of zeros only
+        d = _dataset(make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), v=-1.5, m1=0.5, m=1.0,
+                     grid=wide_grid)
+        lhs = lin_comb(1.0, apply_X(d.g1), d.m, d.g1)
+        composed = base_norm(lin_comb(1.0, lhs, -d.character, d.g2))
+        assert verify_cocycle(d) == composed / max(base_norm(d.g1), base_norm(d.g2))
 
     def test_perturbation_detected(self, wide_grid, p):
         d = _dataset(make_terms([(1.0, 1, 1.0)]), v=1.0, m1=0.0, m=1.0, grid=wide_grid)
@@ -76,6 +92,21 @@ class TestCommonSolution:
         report = common_solution(d)
         assert report.flags == ("obstruction-undefined",)
         assert np.isnan(report.obstruction)
+
+    def test_unmeasured_compatibility_is_reported_not_rejected(self, wide_grid):
+        # the NaN defect of data whose norms underflow is no incompatibility
+        d = _dataset(make_terms([(1e-300, 2, 2.0)]), v=2.0, m1=1.0, m=1.0, grid=wide_grid)
+        report = common_solution(d)
+        assert np.isnan(report.compatibility_defect)
+        assert np.isnan(report.residual_flow) and np.isnan(report.residual_character)
+
+    def test_character_residual_equals_the_relative_difference(self, wide_grid):
+        d = _dataset(make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), v=-1.5, m1=0.5, m=1.0,
+                     grid=wide_grid)
+        report = common_solution(d)
+        h = report.solution
+        expected = relative_difference(HalfLineFunction(h.grid, d.character * h.values), d.g1)
+        assert report.residual_character == expected
 
     def test_zero_data_zero_solution(self, wide_grid, p):
         z = sample(lambda r: 0.0 * r, wide_grid)

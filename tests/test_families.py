@@ -51,11 +51,30 @@ def test_family_samples_equal_the_complex_sum(name, terms):
     assert np.array_equal(sample_terms(terms, grid).values, expected)
 
 
-def test_zero_term_whose_power_overflows_is_refused_as_before():
-    # r reaches e^300 and r^3 overflows: 0 * inf is NaN in the complex sum
+def test_zero_term_whose_power_overflows_samples_the_true_values():
+    # r reaches e^300 and r^3 overflows: 0 * inf is NaN in the complex sum,
+    # but the zero term adds nothing, and r e^{-r} is finite everywhere
     grid = make_log_grid(64, -300.0, 10.0)
     terms = make_terms([(0.0, 3, 1.0), (1.0, 1, 1.0)])
     with pytest.raises(NonFiniteSample):
         complex_sum_reference(terms, grid)
-    with pytest.raises(NonFiniteSample):
-        sample_terms(terms, grid)
+    assert np.array_equal(sample_terms(terms, grid).values, grid.r * np.exp(-grid.r))
+
+
+def test_term_whose_power_overflows_samples_the_true_values():
+    # where r^3 overflows, r^3 e^{-r} (about 0 there) is exp(3 log r - r)
+    grid = make_log_grid(64, -300.0, 10.0)
+    terms = make_terms([(2.0 - 1.0j, 3, 1.0), (1.0, 1, 1.0)])
+    r = grid.r
+    truth = (2.0 - 1.0j) * np.exp(3 * np.log(r) - r) + r * np.exp(-r)
+    values = sample_terms(terms, grid).values
+    assert np.allclose(values, truth, rtol=1e-12, atol=0.0)
+    # elsewhere the bits of the complex sum stay
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = r**3
+        complex_sum = np.zeros_like(r, dtype=np.complex128)
+        complex_sum += (2.0 - 1.0j) * powers * np.exp(-r)
+        complex_sum += 1.0 * r * np.exp(-r)
+    finite = np.isfinite(powers)
+    assert 0 < finite.sum() < len(r)
+    assert np.array_equal(values[finite], complex_sum[finite])

@@ -16,6 +16,7 @@ from twisteq.mellin import (
     mellin_inverse_line,
     mellin_line,
     parseval_defect,
+    shift_law_defect,
     spectral_dx,
 )
 from twisteq.reps import ModelRepParams, apply_X
@@ -191,6 +192,17 @@ class TestParseval:
         f = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
         assert np.isnan(parseval_defect(f))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e-150])
+    def test_relative_at_every_amplitude(self, monkeypatch, grid, scale):
+        f = sample_terms(make_terms([(scale, 2, 1.0)]), grid)
+        assert parseval_defect(f) <= 1e-14
+        # an energy 1e-6 off reads 1e-6 off, however small f is
+        exact = line_energy
+        monkeypatch.setattr(mellin_module, "line_energy", lambda line: exact(line) * (1 + 1e-6))
+        assert parseval_defect(f) == pytest.approx(1e-6, rel=1e-6)
+        monkeypatch.setattr(mellin_module, "line_energy", lambda line: 0.0)
+        assert parseval_defect(f) == 1.0
+
     def test_gamma_member_both_sides(self, grid):
         # both sides equal ||r e^-r||^2 = 1/4
         f = sample_terms(family_member("r_exp"), grid)
@@ -235,6 +247,31 @@ class TestDerivativeRule:
         # the rule's X f is held on f, and so is its spectrum
         assert ffts(lambda: apply_X(f)) == (0, 0)
         assert np.array_equal(apply_X(f).values, spectral_dx(f.values, grid))
+
+
+class TestShiftLaw:
+    @pytest.mark.parametrize("a, b", [(0.0, 0.3), (-0.25, 0.3), (-0.5, 0.2)])
+    def test_family_on_default_grid(self, grid, a, b):
+        for name, terms in FAMILY:
+            assert shift_law_defect(sample_terms(terms, grid), a, b) <= 1e-10, name
+
+    def test_zero(self, grid):
+        assert shift_law_defect(sample(lambda r: 0.0 * r, grid), 0.0, 0.3) == 0.0
+
+    def test_line_that_underflows_is_not_measured(self, grid):
+        # one subnormal sample at x > 0: weighed by e^{-x}, both lines are 0
+        values = np.zeros(grid.n_points)
+        values[3 * grid.n_points // 4] = 5e-324
+        f = HalfLineFunction(grid, values)
+        assert np.isnan(shift_law_defect(f, 1.0, 0.0))
+
+    def test_equals_the_sup_of_the_spectra(self, grid):
+        f = sample_terms(family_member("mix_23"), grid)
+        shifted = HalfLineFunction(grid, f.values * np.exp(0.3 * grid.x))
+        lhs = np.fft.fft(shifted.values * np.exp(0.25 * grid.x))
+        rhs = np.fft.fft(f.values * np.exp(0.55 * grid.x))
+        expected = np.abs(lhs - rhs).max() / np.abs(rhs).max()
+        assert shift_law_defect(f, -0.25, 0.3) == pytest.approx(expected, rel=1e-6, abs=1e-18)
 
 
 class TestStripAdmissible:

@@ -13,7 +13,9 @@ keeps one path for Mellin lines: MellinLine is built only by
 mellin.checked_line, which scans the spectrum for NaN/Inf, and by
 mellin_line's a == 0 branch, whose held spectrum was scanned when it was
 computed.  A fourth keeps one get-or-compute for held values: no module but
-grid.py names `._held`; the others hold through grid._hold.
+grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
+one forward transform: np.fft.fft runs only in HalfLineFunction.spectrum,
+which holds it, in mellin_line, off line 0, and in spectral_dx.
 """
 
 import ast
@@ -150,3 +152,33 @@ def test_one_get_or_compute_for_held_values():
         for line in _held_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"._held named outside grid.py: {found}"
+
+
+def _forward_ffts(tree: ast.AST) -> list[int]:
+    """Lines of np.fft.fft calls outside HalfLineFunction.spectrum,
+    mellin_line and spectral_dx."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "HalfLineFunction":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "spectrum":
+                    allowed.update(map(id, ast.walk(item)))
+        elif isinstance(node, ast.FunctionDef) and node.name in ("mellin_line", "spectral_dx"):
+            allowed.update(map(id, ast.walk(node)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "np.fft.fft"
+        and id(node) not in allowed
+    ]
+
+
+def test_one_path_for_forward_transforms():
+    # a function's spectrum is read from where it is held, not recomputed
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _forward_ffts(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"np.fft.fft outside HalfLineFunction.spectrum and mellin: {found}"

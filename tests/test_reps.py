@@ -295,6 +295,14 @@ class TestFractionalNorm:
         with pytest.raises(NonFiniteSample):
             fractional_weight(HalfLineFunction(grid, values), 80.0, p)
 
+    def test_overflowing_weight_norm_is_infinite_and_not_admissible(self, grid, p):
+        # the weight overflows where f is nonzero: the weighted f has no samples
+        values = np.where(grid.x < 0.0, 1.0, 0.0)
+        values[-1] = 1e-300
+        f = HalfLineFunction(grid, values)
+        assert fractional_norm(f, 80.0, p) == (float("inf"), False)
+        assert regularity_norm(f, 80.0, p) == float("inf")
+
 
 class TestSobolevNorm:
     def test_order_zero(self, grid, p):

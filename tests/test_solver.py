@@ -7,7 +7,7 @@ import pytest
 import twisteq
 from twisteq import grid as grid_module
 from twisteq.cli import main, parse_config
-from twisteq.errors import DegenerateBump, NonFiniteSample, NotAdmissible, PoleOnLine
+from twisteq.errors import DegenerateBump, GridMismatch, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
@@ -275,6 +275,39 @@ class TestResidual:
         report = solve_mellin(g, p, lines=(0.0,))
         assert report.residual <= 1e-12, name
         assert residual(report.solution, g, p.m) <= 1e-12, name
+
+    def test_operands_on_different_grids_rejected(self):
+        # same length, different windows: the samples must not be compared
+        terms = family_member("r2_exp")
+        f = sample_terms(terms, make_log_grid(4096, -12.0, 12.0))
+        g = sample_terms(terms, make_log_grid(4096, -12.0, 24.0))
+        with pytest.raises(GridMismatch):
+            residual(f, g, 1.0)
+
+    def test_held_spectrum_needs_no_forward_fft(self, ffts, grid):
+        f = sample_terms(family_member("r2_exp"), grid)
+        g = sample_terms(flow_rhs(family_member("r2_exp"), 1.0), grid)
+        assert ffts(lambda: f.spectrum) == (1, 0)
+        assert ffts(lambda: residual(f, g, 1.0)) == (0, 1)
+
+    def test_spectrum_not_held_is_not_held_afterwards(self, ffts, grid):
+        # the oracle's solution is measured once: holding its spectrum would
+        # only cost 16 bytes a point
+        f = sample_terms(family_member("r2_exp"), grid)
+        g = sample_terms(flow_rhs(family_member("r2_exp"), 1.0), grid)
+        fresh = residual(f, g, 1.0)
+        assert ffts(lambda: residual(f, g, 1.0)) == (1, 1)
+        assert "spectrum" not in f.__dict__
+        f.spectrum
+        assert residual(f, g, 1.0) == fresh
+
+    def test_overflowing_transform_is_a_non_finite_sample(self):
+        grid = make_log_grid(64, -3.0, 3.0)
+        f = HalfLineFunction(grid, np.full(64, 1e308))  # the FFT's sum overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteSample, match="values contain NaN or Inf"
+        ):
+            residual(f, f, 1e-300)
 
     def test_non_finite_defect_rejected(self):
         grid = make_log_grid(64, -3.0, 3.0)
