@@ -63,7 +63,9 @@ from .mellin import (
     line_admissible,
     line_energy,
     mellin_inverse_line,
+    mellin_inverse_lines,
     mellin_line,
+    mellin_lines,
     parseval_defect,
 )
 from .reps import (

@@ -271,25 +271,28 @@ Cases = list[tuple[str, list[Check]]]  # (function name, checks) per case, in re
 def _mellin_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
 
+    def roundtrip(f: HalfLineFunction, a: float) -> list[Check]:
+        err = relative_difference(mellin_inverse_line(mellin_line(f, a), grid), f)
+        return [Check("roundtrip_rel_err", f"a={a:g}", err, 1e-8)]
+
     def derivative_rule(f: HalfLineFunction, a: float) -> list[Check]:
         defect = derivative_rule_defect(f, a, cfg.decay_tol)
         return [Check("derivative_rule_defect", f"a={a:g}", defect, 1e-6)]
+
+    def shift_law(f: HalfLineFunction, a: float, b: float) -> list[Check]:
+        return [Check("shift_law_rel_err", f"a={a:g};b={b:g}", shift_law_defect(f, a, b), 1e-10)]
 
     def identities(terms: Terms) -> list[Check]:
         f = sample_terms(terms, grid)
         k = min_power(terms)
         shift = -min(k, 2) / 4.0
         checks = [Check("parseval_defect", "", parseval_defect(f), 1e-8)]
+        # a line refused by its weight or decay gate hides none of the other rows
         for a in (0.0, shift):
-            line = mellin_line(f, a)
-            back = mellin_inverse_line(line, grid)
-            err = relative_difference(back, f)
-            checks.append(Check("roundtrip_rel_err", f"a={a:g}", err, 1e-8))
-            # a line refused by the rule's decay gate hides none of the other rows
+            checks += _measure(roundtrip, f, a, params=f"a={a:g}")
             checks += _measure(derivative_rule, f, a, params=f"a={a:g}")
         b = 0.3
-        defect = shift_law_defect(f, shift, b)
-        checks.append(Check("shift_law_rel_err", f"a={shift:g};b={b:g}", defect, 1e-10))
+        checks += _measure(shift_law, f, shift, b, params=f"a={shift:g};b={b:g}")
         return checks
 
     return [(name, _measure(identities, terms)) for name, terms in cfg.cases()]

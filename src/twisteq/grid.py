@@ -9,6 +9,8 @@ and integrals use trapezoidal quadrature in x.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
@@ -23,6 +25,9 @@ from .errors import GridMismatch, InvalidGrid, NonFiniteSample
 DECAY_TOL = 0.5
 
 MIN_POINTS = 16
+
+# log of the largest float: r = e^{-x} is finite for x >= -_LOG_MAX
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,9 @@ class LogGrid:
             raise InvalidGrid("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise InvalidGrid(f"x_min < x_max required, got [{self.x_min}, {self.x_max}]")
+        if self.x_min < -_LOG_MAX:
+            # r = e^{-x} would overflow to inf at the left end
+            raise InvalidGrid(f"x_min >= -{_LOG_MAX:.6g} required, got {self.x_min}")
 
     @property
     def h(self) -> float:
@@ -152,7 +160,8 @@ class HalfLineFunction:
         Checked for NaN/Inf here, once, so the line-0 lines that share it
         need no scan of their own.
         """
-        spectrum = np.fft.fft(self.values)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            spectrum = np.fft.fft(self.values)
         if not all_finite(spectrum):
             raise InvalidGrid("Mellin line values contain NaN or Inf")
         spectrum.flags.writeable = False
@@ -223,7 +232,8 @@ def profile(f: HalfLineFunction, a: float) -> Profile:
         if a == 0:
             held = f._held.get(("abs",))
             return Profile.of(np.abs(f.values) if held is None else held, f.grid.h)
-        with np.errstate(over="ignore", under="ignore"):
+        # 0 * inf is NaN, which shows in the peak and fails every decay test
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             w = _magnitudes(f) * f.grid.weight(a)
         return Profile.of(w, f.grid.h)
 

@@ -18,6 +18,7 @@ applied only when a caller reads `MellinLine.values` or `t_samples`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,7 @@ class MellinLine:
     `spectrum` is the FFT of f e^{-a x} on `grid`, in FFT bin order (bin k
     at frequency grid.frequencies[k]).  `values` and `t_samples` give the
     transform itself with the frequencies in increasing order, symmetric
-    about 0.  Lines are made by mellin_line and checked_line, which see
+    about 0.  Lines are made by mellin_lines and checked_line, which see
     that the spectrum holds no NaN/Inf.
     """
 
@@ -76,36 +77,70 @@ def line_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bo
     return decay_admissible(f, -a, tol)
 
 
-def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
-    """Forward transform along Re z = a.
+def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[MellinLine]:
+    """Forward transforms along Re z = a of each (f, a), off line 0 in one FFT call.
 
     values[k] = (h/sqrt(2 pi)) * sum_j f_j e^{-a x_j} e^{-i t_k x_j}, the
     rectangle-rule Fourier transform of the weighted samples.  Admissibility
     is not tested: the discrete transform is always defined and exactly
     invertible.  The line a = 0 is f's held, read-only spectrum, which was
-    checked for NaN/Inf when it was computed.
+    checked for NaN/Inf when it was computed.  The other lines' weighted
+    samples are written into the rows of one (k, n) array, whose one
+    np.fft.fft call gives each row the bits of its own (n,) transform; their
+    lines are the rows of its result.  The lines are checked in pair order,
+    each for an overflowing weight (NotAdmissible) and then for a NaN/Inf
+    spectrum (InvalidGrid), so the error raised is the first that
+    one-line-at-a-time transforms would raise.
     """
-    grid = f.grid
-    if a == 0:
-        return MellinLine(0.0, grid, f.spectrum)
+    off = [(f, a) for f, a in pairs if a != 0]
+    rows = iter(())
+    if off:
+        weighted = np.empty((len(off), off[0][0].grid.n_points), np.complex128)
+        # 0 * inf is NaN, and a row with NaN or Inf, or whose sum overflows,
+        # is refused by the scans below, not by a warning
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for row, (f, a) in zip(weighted, off):
+                np.multiply(f.values, f.grid.weight(-a), out=row)
+            spectra = np.fft.fft(weighted)
+        rows = zip([all_finite(row) for row in weighted], spectra)
+    lines = []
+    for f, a in pairs:
+        if a == 0:
+            lines.append(MellinLine(0.0, f.grid, f.spectrum))
+            continue
+        weight_finite, spectrum = next(rows)
+        if not weight_finite:
+            raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
+        lines.append(checked_line(float(a), f.grid, spectrum))
+    return lines
+
+
+def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
+    """Forward transform along Re z = a: the one-line call of mellin_lines."""
+    return mellin_lines([(f, a)])[0]
+
+
+def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid) -> np.ndarray:
+    """Inverse transforms of the rows of a (k, n) array of spectra on `grid`,
+    in one np.fft.ifft call: row j becomes r^{-a_j} * ifft(spectra[j]) at the
+    nodes x, each with the bits of its own (n,) inverse.
+
+    A row holding the spectrum of a line on Re z = a_j that mellin_lines
+    made on the same grid inverts it exactly.
+    """
+    values = np.fft.ifft(spectra)
     with np.errstate(over="ignore", under="ignore"):
-        weighted = f.values * grid.weight(-a)
-    if not all_finite(weighted):
-        raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
-    return checked_line(float(a), grid, np.fft.fft(weighted))
+        for row, aj in zip(values, a):
+            if aj != 0:
+                row *= grid.weight(aj)
+    return values
 
 
 def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
-    """Inverse transform: h(r_j) = r_j^{-a} * (inverse DFT of the line at x_j).
-
-    Exact inverse of mellin_line on the same grid.
-    """
+    """Inverse transform of one line: the one-line call of mellin_inverse_lines."""
     if line.grid != grid:
         raise InvalidGrid("line was sampled on another grid")
-    values = np.fft.ifft(line.spectrum)
-    if line.a != 0:
-        with np.errstate(over="ignore", under="ignore"):
-            values *= grid.weight(line.a)
+    (values,) = mellin_inverse_lines(line.spectrum[np.newaxis], (line.a,), grid)
     return HalfLineFunction(grid, values)
 
 
@@ -161,18 +196,21 @@ def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(xf, a, tol):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
-    lhs = mellin_line(xf, a).spectrum
-    rhs = mellin_line(f, a).spectrum
+    lhs, rhs = (line.spectrum for line in mellin_lines([(xf, a), (f, a)]))
     z = a + grid.i_frequencies
     return _sup_relative(lhs - z * rhs, rhs, f)
 
 
 def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:
-    """Sup-norm defect of M(f r^{-b}, a+it) = M(f, a-b+it)."""
+    """Sup-norm defect of M(f r^{-b}, a+it) = M(f, a-b+it).
+
+    Where r^{-b} overflows, f r^{-b} holds Inf (or NaN, at a zero sample)
+    and is refused with NonFiniteSample.
+    """
     grid = f.grid
-    fb = HalfLineFunction(grid, f.values * grid.weight(b))
-    lhs = mellin_line(fb, a).spectrum
-    rhs = mellin_line(f, a - b).spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        fb = HalfLineFunction(grid, f.values * grid.weight(b))
+    lhs, rhs = (line.spectrum for line in mellin_lines([(fb, a), (f, a - b)]))
     return _sup_relative(lhs - rhs, rhs, f)
 
 

@@ -41,8 +41,9 @@ from .mellin import (
     _dx,
     checked_line,
     line_admissible,
-    mellin_inverse_line,
+    mellin_inverse_lines,
     mellin_line,
+    mellin_lines,
     spectral_dx,
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
@@ -209,14 +210,15 @@ def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) 
     return relative_to(_difference_norm(defect, f.grid.h), g)
 
 
-def divide_line(g_line: MellinLine, m: float) -> MellinLine:
-    """The line of M(g, z)/(m + z): the transform of the solution along Re z = a.
+def divide_line(g_line: MellinLine, m: float, out: np.ndarray | None = None) -> MellinLine:
+    """The line of M(g, z)/(m + z): the transform of the solution along Re z = a,
+    written into `out` when it is given.
 
     Raises PoleOnLine on the line a = -m, where m + z vanishes at t = 0.
     """
     if m + g_line.a == 0:
         raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
-    z = g_line.grid.i_frequencies + (m + g_line.a)
+    z = np.add(g_line.grid.i_frequencies, m + g_line.a, out=out)
     ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
     return checked_line(g_line.a, g_line.grid, ratio)
 
@@ -298,18 +300,30 @@ def _solve(
             )
 
     grid = g.grid
-    divided = divide_line(mellin_line(g, 0.0), m)
-    base = mellin_inverse_line(divided, grid)
-    # The divided spectrum is the spectrum of base, so the residual needs no
-    # forward FFT; drop it before the other lines are transformed.
-    base_residual = _defect(_dx(divided.spectrum, grid), base, g, m)
-    del divided
+    n = grid.n_points
+    # base and X base in one inverse call: the divided spectrum D is the
+    # spectrum of base, so X base = ifft(i t D) needs no forward FFT
+    pair = np.empty((2, n), np.complex128)
+    pair[0] = divide_line(mellin_line(g, 0.0), m).spectrum
+    np.multiply(pair[0], grid.i_frequencies, out=pair[1])
+    values, x_base = mellin_inverse_lines(pair, (0.0, 0.0), grid)
+    del pair
+    base = HalfLineFunction(grid, values)  # its own copy, so no row pins the pair
+    base_residual = _defect(x_base, base, g, m)
+    del values, x_base  # free the pair's inverse before the other lines
 
-    defects = [
-        relative_difference(mellin_inverse_line(divide_line(mellin_line(g, a), m), grid), base)
-        for a in lines
-        if a != 0.0
-    ]
+    # the other lines: one forward call, a division per row, one inverse call
+    others = tuple(a for a in lines if a != 0.0)
+    defects = []
+    if others:
+        found = mellin_lines([(g, a) for a in others])
+        quotients = np.empty((len(others), n), np.complex128)
+        for line, row in zip(found, quotients):
+            divide_line(line, m, out=row)
+        del found, line, row  # frees the forward spectra before the inverse call
+        candidates = mellin_inverse_lines(quotients, others, grid)
+        del quotients
+        defects = [relative_difference(HalfLineFunction(grid, values), base) for values in candidates]
     # np.max, unlike max(), keeps a NaN defect
     coincidence = float(np.max(defects, initial=0.0))
 

@@ -32,21 +32,27 @@ def wide_grid():
 
 @pytest.fixture
 def ffts(monkeypatch):
-    """count(call) runs call and returns its (fft, ifft) call counts."""
-    calls = {"fft": 0, "ifft": 0}
+    """count(call) runs call and returns its (fft, ifft) transform counts, a
+    (k, n) call counting k transforms; count.calls is then its (fft, ifft)
+    call counts."""
+    rows = {"fft": 0, "ifft": 0}
+    calls = dict(rows)
     for name in calls:
         original = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(a, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            rows[_name] += int(np.prod(np.shape(a)[:-1]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
 
     def count(call):
-        calls.update(fft=0, ifft=0)
+        for counts in (rows, calls):
+            counts.update(fft=0, ifft=0)
         call()
-        return calls["fft"], calls["ifft"]
+        count.calls = calls["fft"], calls["ifft"]
+        return rows["fft"], rows["ifft"]
 
     return count
 

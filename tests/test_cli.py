@@ -164,6 +164,16 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    def test_window_where_r_overflows_exit_2(self, tmp_path, capsys):
+        # r = e^800 is not a float: the window is refused, not sampled as NaN
+        path = write(
+            tmp_path,
+            "suite = solve\ngrid.n_points = 8192\ngrid.x_min = -800\ngrid.x_max = 12\n"
+            f"family = none\nfunction = 1,2,1\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: grid: x_min >= -709.783")
+
     @pytest.mark.parametrize(
         "text, code",
         [
@@ -635,6 +645,25 @@ class TestDegenerateInputs:
         assert not any(r["quantity"] == "error" for r in rows["one"])
         assert rows["zero-term"] == rows["one"]
 
+    def test_overflowing_line_weight_hides_no_row(self, tmp_path):
+        # r^{1/2} and r^{-0.3} overflow at r = e^{-2400}, where r^2 e^{-r} is
+        # 0: the lines a = -0.5 and the shift law are refused on their own,
+        # with no warning (pytest turns warnings into errors)
+        path = write(
+            tmp_path,
+            "suite = mellin-identities\ngrid.n_points = 8192\ngrid.x_min = -12\n"
+            "grid.x_max = 2400\nfamily = none\nfunction = 1,2,1\n"
+            f"out.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "mellin-identities")
+        passed = [r["quantity"] for r in rows if r["passed"] == "pass"]
+        assert passed == ["parseval_defect", "roundtrip_rel_err", "derivative_rule_defect"]
+        errors = [(r["params"], r["flags"].partition(":")[0]) for r in rows if r["quantity"] == "error"]
+        assert errors == [
+            ("a=-0.5", "NotAdmissible"), ("a=-0.5", "NotAdmissible"), ("a=-0.5;b=0.3", "NonFiniteSample"),
+        ]
+
     def test_underflowing_estimate_rhs_is_not_measured(self, tmp_path):
         # the samples are nonzero, but the estimate's rhs norm underflows to 0
         path = write(
@@ -715,3 +744,13 @@ class TestReportWriters:
         cfg = parse_config(CONFIG_DIR / f"{stem}.cfg")
         rows, _ = cli.run_suite(cfg)
         _assert_reports_match_reference(rows, cfg, tmp_path)
+
+
+def test_transform_census_of_the_shipped_configs(ffts, tmp_path):
+    # the forward and inverse transforms of one pass over the shipped
+    # configs: a change that runs fewer has dropped a measurement
+    def one_pass():
+        for stem in SHIPPED:
+            assert main(["run", str(CONFIG_DIR / f"{stem}.cfg"), "--out", str(tmp_path / stem)]) == 0
+
+    assert ffts(one_pass) == (176, 217)

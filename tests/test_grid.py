@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +48,13 @@ class TestMakeLogGrid:
     def test_reversed_bounds(self):
         with pytest.raises(InvalidGrid):
             make_log_grid(32, 1.0, -1.0)
+
+    def test_r_overflowing_at_the_left_end_refused(self):
+        # r = e^{-x_min} is the largest float at x_min = -log(float max)
+        edge = -math.log(sys.float_info.max)
+        assert np.isfinite(make_log_grid(64, edge, 0.0).r).all()
+        with pytest.raises(InvalidGrid, match="x_min >= -709.783"):
+            make_log_grid(64, np.nextafter(edge, -np.inf), 0.0)
 
 
 class TestHeldWeights:

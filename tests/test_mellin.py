@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from twisteq import grid as grid_module
 from twisteq import mellin as mellin_module
-from twisteq.errors import InvalidGrid, NotAdmissible, PoleOnLine
+from twisteq.errors import InvalidGrid, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
@@ -14,7 +14,9 @@ from twisteq.mellin import (
     derivative_rule_defect,
     line_energy,
     mellin_inverse_line,
+    mellin_inverse_lines,
     mellin_line,
+    mellin_lines,
     parseval_defect,
     shift_law_defect,
     spectral_dx,
@@ -163,6 +165,77 @@ class TestLineRepresentation:
             mellin_inverse_line(line, make_log_grid(*other))
 
 
+class TestPairedLines:
+    """mellin_lines transforms the lines off 0 in one (k, n) FFT call, and
+    mellin_inverse_lines inverts k spectra in one call; every row has the
+    bits of its own one-row transform."""
+
+    # the shipped grids (estimate-sweep doubles 4096), the benchmark's
+    # 19200, obstruction-scan's Bluestein sizes and an odd length
+    @pytest.mark.parametrize("n", [4096, 5472, 6144, 6912, 8192, 9600, 19200, 3413, 4779, 1001])
+    def test_rows_are_the_one_row_transforms(self, ffts, n):
+        grid = make_log_grid(n, -12.0, 24.0)
+        f = sample_terms(family_member("r2_exp"), grid)
+        h = sample_terms(family_member("mix_23"), grid)
+        h.spectrum
+        pairs = [(f, -0.4), (h, 0.0), (h, 0.3), (f, -0.8)]
+        assert ffts(lambda: mellin_lines(pairs)) == (3, 0) and ffts.calls == (1, 0)
+        lines = mellin_lines(pairs)
+        for (g, a), line in zip(pairs, lines):
+            assert line.a == a and line.grid == grid
+            assert np.array_equal(line.spectrum, np.fft.fft(g.values * grid.weight(-a)))
+        assert lines[1].spectrum is h.spectrum
+        spectra = np.array([line.spectrum for line in lines])
+        a_values = [a for _, a in pairs]
+        assert ffts(lambda: mellin_inverse_lines(spectra, a_values, grid)) == (0, 4)
+        assert ffts.calls == (0, 1)
+        back = mellin_inverse_lines(spectra, a_values, grid)
+        for row, line in zip(back, lines):
+            expected = np.fft.ifft(line.spectrum)
+            if line.a != 0:
+                expected *= grid.weight(line.a)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(row, mellin_inverse_line(line, grid).values)
+
+    def test_lines_at_zero_alone_run_no_fft(self, ffts, grid):
+        f = sample_terms(family_member("r2_exp"), grid)
+        f.spectrum
+        assert ffts(lambda: mellin_lines([(f, 0.0), (f, 0.0)])) == (0, 0)
+        assert mellin_lines([]) == []
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            (("ok", "overflow", "sum"), NotAdmissible),
+            (("ok", "sum", "overflow"), InvalidGrid),
+            (("held-sum", "overflow"), InvalidGrid),
+            (("overflow", "held-sum"), NotAdmissible),
+        ],
+        ids=["weight-first", "spectrum-first", "line-0-first", "line-0-second"],
+    )
+    def test_first_failing_pair_raises(self, order, error):
+        # the error of the first pair that a one-line call would refuse
+        grid = make_log_grid(64, -3.0, 3.0)
+        tame = sample(lambda r: r * np.exp(-r), grid)
+        huge = HalfLineFunction(grid, np.full(64, 1e308))  # the FFT's sum overflows
+        pairs = {
+            "ok": (tame, 0.5),
+            "overflow": (tame, -400.0),  # r^{-400} = e^{400 x} overflows
+            "sum": (huge, 1e-6),
+            "held-sum": (huge, 0.0),
+        }
+        with pytest.raises(error):
+            mellin_lines([pairs[name] for name in order])
+
+    def test_weight_overflowing_on_zero_samples_is_refused(self):
+        # 0 * inf is NaN: refused as an overflowing weight, with no warning
+        grid = make_log_grid(64, -3.0, 3.0)
+        values = np.zeros(64)
+        values[10] = 1.0
+        with pytest.raises(NotAdmissible, match="overflows"):
+            mellin_line(HalfLineFunction(grid, values), -400.0)
+
+
 class TestInverse:
     def test_round_trip_gaussian(self, grid):
         f = gaussian_log(grid)
@@ -264,6 +337,14 @@ class TestShiftLaw:
         values[3 * grid.n_points // 4] = 5e-324
         f = HalfLineFunction(grid, values)
         assert np.isnan(shift_law_defect(f, 1.0, 0.0))
+
+    def test_overflowing_shift_is_refused(self):
+        # r^{-b} overflows where f is 0: f r^{-b} is NaN there, with no warning
+        grid = make_log_grid(64, -3.0, 3.0)
+        values = np.zeros(64)
+        values[10] = 1.0
+        with pytest.raises(NonFiniteSample):
+            shift_law_defect(HalfLineFunction(grid, values), 0.0, 400.0)
 
     def test_equals_the_sup_of_the_spectra(self, grid):
         f = sample_terms(family_member("mix_23"), grid)

@@ -11,11 +11,13 @@ A second walk keeps one path for the grid weights e^{a x}: no np.exp of a
 product with a grid's x outside LogGrid.weight, which holds them.  A third
 keeps one path for Mellin lines: MellinLine is built only by
 mellin.checked_line, which scans the spectrum for NaN/Inf, and by
-mellin_line's a == 0 branch, whose held spectrum was scanned when it was
+mellin_lines' a == 0 branch, whose held spectrum was scanned when it was
 computed.  A fourth keeps one get-or-compute for held values: no module but
 grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
-one forward transform: np.fft.fft runs only in HalfLineFunction.spectrum,
-which holds it, in mellin_line, off line 0, and in spectral_dx.
+one forward and one inverse transform: np.fft.fft runs only in
+HalfLineFunction.spectrum, which holds it, in mellin_lines, off line 0, and
+in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines and in
+mellin._dx.
 """
 
 import ast
@@ -105,12 +107,12 @@ def test_one_path_for_grid_weights():
 
 def _line_constructions(tree: ast.AST) -> list[int]:
     """Lines of MellinLine(...) calls outside checked_line and the a == 0
-    branch of mellin_line."""
+    branch of mellin_lines."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "checked_line":
             allowed.update(map(id, ast.walk(node)))
-        elif isinstance(node, ast.FunctionDef) and node.name == "mellin_line":
+        elif isinstance(node, ast.FunctionDef) and node.name == "mellin_lines":
             for branch in ast.walk(node):
                 if isinstance(branch, ast.If) and ast.unparse(branch.test) == "a == 0":
                     for stmt in branch.body:
@@ -131,7 +133,7 @@ def test_one_path_for_mellin_lines():
         for path in sorted(PACKAGE.glob("*.py"))
         for line in _line_constructions(ast.parse(path.read_text(), str(path)))
     ]
-    assert not found, f"MellinLine built outside checked_line and mellin_line's line 0: {found}"
+    assert not found, f"MellinLine built outside checked_line and mellin_lines' line 0: {found}"
 
 
 def _held_uses(tree: ast.AST) -> list[int]:
@@ -154,31 +156,43 @@ def test_one_get_or_compute_for_held_values():
     assert not found, f"._held named outside grid.py: {found}"
 
 
-def _forward_ffts(tree: ast.AST) -> list[int]:
-    """Lines of np.fft.fft calls outside HalfLineFunction.spectrum,
-    mellin_line and spectral_dx."""
+def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:
+    """Lines of `call` (np.fft.fft or np.fft.ifft) outside the functions
+    named in sites, where "HalfLineFunction.spectrum" names the method."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "HalfLineFunction":
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "spectrum":
+                if isinstance(item, ast.FunctionDef) and f"{node.name}.{item.name}" in sites:
                     allowed.update(map(id, ast.walk(item)))
-        elif isinstance(node, ast.FunctionDef) and node.name in ("mellin_line", "spectral_dx"):
+        elif isinstance(node, ast.FunctionDef) and node.name in sites:
             allowed.update(map(id, ast.walk(node)))
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and ast.unparse(node.func) == "np.fft.fft"
+        and ast.unparse(node.func) == call
         and id(node) not in allowed
     ]
 
 
 def test_one_path_for_forward_transforms():
     # a function's spectrum is read from where it is held, not recomputed
+    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx")
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line in _forward_ffts(ast.parse(path.read_text(), str(path)))
+        for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.fft", sites)
     ]
     assert not found, f"np.fft.fft outside HalfLineFunction.spectrum and mellin: {found}"
+
+
+def test_one_path_for_inverse_transforms():
+    # every inverse line transform runs through mellin_inverse_lines
+    sites = ("mellin_inverse_lines", "_dx")
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.ifft", sites)
+    ]
+    assert not found, f"np.fft.ifft outside mellin_inverse_lines and mellin._dx: {found}"

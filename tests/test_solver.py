@@ -321,16 +321,20 @@ class TestResidual:
 class TestWorkPerSolve:
     """g's line-0 spectrum is computed once, on its first solve; every other
     line adds one forward and one inverse FFT, and the residual one inverse.
-    The solve itself is held on g per (m, lines, tolerances): a repeat runs
-    no FFT at all."""
+    base and the residual's X base are inverted in one (2, n) call, and the
+    other lines in one forward and one inverse call.  The solve itself is
+    held on g per (m, lines, tolerances): a repeat runs no FFT at all."""
 
     @pytest.mark.parametrize(
-        "lines, first", [((0.0,), (1, 2)), ((0.0, -0.4, -0.8), (3, 4))], ids=["line0", "three-lines"]
+        "lines, first, calls",
+        [((0.0,), (1, 2), (1, 1)), ((0.0, -0.4, -0.8), (3, 4), (2, 2))],
+        ids=["line0", "three-lines"],
     )
-    def test_fft_count(self, ffts, grid, lines, first):
+    def test_fft_count(self, ffts, grid, lines, first, calls):
         g = sample_terms(family_member("r2_exp"), grid)
         p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
         assert ffts(lambda: solve_mellin(g, p, lines=lines)) == first
+        assert ffts.calls == calls
         assert ffts(lambda: solve_mellin(g, p, lines=lines)) == (0, 0)
         # lambda1, s and t_list reach only the weighted norms
         other = ModelRepParams(sigma=1, lambda1=-0.7, m=1.0)
@@ -340,22 +344,24 @@ class TestWorkPerSolve:
         g = sample_terms(family_member("r2_exp"), grid)
         solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.0))
         assert ffts(lambda: solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.5))) == (0, 2)
+        assert ffts.calls == (0, 1)
 
     @pytest.mark.parametrize(
-        "change, expected",
+        "change, expected, calls",
         [
-            ({"decay_tol": 0.25}, (0, 2)),
-            ({"eps_pole": 0.1}, (0, 2)),
-            ({"obstruction_tol": 1e-8}, (0, 2)),
-            ({"lines": (0.0, -0.4)}, (1, 3)),
+            ({"decay_tol": 0.25}, (0, 2), (0, 1)),
+            ({"eps_pole": 0.1}, (0, 2), (0, 1)),
+            ({"obstruction_tol": 1e-8}, (0, 2), (0, 1)),
+            ({"lines": (0.0, -0.4)}, (1, 3), (1, 2)),
         ],
         ids=["decay_tol", "eps_pole", "obstruction_tol", "lines"],
     )
-    def test_changed_key_misses_the_held_solve(self, ffts, grid, change, expected):
+    def test_changed_key_misses_the_held_solve(self, ffts, grid, change, expected, calls):
         g = sample_terms(family_member("r2_exp"), grid)
         p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
         solve_mellin(g, p)
         assert ffts(lambda: solve_mellin(g, p, **change)) == expected
+        assert ffts.calls == calls
 
     def test_cold_solve_on_a_weighed_grid_runs_no_exponential(self, exps):
         # every weight of a solve is held on its grid: only sampling and r
