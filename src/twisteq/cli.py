@@ -44,6 +44,7 @@ from .solver import (
     DEFAULT_OBSTRUCTION_TOL,
     divide_line,
     estimate_sweep,
+    magnitude,
     project_obstruction,
     residual,
     solve_mellin,
@@ -324,7 +325,7 @@ def _solve_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
             Check("oracle_agreement", params, agreement, 1e-6),
             Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
             Check("coincidence_defect", params, report.coincidence_defect, 1e-6),
-            Check("obstruction_abs", params, abs(report.obstruction), None),
+            Check("obstruction_abs", params, magnitude(report.obstruction), None),
         ]
         for entry in report.weighted_norms:
             norm_params = params + f";t={entry.t:g};class={entry.bound_class}"

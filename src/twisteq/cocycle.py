@@ -29,6 +29,7 @@ from .reps import ModelRepParams
 from .solver import (
     DEFAULT_EPS_POLE,
     DEFAULT_OBSTRUCTION_TOL,
+    magnitude,
     obstructed,
     obstruction,
     residual,
@@ -121,7 +122,7 @@ def common_solution(
             flags = ("obstruction-nonzero-low-regularity",)
         else:
             raise ObstructionNonzero(
-                f"obstruction {abs(report.obstruction):.3e} contradicts compatibility at "
+                f"obstruction {magnitude(report.obstruction):.3e} contradicts compatibility at "
                 f"this regularity; discretization failure"
             )
     h = report.solution

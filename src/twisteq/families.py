@@ -44,29 +44,26 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
     it would be one of the zero function.  Each distinct power r^k and rate
     e^(-c r) is computed once per call, and none is kept after it.
 
-    The real and imaginary parts are summed in real arithmetic, term by
-    term from +0, which gives the bits of the complex sum of
-    coef * r^k * e^(-c r) wherever r^k is finite; a zero part adds nothing
-    and is skipped.  Where r^k overflows, r^k * e^(-c r) would be inf * 0,
-    so the term is part * exp(k log r - c r) there.
+    Each term is coef * (r^k e^(-c r)): the shape, 0 wherever e^(-c r)
+    underflows to 0 (so inf * 0 is never formed, even where r is inf), is
+    scaled by the coefficient.  Real and imaginary parts are summed in real
+    arithmetic from +0, which gives the bits of the complex sum; a zero
+    part adds nothing and is skipped.
     """
     def expr(r):
         powers = {k: r**k for k in {t.k for t in terms}}
         decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
-        # r^k peaks at r_0, so only a power infinite there overflows
-        overflows = {k: np.isinf(pk) for k, pk in powers.items() if np.isinf(pk[0])}
+        term = np.empty_like(r)
         values = np.empty(r.shape, dtype=np.complex128)
         for side in ("real", "imag"):
             acc = np.zeros_like(r)
             for coef, k, c in terms:
                 part = getattr(coef, side)
                 if part:
-                    term = (powers[k] * part) * decays[c]
-                    if k in overflows:
-                        big = r[overflows[k]]
-                        term[overflows[k]] = part * np.exp(k * np.log(big) - c * big)
+                    term.fill(0.0)
+                    np.multiply(powers[k], decays[c], out=term, where=decays[c] > 0)
+                    term *= part
                     acc += term
-                    del term  # freed before the next term is allocated
             setattr(values, side, acc)
         return values
 

@@ -9,8 +9,6 @@ and integrals use trapezoidal quadrature in x.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
@@ -26,13 +24,10 @@ DECAY_TOL = 0.5
 
 MIN_POINTS = 16
 
-# log of the largest float: r = e^{-x} is finite for x >= -_LOG_MAX
-_LOG_MAX = math.log(sys.float_info.max)
-
 
 @dataclass(frozen=True)
 class LogGrid:
-    """Uniform grid in x = -log r; r_j = exp(-x_j) is strictly decreasing.
+    """Uniform grid in x = -log r; r_j = exp(-x_j) decreases, to +Inf left of -709.78.
 
     `_held` keeps arrays derived from the grid and a parameter, by tagged
     key: each weight ("weight", a), and reps.fractional_weight's log-weight
@@ -52,9 +47,6 @@ class LogGrid:
             raise InvalidGrid("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise InvalidGrid(f"x_min < x_max required, got [{self.x_min}, {self.x_max}]")
-        if self.x_min < -_LOG_MAX:
-            # r = e^{-x} would overflow to inf at the left end
-            raise InvalidGrid(f"x_min >= -{_LOG_MAX:.6g} required, got {self.x_min}")
 
     @property
     def h(self) -> float:
@@ -210,7 +202,7 @@ class Profile:
 
     @classmethod
     def of(cls, w: np.ndarray, h: float) -> Profile:
-        return cls(_l2_norm(w, h), float(w.max()), float(max(w[0], w[-1])))
+        return cls(float(np.sqrt(_energy(w, h))), float(w.max()), float(max(w[0], w[-1])))
 
     def decays(self, tol: float) -> bool:
         """True when both ends stay below tol * peak; a profile whose end
@@ -250,8 +242,8 @@ def _magnitudes(f: HalfLineFunction) -> np.ndarray:
     return _hold(f, ("abs",), compute)
 
 
-def _l2_norm(w: np.ndarray, h: float) -> float:
-    """Square root of the trapezoid of w^2, or +Inf when w^2 overflows.
+def _energy(w: np.ndarray, h: float) -> float:
+    """Trapezoid of w^2, or +Inf when w^2 overflows; its root is the L2 norm.
 
     A NaN or overflowing square shows in the sum, so only a sum that is
     not finite is rescanned for an infinite square.
@@ -261,7 +253,7 @@ def _l2_norm(w: np.ndarray, h: float) -> float:
         val = trapezoid(sq, h)
         if not np.isfinite(val) and np.isinf(sq).any():
             return float("inf")
-    return float(np.sqrt(val))
+    return float(val)
 
 
 def weighted_norm(f: HalfLineFunction, a: float) -> float:
@@ -294,7 +286,7 @@ def _difference_norm(diff: np.ndarray, h: float) -> float:
     """L2 norm of a difference taken in one buffer, scanned once for NaN/Inf."""
     if not all_finite(diff):
         raise NonFiniteSample("values contain NaN or Inf")
-    return _l2_norm(np.abs(diff), h)
+    return float(np.sqrt(_energy(np.abs(diff), h)))
 
 
 def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
@@ -307,10 +299,11 @@ def _ratio(value: float, scale: float, *refs: HalfLineFunction) -> float:
     """value / scale, or value itself when every ref is zero.
 
     NaN when scale underflows to 0 on nonzero samples: the quotient is then
-    not measured, and must not read as 0.
+    not measured, and must not read as 0.  inf / inf is NaN too.
     """
     if scale > 0:
-        return value / scale
+        with np.errstate(invalid="ignore"):
+            return value / scale
     return value if all(map(vanishes, refs)) else float("nan")
 
 

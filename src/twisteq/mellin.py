@@ -29,11 +29,11 @@ from .grid import (
     DECAY_TOL,
     HalfLineFunction,
     LogGrid,
+    _energy,
     _hold,
     _ratio,
     all_finite,
     decay_admissible,
-    trapezoid,
 )
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -148,11 +148,10 @@ def line_energy(line: MellinLine) -> float:
     """Trapezoid of |M(f, a+it)|^2 dt along the line.
 
     |M| is (h/sqrt(2 pi)) |spectrum| (the phase has modulus one), and
-    dt (h/sqrt(2 pi))^2 = h/n.
+    dt (h/sqrt(2 pi))^2 = h/n.  +Inf when |M|^2 overflows, by grid._energy.
     """
     grid = line.grid
-    power = np.abs(np.fft.fftshift(line.spectrum)) ** 2
-    return float(trapezoid(power, grid.h / grid.n_points))
+    return _energy(np.abs(np.fft.fftshift(line.spectrum)), grid.h / grid.n_points)
 
 
 def parseval_defect(f: HalfLineFunction) -> float:

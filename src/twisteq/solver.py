@@ -76,11 +76,19 @@ class SolveReport:
     flags: tuple[str, ...]
 
 
+def magnitude(d: complex) -> float:
+    """|d| by libm's hypot, which abs(d) calls too, so NaN for a NaN part and
+    +Inf on overflow: CPython's complex abs() raises OverflowError there,
+    and on a NaN part whenever a stale ERANGE is left in errno."""
+    with np.errstate(over="ignore"):
+        return float(np.hypot(d.real, d.imag))
+
+
 def obstructed(g: HalfLineFunction, d: complex, tol: float) -> bool:
     """Whether |D(g)| = |d| exceeds tol relative to the sup norm of g.
 
     An undefined (NaN) obstruction is not obstructed."""
-    return abs(d) > tol * max(g.sup, np.finfo(float).tiny)
+    return magnitude(d) > tol * max(g.sup, np.finfo(float).tiny)
 
 
 def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY_TOL) -> complex:

@@ -164,15 +164,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
-    def test_window_where_r_overflows_exit_2(self, tmp_path, capsys):
-        # r = e^800 is not a float: the window is refused, not sampled as NaN
-        path = write(
-            tmp_path,
-            "suite = solve\ngrid.n_points = 8192\ngrid.x_min = -800\ngrid.x_max = 12\n"
-            f"family = none\nfunction = 1,2,1\nout.dir = {tmp_path / 'out'}\n",
-        )
-        assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: grid: x_min >= -709.783")
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_window_where_r_overflows_is_sampled(self, tmp_path, suite):
+        # r = e^800 is +Inf at the left end, where every term is 0: the window
+        # gives the verdicts of [-709, 12], and no NonFiniteSample
+        function = "" if suite == "cocycle" else "function = 1,2,1\n"
+        verdicts = {}
+        for x_min in (-709, -800):
+            out = tmp_path / str(x_min)
+            path = write(
+                tmp_path,
+                f"suite = {suite}\ngrid.n_points = 8192\ngrid.x_min = {x_min}\n"
+                f"grid.x_max = 12\n{function}out.dir = {out}\n",
+            )
+            code = main(["run", str(path)])
+            rows = read_rows(out, suite)
+            assert not any("NonFiniteSample" in r["flags"] for r in rows)
+            errors = [r["flags"].partition(":")[0] for r in rows if r["quantity"] == "error"]
+            verdicts[x_min] = code, [(r["case_id"], r["quantity"], r["passed"]) for r in rows], errors
+        assert verdicts[-800] == verdicts[-709]
 
     @pytest.mark.parametrize(
         "text, code",

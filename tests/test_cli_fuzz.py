@@ -26,7 +26,7 @@ def _number_list(special, lo: float, hi: float, max_size: int):
 
 
 _COEFFICIENTS = st.one_of(
-    st.sampled_from([1.0, -2.0, 0.5, 0.0, 1e-300, -1e-300, 1e-200, 1e300]),
+    st.sampled_from([1.0, -2.0, 0.5, 0.0, 1e-300, -1e-300, 1e-200, 1e150, 1e200, 1e250, 1e300]),
     _finite(-1e3, 1e3),
     st.builds(complex, _finite(-10, 10), _finite(-10, 10)),
 )
@@ -39,7 +39,8 @@ _FUNCTION = st.lists(_TERM, min_size=1, max_size=3).map(
 @st.composite
 def configs(draw) -> dict[str, str]:
     """Config entries as text: suite and grid always, every other key at random."""
-    x_min = draw(_finite(-45.0, 10.0))
+    # windows reaching r = e^300..e^800 as well, where r^k or r overflows
+    x_min = draw(st.one_of(_finite(-45.0, 10.0), _finite(-800.0, -300.0)))
     entries = {
         "suite": draw(st.sampled_from(SUITES)),
         "grid.n_points": str(draw(st.integers(16, 512))),
@@ -80,6 +81,20 @@ def _files(root: Path) -> dict[str, bytes]:
     entries={"suite": "mellin-identities", "family": "none", "function": "1e-300,2,1"}, strict=False
 )
 @example(entries={"suite": "obstruction-scan", "function": "1e-300,2,1"}, strict=True)
+# A NaN obstruction, whose abs() raised OverflowError on a stale errno.
+@example(
+    entries={"suite": "solve", "function": "1,2,1", "grid.n_points": "8192",
+             "grid.x_min": "-709", "grid.x_max": "12"},
+    strict=False,
+)
+# An overflowing line energy, and an inf / inf ratio.
+@example(
+    entries={"suite": "solve", "family": "none", "function": "1e150,3,1",
+             "grid.n_points": "6144", "grid.x_min": "-12", "grid.x_max": "24"},
+    strict=False,
+)
+@example(entries={"suite": "perturbation-sweep", "function": "1e200,3,1"}, strict=False)
+@example(entries={"suite": "mellin-identities", "family": "none", "function": "1e+200,1,1.0"}, strict=False)
 @settings(max_examples=100)
 @given(entries=configs(), strict=st.booleans())
 def test_main_exits_cleanly_and_reproducibly(entries, strict):

@@ -15,6 +15,7 @@ from twisteq.grid import (
     lin_comb,
     make_log_grid,
     relative_difference,
+    relative_to,
     sample,
     trapezoid,
     weighted_norm,
@@ -49,12 +50,15 @@ class TestMakeLogGrid:
         with pytest.raises(InvalidGrid):
             make_log_grid(32, 1.0, -1.0)
 
-    def test_r_overflowing_at_the_left_end_refused(self):
-        # r = e^{-x_min} is the largest float at x_min = -log(float max)
-        edge = -math.log(sys.float_info.max)
-        assert np.isfinite(make_log_grid(64, edge, 0.0).r).all()
-        with pytest.raises(InvalidGrid, match="x_min >= -709.783"):
-            make_log_grid(64, np.nextafter(edge, -np.inf), 0.0)
+    def test_r_overflowing_at_the_left_end_accepted(self):
+        # r = e^{-x} is +Inf left of -log(float max); there e^{-c r} is 0,
+        # and so is every sampled term
+        g = make_log_grid(8192, -800.0, 12.0)
+        f = sample_terms(make_terms([(1.0, 2, 1.0)]), g)
+        beyond = g.x < -math.log(sys.float_info.max)
+        assert beyond.any() and np.isinf(g.r[beyond]).all()
+        assert np.all(f.values[beyond] == 0)
+        assert f.sup == pytest.approx(4 * np.exp(-2.0), rel=5e-3)
 
 
 class TestHeldWeights:
@@ -88,7 +92,7 @@ class TestHeldWeights:
         with np.errstate(under="ignore"):
             acc = np.zeros(grid.n_points, dtype=np.complex128)
             for coef, k, c in terms:
-                acc += coef * grid.r**k * np.exp(-c * grid.r)
+                acc += coef * (grid.r**k * np.exp(-c * grid.r))
         assert np.array_equal(f.values, acc)
         # nothing is held across calls
         assert exps(lambda: sample_terms(terms, grid)) == 1
@@ -228,6 +232,13 @@ class TestUnderflow:
         tiny = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
         assert tiny.norm == 0.0
         assert np.isnan(relative_difference(lin_comb(2.0, tiny, 0.0, tiny), tiny))
+
+    def test_infinite_over_infinite_is_nan(self, grid):
+        # both norms overflow: inf / inf is not measured, and a numpy scalar
+        # (a swept twist m times the norm) divides with no warning
+        huge = sample_terms(make_terms([(1e200, 3, 1.0)]), grid)
+        assert huge.norm == np.inf
+        assert np.isnan(relative_to(np.float64(1.1) * huge.norm, huge))
 
     def test_relative_difference_to_zero_reference(self, grid):
         f = sample_terms(make_terms([(1.0, 2, 1.0)]), grid)

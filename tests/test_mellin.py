@@ -276,6 +276,13 @@ class TestParseval:
         monkeypatch.setattr(mellin_module, "line_energy", lambda line: 0.0)
         assert parseval_defect(f) == 1.0
 
+    def test_overflowing_energy_is_infinite(self, grid):
+        # |M|^2 overflows: the energy reads +Inf, by the norms' rule, with no
+        # warning (pytest turns warnings into errors); so does ||f||^2
+        f = sample_terms(make_terms([(1e200, 3, 1.0)]), grid)
+        assert line_energy(mellin_line(f, 0.0)) == np.inf
+        assert np.isnan(parseval_defect(f))
+
     def test_gamma_member_both_sides(self, grid):
         # both sides equal ||r e^-r||^2 = 1/4
         f = sample_terms(family_member("r_exp"), grid)

@@ -1,3 +1,6 @@
+import csv
+import ctypes
+import errno
 import math
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from twisteq.solver import (
     DEFAULT_ADMISSIBILITY_MARGIN,
     _fd_derivative,
     estimate_sweep,
+    magnitude,
     obstruction,
     project_obstruction,
     residual,
@@ -631,3 +635,44 @@ class TestRankTwoInterchange:
         assert np.isfinite(lhs)
         scale = max(1.0, abs(p.s0)) ** s
         assert lhs <= scale * 2 ** (s / 2.0) * rhs
+
+
+class TestMagnitude:
+    """|D| reads NaN or +Inf where CPython's complex abs() would raise."""
+
+    @staticmethod
+    def _stale_erange():
+        # a libm call that overflowed earlier leaves ERANGE in errno
+        location = getattr(ctypes.CDLL(None), "__errno_location", None)
+        if location is None:
+            pytest.skip("libc has no __errno_location")
+        location.argtypes, location.restype = [], ctypes.POINTER(ctypes.c_int)
+        location()[0] = errno.ERANGE
+
+    def test_nan_obstruction_under_a_stale_errno(self, grid):
+        g = sample_terms(family_member("r_exp"), grid)
+        d = complex(math.nan, 1.0)
+        self._stale_erange()
+        assert math.isnan(magnitude(d))
+        self._stale_erange()
+        assert not twisteq.solver.obstructed(g, d, 1e-9)
+
+    def test_overflowing_and_finite_magnitudes(self):
+        assert magnitude(complex(1.5e308, 1.5e308)) == math.inf
+        assert magnitude(complex(math.inf, math.nan)) == math.inf
+        for d in (3 + 4j, 1e-320j, complex(0.1, -2.7)):
+            assert magnitude(d) == abs(d)
+
+    def test_nan_obstruction_row(self, tmp_path):
+        # r_exp's obstruction is undefined (NaN); on a window reaching r = e^709
+        # an earlier libm call leaves ERANGE in errno, where abs() of the NaN
+        # raised OverflowError and ended the run
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "suite = solve\nfunction = 1,2,1\ngrid.n_points = 8192\ngrid.x_min = -709\n"
+            f"grid.x_max = 12\nout.dir = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 1
+        with (tmp_path / "out" / "solve.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 150 and sum(r["passed"] == "pass" for r in rows) == 114

@@ -6,17 +6,21 @@ Each `configs/*.cfg` of the change is run through
 `python -W error -m twisteq run <config> --out <dir>`, once with each
 checkout's `src` on `PYTHONPATH`, inside a temporary directory.  The exit
 code, stdout, stderr and every report file are compared byte for byte; for
-each that differs the first differing line is printed.  The exit status is
-1 on any difference and 0 otherwise.
+each that differs the first differing line is printed, and for a CSV report
+also how many rows' value moved and every row whose verdict (passed or
+flags) changed.  The exit status is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +51,36 @@ def _first_difference(parent: bytes | None, change: bytes | None) -> str:
     return f"line {lineno}: one side ends here ({len(old)} vs {len(new)} lines)"
 
 
+def _rows(report: bytes) -> dict[tuple, dict[str, str]]:
+    """CSV rows in file order, by (suite, case_id, function, quantity, params)
+    and the count of earlier rows with the same five fields."""
+    rows: dict[tuple, dict[str, str]] = {}
+    seen: Counter[tuple] = Counter()
+    for row in csv.DictReader(io.StringIO(report.decode())):
+        key = tuple(row[name] for name in ("suite", "case_id", "function", "quantity", "params"))
+        rows[key + (seen[key],)] = row
+        seen[key] += 1
+    return rows
+
+
+def verdict_changes(parent: bytes, change: bytes) -> list[str]:
+    """How many rows' value moved, then each row whose passed or flags
+    changed and each row that only one side has."""
+    old, new = _rows(parent), _rows(change)
+    shared = [key for key in old if key in new]
+    moved = sum(old[key]["value"] != new[key]["value"] for key in shared)
+    lines = [f"{moved} of {len(shared)} rows' value moved"]
+    for key in [*old, *(key for key in new if key not in old)]:
+        label = ",".join(key[:-1])
+        if key not in new or key not in old:
+            lines.append(f"{label}: only in {'parent' if key in old else 'change'}")
+            continue
+        verdicts = [(row["passed"], row["flags"]) for row in (old[key], new[key])]
+        if verdicts[0] != verdicts[1]:
+            lines.append(f"{label}: passed,flags {verdicts[0]} -> {verdicts[1]}")
+    return lines
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print each differing output per config; return how many differ."""
     differing = 0
@@ -64,6 +98,9 @@ def compare(parent: Path, change: Path) -> int:
             print(f"{config.name}: {len(names) - len(diffs)}/{len(names)} outputs identical")
             for name in diffs:
                 print(f"  {name}: {_first_difference(old.get(name), new.get(name))}")
+                if name.endswith(".csv") and name in old and name in new:
+                    for line in verdict_changes(old[name], new[name]):
+                        print(f"    {line}")
             differing += len(diffs)
     return differing
 
