@@ -16,25 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero
-from .grid import (
-    DECAY_TOL,
-    HalfLineFunction,
-    _difference_norm,
-    _ratio,
-    relative_to,
-    require_same_grid,
-)
+from .grid import HalfLineFunction, _difference_norm, _ratio, relative_to, require_same_grid
 from .mellin import _dx
 from .reps import ModelRepParams
-from .solver import (
-    DEFAULT_EPS_POLE,
-    DEFAULT_OBSTRUCTION_TOL,
-    magnitude,
-    obstructed,
-    obstruction,
-    residual,
-    solve_mellin,
-)
+from .solver import magnitude, obstructed, obstruction, residual, solve_mellin
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +71,7 @@ class CommonSolutionReport:
     flags: tuple[str, ...]
 
 
-def common_solution(
-    d: CocycleData,
-    compat_tol: float = 1e-7,
-    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL,
-    decay_tol: float = DECAY_TOL,
-    eps_pole: float = DEFAULT_EPS_POLE,
-) -> CommonSolutionReport:
+def common_solution(d: CocycleData, compat_tol: float = 1e-7) -> CommonSolutionReport:
     """Solve both equations of a compatible component with a single h.
 
     Solves (X+m) h = g2 and reports the residuals of both equations.  With
@@ -106,18 +85,11 @@ def common_solution(
         raise IncompatibleCocycle(
             f"compatibility defect {defect:.3e} exceeds tolerance {compat_tol:.1e}"
         )
-    report = solve_mellin(
-        d.g2,
-        d.p,
-        lines=(0.0,),
-        eps_pole=eps_pole,
-        obstruction_tol=obstruction_tol,
-        decay_tol=decay_tol,
-    )
+    report = solve_mellin(d.g2, d.p, lines=(0.0,))
     flags: tuple[str, ...] = ()
-    if obstructed(d.g2, report.obstruction, obstruction_tol):
+    if obstructed(d.g2, report.obstruction):
         try:
-            obstruction(d.g1, d.p, decay_tol)
+            obstruction(d.g1, d.p)
         except NotAdmissible:  # g1 lacks the regularity that forces D(g2) = 0
             flags = ("obstruction-nonzero-low-regularity",)
         else:

@@ -24,6 +24,10 @@ DECAY_TOL = 0.5
 
 MIN_POINTS = 16
 
+# Entries held per grid or function: past this many, the oldest is dropped,
+# so a long-lived grid solved at many twists stays bounded.
+MAX_HELD = 64
+
 
 @dataclass(frozen=True)
 class LogGrid:
@@ -91,10 +95,14 @@ class LogGrid:
 
 def _hold(owner, key: tuple, compute: Callable[[], Any]) -> Any:
     """owner._held[key], computed by compute() on first use; a compute that
-    raises holds nothing, so the next use raises again."""
+    raises holds nothing, so the next use raises again.  At MAX_HELD entries
+    the first one held is dropped to make room."""
     held = owner._held
     if key not in held:
-        held[key] = compute()
+        value = compute()  # which may hold on owner itself
+        if len(held) >= MAX_HELD:
+            del held[next(iter(held))]
+        held[key] = value
     return held[key]
 
 
@@ -116,8 +124,8 @@ class HalfLineFunction:
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which the norm, the sup norm, every weighted norm and every decay test
     read; |f| itself ("abs",) once f is weighed at some a != 0; X f ("X",)
-    of mellin.apply_X; and each Mellin solve ("solve", m, lines,
-    tolerances) of solver.solve_mellin.
+    of mellin.apply_X; and each Mellin solve ("solve", m, lines) of
+    solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -204,7 +212,7 @@ class Profile:
     def of(cls, w: np.ndarray, h: float) -> Profile:
         return cls(float(np.sqrt(_energy(w, h))), float(w.max()), float(max(w[0], w[-1])))
 
-    def decays(self, tol: float) -> bool:
+    def decays(self, tol: float = DECAY_TOL) -> bool:
         """True when both ends stay below tol * peak; a profile whose end
         rivals its peak signals a divergent (or unresolved) weighted integral.
         A NaN or +Inf anywhere shows in the peak, and fails."""

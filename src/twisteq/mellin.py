@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidGrid, NotAdmissible
 from .grid import (
-    DECAY_TOL,
     HalfLineFunction,
     LogGrid,
     _energy,
@@ -72,9 +71,9 @@ def checked_line(a: float, grid: LogGrid, spectrum: np.ndarray) -> MellinLine:
     return MellinLine(a, grid, spectrum)
 
 
-def line_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
+def line_admissible(f: HalfLineFunction, a: float) -> bool:
     """Decay test for the line Re z = a, which weights f by r^{+a}."""
-    return decay_admissible(f, -a, tol)
+    return decay_admissible(f, -a)
 
 
 def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[MellinLine]:
@@ -183,7 +182,7 @@ def apply_X(f: HalfLineFunction) -> HalfLineFunction:
     return _hold(f, ("X",), lambda: HalfLineFunction(f.grid, _dx(f.spectrum, f.grid)))
 
 
-def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> float:
+def derivative_rule_defect(f: HalfLineFunction, a: float) -> float:
     """Sup-norm defect of M(Xf, a+it) = (a+it) M(f, a+it), where X = -r d/dr.
 
     Xf is f's held apply_X; both f and Xf must pass the decay test for the
@@ -191,9 +190,9 @@ def derivative_rule_defect(f: HalfLineFunction, a: float, tol: float = DECAY_TOL
     """
     grid = f.grid
     xf = apply_X(f)
-    if not line_admissible(f, a, tol):
+    if not line_admissible(f, a):
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
-    if not line_admissible(xf, a, tol):
+    if not line_admissible(xf, a):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
     lhs, rhs = (line.spectrum for line in mellin_lines([(xf, a), (f, a)]))
     z = a + grid.i_frequencies

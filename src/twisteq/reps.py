@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingParams, NonFiniteSample
-from .grid import DECAY_TOL, HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
+from .grid import HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
 from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
 
@@ -76,9 +76,7 @@ def fractional_weight(f: HalfLineFunction, t: float, p: ModelRepParams) -> HalfL
     return HalfLineFunction(f.grid, values)
 
 
-def fractional_norm(
-    f: HalfLineFunction, t: float, p: ModelRepParams, decay_tol: float = DECAY_TOL
-) -> tuple[float, bool]:
+def fractional_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> tuple[float, bool]:
     """||(I - u1^2)^(t/2) f|| and whether it is admissible: finite, with
     weighted samples that pass the line-0 decay test.
 
@@ -94,7 +92,7 @@ def fractional_norm(
         except NonFiniteSample:
             return float("inf"), False
         held = Profile.of(w, f.grid.h)
-    return held.norm, bool(held.decays(decay_tol) and np.isfinite(held.norm))
+    return held.norm, bool(held.decays() and np.isfinite(held.norm))
 
 
 def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DegenerateBump, NotAdmissible, PoleOnLine, ZeroTwist
 from .grid import (
-    DECAY_TOL,
     HalfLineFunction,
     _difference_norm,
     _hold,
@@ -50,8 +49,10 @@ from .reps import ModelRepParams, fractional_norm, regularity_norm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
-DEFAULT_EPS_POLE = 0.05
-DEFAULT_OBSTRUCTION_TOL = 1e-9
+# The gates of the dichotomy: a line may pass within EPS_POLE of the pole -m
+# only when |D(g)| is at most OBSTRUCTION_TOL relative to the sup norm of g.
+EPS_POLE = 0.05
+OBSTRUCTION_TOL = 1e-9
 DEFAULT_ADMISSIBILITY_MARGIN = 0.05
 
 
@@ -84,14 +85,14 @@ def magnitude(d: complex) -> float:
         return float(np.hypot(d.real, d.imag))
 
 
-def obstructed(g: HalfLineFunction, d: complex, tol: float) -> bool:
-    """Whether |D(g)| = |d| exceeds tol relative to the sup norm of g.
+def obstructed(g: HalfLineFunction, d: complex) -> bool:
+    """Whether |D(g)| = |d| exceeds OBSTRUCTION_TOL relative to the sup norm of g.
 
     An undefined (NaN) obstruction is not obstructed."""
-    return magnitude(d) > tol * max(g.sup, np.finfo(float).tiny)
+    return magnitude(d) > OBSTRUCTION_TOL * max(g.sup, np.finfo(float).tiny)
 
 
-def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY_TOL) -> complex:
+def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
     """D(g) = M(g, -m) by direct quadrature of (2 pi)^(-1/2) g(r) r^(-m-1) dr.
 
     Defined only for data with regularity beyond m/lambda1: on both edges of
@@ -102,7 +103,7 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY
     m = p.m
     for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
         held = profile(g, -edge)
-        if not held.decays(decay_tol):
+        if not held.decays():
             raise NotAdmissible(
                 f"obstruction undefined: non-decaying weighted samples at edge {edge}"
             )
@@ -113,16 +114,13 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams, decay_tol: float = DECAY
 
 
 def project_obstruction(
-    g: HalfLineFunction,
-    p: ModelRepParams,
-    bump: HalfLineFunction,
-    decay_tol: float = DECAY_TOL,
+    g: HalfLineFunction, p: ModelRepParams, bump: HalfLineFunction
 ) -> HalfLineFunction:
     """g minus the bump scaled to cancel the obstruction exactly."""
-    d_bump = obstruction(bump, p, decay_tol)
-    if not obstructed(bump, d_bump, DEFAULT_OBSTRUCTION_TOL):
+    d_bump = obstruction(bump, p)
+    if not obstructed(bump, d_bump):
         raise DegenerateBump("bump has (near-)zero obstruction")
-    d_g = obstruction(g, p, decay_tol)
+    d_g = obstruction(g, p)
     return lin_comb(1.0, g, -d_g / d_bump, bump)
 
 
@@ -237,15 +235,12 @@ def solve_mellin(
     s: float | None = None,
     lines: tuple[float, ...] = (0.0,),
     t_list: tuple[float, ...] = (),
-    eps_pole: float = DEFAULT_EPS_POLE,
-    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL,
-    decay_tol: float = DECAY_TOL,
 ) -> SolveReport:
     """Solve (X + m) f = g by spectral division along vertical lines.
 
     The solution is the inversion of M(g, z)/(m + z) along Re z = 0, where
     the divisor never vanishes.  Every further requested line is inverted
-    and compared against it (coincidence test); lines within eps_pole of the
+    and compared against it (coincidence test); lines within EPS_POLE of the
     pole -m are rejected unless the measured obstruction is below tolerance,
     mirroring the dichotomy the obstruction encodes.  Lines beyond the pole
     are meaningful only when the grid window is wide enough for the weighted
@@ -254,56 +249,47 @@ def solve_mellin(
     t_list adds weighted-norm diagnostics ||(I-u1^2)^(t/2) f||, each tagged
     with its bound class and an admissibility flag.
 
-    X acts as -r d/dr whatever lambda1 is, so the solve depends on g, m, the
-    lines and the tolerances alone, and lambda1 and s reach only the
-    weighted norms.  The report without them is held on g per (m, lines,
-    tolerances), and reports that share it share one read-only solution; with
-    an empty t_list the held report itself is returned.  A solve that raises
-    is not held.
+    X acts as -r d/dr whatever lambda1 is, so the solve depends on g, m and
+    the lines alone, and lambda1 and s reach only the weighted norms.  The
+    report without them is held on g per (m, lines), and reports that share
+    it share one read-only solution; with an empty t_list the held report
+    itself is returned.  A solve that raises is not held.
     """
     lines = tuple(lines)
-    key = ("solve", p.m, lines, eps_pole, obstruction_tol, decay_tol)
-    held = _hold(g, key, lambda: _solve(g, p, lines, eps_pole, obstruction_tol, decay_tol))
+    held = _hold(g, ("solve", p.m, lines), lambda: _solve(g, p, lines))
     if not t_list:
         return held
     flags = list(held.flags)
     entries = []
     for t in t_list:
-        value, admissible = fractional_norm(held.solution, t, p, decay_tol)
+        value, admissible = fractional_norm(held.solution, t, p)
         if not admissible:
             flags.append(f"weighted-norm-t={t:g}-not-admissible")
         entries.append(WeightedNormEntry(float(t), value, bound_class(t, p, s), admissible))
     return dataclasses.replace(held, weighted_norms=tuple(entries), flags=tuple(flags))
 
 
-def _solve(
-    g: HalfLineFunction,
-    p: ModelRepParams,
-    lines: tuple[float, ...],
-    eps_pole: float,
-    obstruction_tol: float,
-    decay_tol: float,
-) -> SolveReport:
+def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> SolveReport:
     """The report of solve_mellin with an empty t_list: the gates, the
     obstruction, the line-0 solve and the coincidence lines.  Of p only the
     twist m is read."""
     m = p.m
     flags: list[str] = []
     for a in lines:
-        if not line_admissible(g, a, decay_tol):
+        if not line_admissible(g, a):
             raise NotAdmissible(f"g lacks decay for the requested line Re z = {a}")
     try:
-        d_val = obstruction(g, p, decay_tol)
+        d_val = obstruction(g, p)
         d_known = True
     except NotAdmissible:
         d_val = complex("nan")
         d_known = False
         flags.append("obstruction-undefined")
-    pole_excluded = obstructed(g, d_val, obstruction_tol) or not d_known
+    pole_excluded = obstructed(g, d_val) or not d_known
     for a in lines:
-        if abs(a + m) < eps_pole and pole_excluded:
+        if abs(a + m) < EPS_POLE and pole_excluded:
             raise PoleOnLine(
-                f"line Re z = {a} passes within {eps_pole} of the pole -m = {-m} "
+                f"line Re z = {a} passes within {EPS_POLE} of the pole -m = {-m} "
                 f"while the obstruction is not negligible"
             )
 
@@ -379,13 +365,7 @@ class EstimateRow:
 
 
 def estimate_sweep(
-    g: HalfLineFunction,
-    p: ModelRepParams,
-    s: float,
-    t_grid: tuple[float, ...],
-    eps_pole: float = DEFAULT_EPS_POLE,
-    obstruction_tol: float = DEFAULT_OBSTRUCTION_TOL,
-    decay_tol: float = DECAY_TOL,
+    g: HalfLineFunction, p: ModelRepParams, s: float, t_grid: tuple[float, ...]
 ) -> list[EstimateRow]:
     """Tabulate ||(I-u1^2)^(t/2) f|| against its bound class for each t.
 
@@ -395,12 +375,9 @@ def estimate_sweep(
     constant C; for the other classes the plain quotient lhs/rhs is
     reported.
     """
-    if not line_admissible(g, -s * p.lambda1, decay_tol):
+    if not line_admissible(g, -s * p.lambda1):
         raise NotAdmissible(f"g lacks decay for regularity {s} at lambda1={p.lambda1}")
-    report = solve_mellin(
-        g, p, s=s, lines=(0.0,), t_list=t_grid, eps_pole=eps_pole,
-        obstruction_tol=obstruction_tol, decay_tol=decay_tol,
-    )
+    report = solve_mellin(g, p, s=s, lines=(0.0,), t_list=t_grid)
     rows = []
     for entry in report.weighted_norms:
         t, lhs, cls = entry.t, entry.value, entry.bound_class

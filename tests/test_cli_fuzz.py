@@ -58,9 +58,6 @@ def configs(draw) -> dict[str, str]:
         "sweep.delta": _number([0.0, 0.2], 0.0, 1.0),
         "sweep.steps": st.integers(0, 4).map(str),
         "scan.x_max": _number_list([8.0, 12.0, 16.0], -50.0, 80.0, 4),
-        "tol.decay": _number([0.5, 1e-30], 1e-6, 2.0),
-        "tol.obstruction": _number([1e-9, 0.0], 1e-14, 1.0),
-        "tol.eps_pole": _number([0.05, 1e-12], 1e-6, 2.0),
     }
     for key, values in optional.items():
         if draw(st.booleans()):

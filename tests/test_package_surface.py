@@ -17,7 +17,10 @@ grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
 one forward and one inverse transform: np.fft.fft runs only in
 HalfLineFunction.spectrum, which holds it, in mellin_lines, off line 0, and
 in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines and in
-mellin._dx.
+mellin._dx.  A sixth keeps the gates' tolerances fixed: no function takes
+a tolerance of its own, and no package call hands one to a gate predicate,
+so every gate reads grid.DECAY_TOL, solver.OBSTRUCTION_TOL and
+solver.EPS_POLE.
 """
 
 import ast
@@ -196,3 +199,40 @@ def test_one_path_for_inverse_transforms():
         for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.ifft", sites)
     ]
     assert not found, f"np.fft.ifft outside mellin_inverse_lines and mellin._dx: {found}"
+
+
+# Tolerance parameters that the gates once took, and each gate predicate
+# with the number of arguments it takes before an optional tolerance.
+_TOLERANCE_PARAMETERS = frozenset({"decay_tol", "obstruction_tol", "eps_pole"})
+_GATES = {"decays": 0, "decay_admissible": 2, "line_admissible": 2, "obstructed": 2}
+
+
+def _tolerance_leaks(tree: ast.AST) -> list[str]:
+    """Functions with a tolerance parameter, and gate calls that pass a
+    tolerance outside the gates, each as "<line>: <what>"."""
+    forwarded = set()  # a gate may hand its own tolerance to another
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in _GATES:
+            forwarded.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            leaked = sorted(names & _TOLERANCE_PARAMETERS)
+            found += [f"{node.lineno}: {node.name}({name})" for name in leaked]
+        elif isinstance(node, ast.Call) and id(node) not in forwarded:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _GATES and (len(node.args) > _GATES[name] or node.keywords):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_gate_tolerances_are_constants():
+    found = [
+        f"{path.name}:{leak}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for leak in _tolerance_leaks(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"a tolerance passed or taken outside its constant: {found}"

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from twisteq.errors import MissingParams, NonFiniteSample
 from twisteq.families import FAMILY, family_member, sample_terms
 from twisteq.grid import (
-    DECAY_TOL,
     HalfLineFunction,
     base_norm,
     lin_comb,
@@ -233,10 +232,8 @@ class TestFractionalNorm:
                     values = f.values * np.exp((t / 2.0) * log_sq)
                     wf = HalfLineFunction(grid, np.where(f.values == 0, 0.0, values))
                     value = base_norm(wf)
-                    for tol in (DECAY_TOL, 1e-3):
-                        admissible = line_admissible(wf, 0.0, tol) and np.isfinite(value)
-                        got = fractional_norm(f, t, p, tol)
-                        assert got == (value, admissible), (name, lam, t, tol)
+                    admissible = line_admissible(wf, 0.0) and np.isfinite(value)
+                    assert fractional_norm(f, t, p) == (value, admissible), (name, lam, t)
                     assert regularity_norm(f, t, p) == value + base_norm(f), (name, lam, t)
 
     def test_log_weight_held_per_grid_and_lambda1(self, monkeypatch):
