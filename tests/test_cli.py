@@ -22,7 +22,7 @@ CONFIG_DIR = ROOT / "configs"
 SHIPPED = sorted(path.stem for path in CONFIG_DIR.glob("*.cfg"))
 REMOVED_KEYS = [
     ("rep.sigma", "1"), ("rep.lambda2", "0.5"), ("rep.s0", "1.5"),
-    ("cocycle.v", "1.0"), ("cocycle.m1", "0.0"), ("strict", "true"), ("tol.decay", "0.5"),
+    ("cocycle.v", "1.0"), ("cocycle.m1", "0.0"), ("strict", "true"),
 ]
 
 
@@ -132,6 +132,9 @@ class TestMainExitCodes:
             ("rep.lambda1 = nan\n", "rep.lambda1: must be finite"),
             ("twist.m = inf\n", "twist.m: must be finite"),
             ("regularity.s = nan\n", "regularity.s: must be finite"),
+            # a gate's tolerance is a constant of the package: its old key is unknown
+            ("tol.eps_pole = inf\n", "unknown key 'tol.eps_pole'"),
+            ("tol.decay = nan\n", "unknown key 'tol.decay'"),
             ("suite = perturbation-sweep\nsweep.delta = nan\n", "sweep.delta: must be finite"),
             # the lambda1 axis lambda1 +- delta/2 would reach 0
             ("suite = perturbation-sweep\nrep.lambda1 = 0.1\nsweep.delta = 0.2\n", "sweep.delta"),
@@ -144,12 +147,12 @@ class TestMainExitCodes:
             ("suite = estimate-sweep\nt_grid =\n", "estimate-sweep needs at least one"),
             ("suite = obstruction-scan\nscan.x_max =\n", "obstruction-scan needs at least two"),
             ("suite = obstruction-scan\nscan.x_max = 12\n", "obstruction-scan needs at least two"),
-            # keys that changed no report, set a value --strict sets, or set a
-            # gate's tolerance, which is a constant of the package
+            # keys that changed no report, or set a value --strict sets
             *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
         ],
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
-             "nan-lambda1", "infinite-m", "nan-s", "nan-sweep-delta",
+             "nan-lambda1", "infinite-m", "nan-s",
+             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta",
              "sweep-reaches-lambda1-0", "empty-window",
              "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
              "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
