@@ -16,6 +16,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import families
-from .cocycle import CocycleData, common_solution
+from .cocycle import COMPAT_TOL, CocycleData, common_solution
 from .errors import ConfigError, InvalidGrid, MissingParams, TwisteqError
 from .families import Terms, family_member, flow_rhs, make_terms, min_power, sample_terms, scale_terms
 from .grid import HalfLineFunction, LogGrid, make_log_grid, relative_difference, weighted_norm
@@ -431,7 +432,7 @@ def _cocycle_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
         match = relative_difference(report.solution, sample_terms(h_terms, grid))
         flags = ";".join(report.flags)
         return [
-            Check("compatibility_defect", params, report.compatibility_defect, 1e-7),
+            Check("compatibility_defect", params, report.compatibility_defect, COMPAT_TOL),
             Check("residual_flow", params, report.residual_flow, 1e-6, flags=flags),
             Check("residual_character", params, report.residual_character, 1e-6),
             Check("solution_match", params, match, 1e-6),
@@ -590,13 +591,21 @@ def run(cfg: ExperimentConfig) -> int:
     write_reports(rows, plot, cfg, Path(cfg.out_dir))
     failed = [row for row in rows if not row.passed]
     total = len(rows)
-    print(f"{cfg.suite}: {total - len(failed)}/{total} rows pass")
-    for row in failed:
-        print(
-            f"  FAIL {row.function} {row.quantity} {row.params} "
-            f"value={_format_value(row.value)} bound={row.direction}{_format_value(row.bound)} "
-            f"{row.flags}"
-        )
+    try:
+        print(f"{cfg.suite}: {total - len(failed)}/{total} rows pass")
+        for row in failed:
+            print(
+                f"  FAIL {row.function} {row.quantity} {row.params} "
+                f"value={_format_value(row.value)} bound={row.direction}{_format_value(row.bound)} "
+                f"{row.flags}"
+            )
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: the rows still set the exit
+        # code, and what is left to flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if failed else 0
 
 

@@ -21,6 +21,9 @@ from .mellin import _dx
 from .reps import ModelRepParams
 from .solver import magnitude, obstructed, obstruction, residual, solve_mellin
 
+# The largest compatibility defect (verify_cocycle) that common_solution accepts.
+COMPAT_TOL = 1e-7
+
 
 @dataclass(frozen=True, eq=False)
 class CocycleData:
@@ -71,7 +74,7 @@ class CommonSolutionReport:
     flags: tuple[str, ...]
 
 
-def common_solution(d: CocycleData, compat_tol: float = 1e-7) -> CommonSolutionReport:
+def common_solution(d: CocycleData) -> CommonSolutionReport:
     """Solve both equations of a compatible component with a single h.
 
     Solves (X+m) h = g2 and reports the residuals of both equations.  With
@@ -79,11 +82,12 @@ def common_solution(d: CocycleData, compat_tol: float = 1e-7) -> CommonSolutionR
     regularity past the twist depth; a nonzero obstruction in that regime
     can only come from discretization and rejects the run.  When g1 lacks
     that regularity the obstruction value is recorded as a flag instead.
+    A compatibility defect above COMPAT_TOL rejects the data.
     """
     defect = verify_cocycle(d)
-    if defect > compat_tol:
+    if defect > COMPAT_TOL:
         raise IncompatibleCocycle(
-            f"compatibility defect {defect:.3e} exceeds tolerance {compat_tol:.1e}"
+            f"compatibility defect {defect:.3e} exceeds tolerance {COMPAT_TOL:.1e}"
         )
     report = solve_mellin(d.g2, d.p, lines=(0.0,))
     flags: tuple[str, ...] = ()

@@ -12,19 +12,19 @@ inverse and the discrete Parseval identity holds to rounding error.
 A line is held as the plain FFT of the weighted samples f e^(-a x), in FFT
 bin order.  The unitary transform multiplies that spectrum by
 (h/sqrt(2 pi)) e^(-i t x_min) and sorts the bins by t; the inverse undoes
-exactly those factors.  Divide-then-invert never needs them, so they are
-applied only when a caller reads `MellinLine.values` or `t_samples`.
+exactly those factors.  Divide-then-invert never needs them, so no line
+applies them.  Every forward transform of a line runs through mellin_lines
+and every inverse one, d/dx included, through mellin_inverse_lines.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGrid, NotAdmissible
+from .errors import GridMismatch, InvalidGrid, NotAdmissible
 from .grid import (
     HalfLineFunction,
     LogGrid,
@@ -35,33 +35,19 @@ from .grid import (
     decay_admissible,
 )
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class MellinLine:
     """Samples of M(f, a + i t_k) along the vertical line Re z = a.
 
     `spectrum` is the FFT of f e^{-a x} on `grid`, in FFT bin order (bin k
-    at frequency grid.frequencies[k]).  `values` and `t_samples` give the
-    transform itself with the frequencies in increasing order, symmetric
-    about 0.  Lines are made by mellin_lines and checked_line, which see
-    that the spectrum holds no NaN/Inf.
+    at frequency grid.frequencies[k]).  Lines are made by mellin_lines and
+    checked_line, which see that the spectrum holds no NaN/Inf.
     """
 
     a: float
     grid: LogGrid
     spectrum: np.ndarray
-
-    @cached_property
-    def t_samples(self) -> np.ndarray:
-        return np.fft.fftshift(self.grid.frequencies)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        grid = self.grid
-        phase = np.exp(-1j * grid.frequencies * grid.x_min)
-        return np.fft.fftshift((grid.h / _SQRT2PI) * phase * self.spectrum)
 
 
 def checked_line(a: float, grid: LogGrid, spectrum: np.ndarray) -> MellinLine:
@@ -138,7 +124,7 @@ def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid)
 def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
     """Inverse transform of one line: the one-line call of mellin_inverse_lines."""
     if line.grid != grid:
-        raise InvalidGrid("line was sampled on another grid")
+        raise GridMismatch("line was sampled on another grid")
     (values,) = mellin_inverse_lines(line.spectrum[np.newaxis], (line.a,), grid)
     return HalfLineFunction(grid, values)
 
@@ -173,8 +159,10 @@ def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
 
 
 def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
-    """d/dx of the samples whose FFT is `spectrum`, as in spectral_dx."""
-    return np.fft.ifft(spectrum * grid.i_frequencies)
+    """d/dx of the samples whose FFT is `spectrum`, as in spectral_dx: the
+    line-0 inverse of i t * spectrum."""
+    (values,) = mellin_inverse_lines((spectrum * grid.i_frequencies)[np.newaxis], (0.0,), grid)
+    return values
 
 
 def apply_X(f: HalfLineFunction) -> HalfLineFunction:

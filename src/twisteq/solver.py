@@ -4,7 +4,8 @@ Two independent routes are provided:
 
 * the Mellin construction: divide the line transform by (m + z) and invert
   (primary contour Re z = 0, where |m + it| >= m keeps the division
-  pole-free), plus inversions along further lines for the coincidence test;
+  pole-free), plus inversions along further lines for the coincidence test,
+  all of a solve's lines inverted in one batch;
 * the semigroup/resolvent quadrature f(r) = r^m * integral_r^inf
   g(rho) rho^(-m-1) d rho, an oracle that never touches Fourier space.
 
@@ -30,14 +31,12 @@ from .grid import (
     base_norm,
     lin_comb,
     profile,
-    relative_difference,
     relative_to,
     require_same_grid,
     trapezoid,
 )
 from .mellin import (
     MellinLine,
-    _dx,
     checked_line,
     line_admissible,
     mellin_inverse_lines,
@@ -196,12 +195,10 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally: to
-    f's spectrum when f holds it, otherwise to an FFT that is not held."""
+    """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally to
+    an FFT of f that is not held."""
     require_same_grid(f, g)
-    held = f.__dict__.get("spectrum")
-    xf = spectral_dx(f.values, f.grid) if held is None else _dx(held, f.grid)
-    return _defect(xf, f, g, m)
+    return _defect(spectral_dx(f.values, f.grid), f, g, m)
 
 
 def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
@@ -272,7 +269,10 @@ def solve_mellin(
 def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> SolveReport:
     """The report of solve_mellin with an empty t_list: the gates, the
     obstruction, the line-0 solve and the coincidence lines.  Of p only the
-    twist m is read."""
+    twist m is read.  One mellin_inverse_lines call inverts every row: the
+    divided line-0 spectrum D, i t D (the residual's X base), then the
+    divided coincidence lines of one mellin_lines call, in line order.
+    """
     m = p.m
     flags: list[str] = []
     for a in lines:
@@ -294,30 +294,19 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
             )
 
     grid = g.grid
-    n = grid.n_points
-    # base and X base in one inverse call: the divided spectrum D is the
-    # spectrum of base, so X base = ifft(i t D) needs no forward FFT
-    pair = np.empty((2, n), np.complex128)
-    pair[0] = divide_line(mellin_line(g, 0.0), m).spectrum
-    np.multiply(pair[0], grid.i_frequencies, out=pair[1])
-    values, x_base = mellin_inverse_lines(pair, (0.0, 0.0), grid)
-    del pair
-    base = HalfLineFunction(grid, values)  # its own copy, so no row pins the pair
-    base_residual = _defect(x_base, base, g, m)
-    del values, x_base  # free the pair's inverse before the other lines
-
-    # the other lines: one forward call, a division per row, one inverse call
     others = tuple(a for a in lines if a != 0.0)
-    defects = []
-    if others:
-        found = mellin_lines([(g, a) for a in others])
-        quotients = np.empty((len(others), n), np.complex128)
-        for line, row in zip(found, quotients):
-            divide_line(line, m, out=row)
-        del found, line, row  # frees the forward spectra before the inverse call
-        candidates = mellin_inverse_lines(quotients, others, grid)
-        del quotients
-        defects = [relative_difference(HalfLineFunction(grid, values), base) for values in candidates]
+    found = mellin_lines([(g, a) for a in others])
+    quotients = np.empty((len(others) + 2, grid.n_points), np.complex128)
+    divide_line(mellin_line(g, 0.0), m, out=quotients[0])
+    np.multiply(quotients[0], grid.i_frequencies, out=quotients[1])
+    for row in quotients[2:]:
+        # popped, so the forward spectra are freed before the inverse call
+        divide_line(found.pop(0), m, out=row)
+    values = mellin_inverse_lines(quotients, (0.0, 0.0, *others), grid)
+    del quotients
+    base = HalfLineFunction(grid, values[0])  # its own copy, so no row pins the batch
+    base_residual = _defect(values[1], base, g, m)
+    defects = [relative_to(_difference_norm(row - base.values, grid.h), base) for row in values[2:]]
     # np.max, unlike max(), keeps a NaN defect
     coincidence = float(np.max(defects, initial=0.0))
 

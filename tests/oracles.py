@@ -1,6 +1,7 @@
 """Analytic oracles for the Gamma test family, independent of the package's
 transform machinery: everything here reduces to Gamma-function identities
-evaluated with scipy."""
+evaluated with scipy.  Also the unitary view of a Mellin line (line_values
+at t_samples), which the package never forms: it keeps the FFT spectrum."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from scipy.special import gamma as gamma_fn
 
 from twisteq.families import Terms
 from twisteq.grid import HalfLineFunction, base_norm, lin_comb
+from twisteq.mellin import MellinLine
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -20,6 +22,19 @@ def mellin_exact(terms: Terms, z: complex | np.ndarray) -> complex | np.ndarray:
     for coef, k, c in terms:
         acc = acc + coef * gamma_fn(k + z) * c ** (-(k + z))
     return acc / SQRT2PI
+
+
+def t_samples(line: MellinLine) -> np.ndarray:
+    """The frequencies of a line's bins in increasing order, symmetric about 0."""
+    return np.fft.fftshift(line.grid.frequencies)
+
+
+def line_values(line: MellinLine) -> np.ndarray:
+    """M(f, a + i t) at t_samples(line): the line's FFT-order spectrum times
+    (h/sqrt(2 pi)) e^{-i t x_min}, with the bins sorted by t."""
+    grid = line.grid
+    phase = np.exp(-1j * grid.frequencies * grid.x_min)
+    return np.fft.fftshift((grid.h / SQRT2PI) * phase * line.spectrum)
 
 
 def weighted_norm_exact(terms: Terms, a: float) -> float:

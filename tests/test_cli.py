@@ -197,17 +197,51 @@ class TestMainExitCodes:
     )
     def test_module_entry_point(self, tmp_path, text, code):
         # `python -m twisteq` in a fresh interpreter, as a plain checkout runs it
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        solve = "suite = solve\nfamily = none\nfunction = 1,2,1\nlines = 0\nt_grid = 0\n"
-        path = write(tmp_path, solve + text + f"out.dir = {tmp_path / 'out'}\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "twisteq", "run", str(path)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            _module_command(tmp_path, text), cwd=tmp_path, env=_module_env(),
+            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "text, code", [("grid.n_points = 3072\ngrid.x_min = -10\ngrid.x_max = 22\n", 0),
+                       ("grid.n_points = 1024\n", 1)],
+        ids=["pass", "row-failure"],
+    )
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, text, code, unbuffered):
+        # a reader that closes standard output before reading (`| head -0`)
+        # ends no run in a traceback: the rows still set the exit code.
+        # Buffered, the closed pipe shows at the flush; unbuffered, at the
+        # first print.
+        env = _module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            _module_command(tmp_path, text), cwd=tmp_path, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == code, stderr
+        assert stderr == b""
+
+
+def _module_env() -> dict[str, str]:
+    """The environment, with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _module_command(tmp_path: Path, text: str) -> list[str]:
+    """`python -m twisteq run` of r^2 e^{-r}'s solve suite on line 0, with text added."""
+    solve = "suite = solve\nfamily = none\nfunction = 1,2,1\nlines = 0\nt_grid = 0\n"
+    path = write(tmp_path, solve + text + f"out.dir = {tmp_path / 'out'}\n")
+    return [sys.executable, "-m", "twisteq", "run", str(path)]
 
 
 @pytest.fixture(scope="module")
@@ -352,9 +386,9 @@ class TestPerturbationSweep:
         divided = []
         original = solver.divide_line
 
-        def counted(g_line, m):
+        def counted(g_line, m, out=None):
             divided.append((g_line.a, m))
-            return original(g_line, m)
+            return original(g_line, m, out=out)
 
         monkeypatch.setattr(solver, "divide_line", counted)
         config = str(CONFIG_DIR / "perturbation.cfg")
@@ -760,3 +794,4 @@ def test_transform_census_of_the_shipped_configs(ffts, tmp_path):
             assert main(["run", str(CONFIG_DIR / f"{stem}.cfg"), "--out", str(tmp_path / stem)]) == 0
 
     assert ffts(one_pass) == (176, 217)
+    assert ffts.calls == (155, 125)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twisteq import cocycle
 from twisteq.cocycle import CocycleData, common_solution, verify_cocycle
 from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine
 from twisteq.families import flow_rhs, make_terms, sample_terms, scale_terms
@@ -126,7 +127,7 @@ class TestCommonSolution:
         with pytest.raises(IncompatibleCocycle):
             common_solution(d_bad)
 
-    def test_discretization_contradiction_rejected(self, wide_grid, p):
+    def test_discretization_contradiction_rejected(self, wide_grid, p, monkeypatch):
         # regular g1 with a deliberately obstructed g2 that still matches the
         # compatibility equation cannot occur; emulate it by lowering the
         # compatibility gate and feeding an obstructed g2
@@ -134,17 +135,19 @@ class TestCommonSolution:
         d = _dataset(h_terms, v=2.0, m1=1.0, m=1.0, grid=wide_grid)
         g2_bad = lin_comb(1.0, d.g2, 0.05, sample_terms(make_terms([(1.0, 2, 1.0)]), wide_grid))
         d_bad = CocycleData(d.g1, g2_bad, v=2.0, m1=1.0, p=p)
+        monkeypatch.setattr(cocycle, "COMPAT_TOL", 1.0)
         with pytest.raises(ObstructionNonzero):
-            common_solution(d_bad, compat_tol=1.0)
+            common_solution(d_bad)
 
-    def test_pole_on_line_raised_by_the_solve(self, wide_grid):
+    def test_pole_on_line_raised_by_the_solve(self, wide_grid, monkeypatch):
         # at m = 0.04 line 0 lies within the default eps_pole of the pole -m;
         # the solve rejects the obstructed g2 before its obstruction is judged
         h_terms = make_terms([(1.0, 2, 2.0)])
         d = _dataset(h_terms, v=2.0, m1=1.0, m=0.04, grid=wide_grid)
         g2_bad = lin_comb(1.0, d.g2, 0.05, sample_terms(make_terms([(1.0, 2, 1.0)]), wide_grid))
+        monkeypatch.setattr(cocycle, "COMPAT_TOL", 1.0)
         with pytest.raises(PoleOnLine):
-            common_solution(CocycleData(d.g1, g2_bad, v=2.0, m1=1.0, p=d.p), compat_tol=1.0)
+            common_solution(CocycleData(d.g1, g2_bad, v=2.0, m1=1.0, p=d.p))
 
     def test_linearity(self, wide_grid):
         a = _dataset(make_terms([(1.0, 2, 2.0)]), v=2.0, m1=1.0, m=1.0, grid=wide_grid)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from twisteq import grid as grid_module
 from twisteq import mellin as mellin_module
-from twisteq.errors import InvalidGrid, NonFiniteSample, NotAdmissible, PoleOnLine
+from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
@@ -24,7 +24,7 @@ from twisteq.mellin import (
 from twisteq.reps import ModelRepParams, apply_X
 from twisteq.solver import DEFAULT_ADMISSIBILITY_MARGIN, divide_line, obstruction
 
-from oracles import mellin_exact, rel_err
+from oracles import line_values, mellin_exact, rel_err, t_samples
 from rep_algebra import gaussian_log
 
 INV_SQRT2PI = 0.3989422804014327  # 1/sqrt(2 pi)
@@ -35,32 +35,34 @@ class TestMellinLine:
         # f(e^-x) = e^{-x^2/2} transforms to e^{-t^2/2} on the line a=0
         f = gaussian_log(grid)
         line = mellin_line(f, 0.0)
-        assert np.abs(line.values - np.exp(-0.5 * line.t_samples**2)).max() <= 1e-8
+        assert np.abs(line_values(line) - np.exp(-0.5 * t_samples(line) ** 2)).max() <= 1e-8
 
     def test_gamma_value_at_origin(self, wide_grid):
         f = sample_terms(family_member("r_exp"), wide_grid)
         line = mellin_line(f, 0.0)
-        k0 = np.argmin(np.abs(line.t_samples))
-        assert line.t_samples[k0] == 0.0
-        assert line.values[k0] == pytest.approx(INV_SQRT2PI, rel=1e-7)
+        t = t_samples(line)
+        k0 = np.argmin(np.abs(t))
+        assert t[k0] == 0.0
+        assert line_values(line)[k0] == pytest.approx(INV_SQRT2PI, rel=1e-7)
 
     def test_gamma_profile_along_line(self, wide_grid):
         terms = family_member("r2_exp2")
         f = sample_terms(terms, wide_grid)
         line = mellin_line(f, -0.5)
         # compare on the central bins where Gamma has not decayed below noise
-        sel = np.abs(line.t_samples) <= 20.0
-        exact = mellin_exact(terms, -0.5 + 1j * line.t_samples[sel])
-        assert np.abs(line.values[sel] - exact).max() <= 1e-10
+        t = t_samples(line)
+        sel = np.abs(t) <= 20.0
+        exact = mellin_exact(terms, -0.5 + 1j * t[sel])
+        assert np.abs(line_values(line)[sel] - exact).max() <= 1e-10
 
     def test_zero_function(self, grid):
         f = sample(lambda r: 0.0 * r, grid)
         line = mellin_line(f, 0.0)
-        assert np.all(line.values == 0)
+        assert np.all(line_values(line) == 0)
 
     def test_frequencies_symmetric(self, grid):
         line = mellin_line(gaussian_log(grid), 0.0)
-        t = line.t_samples
+        t = t_samples(line)
         assert np.all(np.diff(t) > 0)
         assert abs(t[np.argmin(np.abs(t))]) == 0.0
         spacing = 2.0 * np.pi / (grid.n_points * grid.h)
@@ -78,7 +80,8 @@ class TestMellinLine:
 
 
 class TestLineRepresentation:
-    """A line holds the FFT-order spectrum; values and t_samples are views of it."""
+    """A line holds the FFT-order spectrum; the unitary transform and its
+    frequencies (oracles.line_values and t_samples) are views of it."""
 
     @pytest.mark.parametrize("a", [0.0, -0.5, 0.4])
     def test_values_match_direct_sum(self, grid, a):
@@ -86,18 +89,20 @@ class TestLineRepresentation:
         # relative to the line's sup norm: the sum cancels where the line decays
         f = sample_terms(family_member("r2_exp"), grid)
         line = mellin_line(f, a)
-        scale = np.abs(line.values).max()
+        values = line_values(line)
+        scale = np.abs(values).max()
         n = grid.n_points
         for k in (n // 2, n // 2 + 1, n // 2 - 3, n // 2 + 17, n // 2 - 40):
-            t = line.t_samples[k]
+            t = t_samples(line)[k]
             terms = f.values * np.exp(-a * grid.x) * np.exp(-1j * t * grid.x)
             direct = grid.h / np.sqrt(2.0 * np.pi) * terms.sum()
-            assert abs(line.values[k] - direct) <= 1e-12 * scale, k
+            assert abs(values[k] - direct) <= 1e-12 * scale, k
 
     def test_line_energy_is_trapezoid_of_values(self, grid):
         line = mellin_line(sample_terms(family_member("r_exp"), grid), -0.3)
-        dt = line.t_samples[1] - line.t_samples[0]
-        expected = trapezoid(np.abs(line.values) ** 2, dt)
+        t = t_samples(line)
+        dt = t[1] - t[0]
+        expected = trapezoid(np.abs(line_values(line)) ** 2, dt)
         assert line_energy(line) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("index", [0, 2048, 4095], ids=["first", "middle", "last"])
@@ -161,7 +166,7 @@ class TestLineRepresentation:
     @pytest.mark.parametrize("other", [(2048, -12.0, 12.0), (4096, -12.0, 13.0)])
     def test_inverse_on_other_grid_rejected(self, grid, other):
         line = mellin_line(gaussian_log(grid), 0.0)
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(GridMismatch, match="another grid"):
             mellin_inverse_line(line, make_log_grid(*other))
 
 
@@ -416,17 +421,17 @@ class TestProperties:
         f = sample_terms(make_terms([(c1, 1, 1.0)]), grid)
         g = sample_terms(make_terms([(c2, 2, 2.0)]), grid)
         combined = mellin_line(lin_comb(alpha, f, beta, g), 0.0)
-        direct = alpha * mellin_line(f, 0.0).values + beta * mellin_line(g, 0.0).values
+        direct = alpha * line_values(mellin_line(f, 0.0)) + beta * line_values(mellin_line(g, 0.0))
         scale = max(np.abs(direct).max(), 1e-300)
-        assert np.abs(combined.values - direct).max() / scale <= 1e-13
+        assert np.abs(line_values(combined) - direct).max() / scale <= 1e-13
 
     @given(c1=coef, c2=coef, a=st.floats(-0.3, 0.3), b=st.floats(-0.5, 0.5))
     def test_shift_law(self, grid, c1, c2, a, b):
         # weighting by r^-b shifts the line: M(f r^-b, a) = M(f, a - b)
         f = sample_terms(make_terms([(c1, 2, 1.0), (c2, 2, 2.0)]), grid)
         fb = HalfLineFunction(grid, f.values * np.exp(b * grid.x))
-        lhs = mellin_line(fb, a).values
-        rhs = mellin_line(f, a - b).values
+        lhs = line_values(mellin_line(fb, a))
+        rhs = line_values(mellin_line(f, a - b))
         assert np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1e-300) <= 1e-10
 
     @given(c1=coef, c2=coef)

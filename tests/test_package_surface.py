@@ -16,11 +16,11 @@ computed.  A fourth keeps one get-or-compute for held values: no module but
 grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
 one forward and one inverse transform: np.fft.fft runs only in
 HalfLineFunction.spectrum, which holds it, in mellin_lines, off line 0, and
-in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines and in
-mellin._dx.  A sixth keeps the gates' tolerances fixed: no function takes
-a tolerance of its own, and no package call hands one to a gate predicate,
-so every gate reads grid.DECAY_TOL, solver.OBSTRUCTION_TOL and
-solver.EPS_POLE.
+in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines.  A sixth
+keeps the gates' tolerances fixed: no function takes a tolerance of its
+own, and no package call hands one to a gate predicate, so every gate reads
+grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
+cocycle.COMPAT_TOL.
 """
 
 import ast
@@ -191,19 +191,19 @@ def test_one_path_for_forward_transforms():
 
 
 def test_one_path_for_inverse_transforms():
-    # every inverse line transform runs through mellin_inverse_lines
-    sites = ("mellin_inverse_lines", "_dx")
+    # every inverse transform, d/dx included, runs through mellin_inverse_lines
+    sites = ("mellin_inverse_lines",)
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.ifft", sites)
     ]
-    assert not found, f"np.fft.ifft outside mellin_inverse_lines and mellin._dx: {found}"
+    assert not found, f"np.fft.ifft outside mellin_inverse_lines: {found}"
 
 
 # Tolerance parameters that the gates once took, and each gate predicate
 # with the number of arguments it takes before an optional tolerance.
-_TOLERANCE_PARAMETERS = frozenset({"decay_tol", "obstruction_tol", "eps_pole"})
+_TOLERANCE_PARAMETERS = frozenset({"decay_tol", "obstruction_tol", "eps_pole", "compat_tol"})
 _GATES = {"decays": 0, "decay_admissible": 2, "line_admissible": 2, "obstructed": 2}
 
 
