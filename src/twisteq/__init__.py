@@ -48,7 +48,6 @@ from .grid import (
     DECAY_TOL,
     HalfLineFunction,
     LogGrid,
-    base_norm,
     decay_admissible,
     default_grid,
     lin_comb,

@@ -472,8 +472,9 @@ def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
         ratios.append(ratio)
         return [
             Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),
-            # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1
-            Check("uniform_bound_ratio", params, ratio * cfg.m / (2.0 * p.m), 1.0, function=fun),
+            # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1; halved
+            # first, which is exact, so that m0 ||f|| / ||g|| may not overflow
+            Check("uniform_bound_ratio", params, ratio / 2.0 * cfg.m / p.m, 1.0, function=fun),
             Check("residual_mellin", params, report.residual, 1e-6, function=fun),
         ]
 

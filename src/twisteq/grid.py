@@ -122,10 +122,10 @@ class HalfLineFunction:
     The samples are a private read-only copy, so what depends on them alone
     is computed at most once: the FFT spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
-    which the norm, the sup norm, every weighted norm and every decay test
-    read; |f| itself ("abs",) once f is weighed at some a != 0; X f ("X",)
-    of mellin.apply_X; and each Mellin solve ("solve", m, lines) of
-    solver.solve_mellin.
+    which only this module reads (norm, sup, weighted_norm and the one decay
+    gate, decay_admissible); |f| itself ("abs",) once f is weighed at some
+    a != 0; X f ("X",) of mellin.apply_X; and each Mellin solve ("solve", m,
+    lines) of solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -212,13 +212,13 @@ class Profile:
     def of(cls, w: np.ndarray, h: float) -> Profile:
         return cls(float(np.sqrt(_energy(w, h))), float(w.max()), float(max(w[0], w[-1])))
 
-    def decays(self, tol: float = DECAY_TOL) -> bool:
-        """True when both ends stay below tol * peak; a profile whose end
-        rivals its peak signals a divergent (or unresolved) weighted integral.
-        A NaN or +Inf anywhere shows in the peak, and fails."""
+    def decays(self) -> bool:
+        """True when both ends stay below DECAY_TOL * peak; a profile whose
+        end rivals its peak signals a divergent (or unresolved) weighted
+        integral.  A NaN or +Inf anywhere shows in the peak, and fails."""
         if not np.isfinite(self.peak):
             return False
-        return self.peak == 0.0 or self.end <= tol * self.peak
+        return self.peak == 0.0 or self.end <= DECAY_TOL * self.peak
 
 
 def profile(f: HalfLineFunction, a: float) -> Profile:
@@ -273,10 +273,6 @@ def weighted_norm(f: HalfLineFunction, a: float) -> float:
     return profile(f, a).norm
 
 
-def base_norm(f: HalfLineFunction) -> float:
-    return f.norm
-
-
 def require_same_grid(f: HalfLineFunction, g: HalfLineFunction) -> None:
     if f.grid != g.grid:
         raise GridMismatch("operands live on different grids")
@@ -320,6 +316,7 @@ def relative_to(value: float, ref: HalfLineFunction) -> float:
     return _ratio(value, ref.norm, ref)
 
 
-def decay_admissible(f: HalfLineFunction, a: float, tol: float = DECAY_TOL) -> bool:
-    """Endpoint test for f * r^{-a} in L2(dr/r): the held profile at a decays."""
-    return profile(f, a).decays(tol)
+def decay_admissible(f: HalfLineFunction, a: float) -> bool:
+    """Endpoint test for f * r^{-a} in L2(dr/r), the one decay gate: the
+    held profile at a decays."""
+    return profile(f, a).decays()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingParams, NonFiniteSample
-from .grid import HalfLineFunction, LogGrid, Profile, _hold, base_norm, profile
+from .grid import HalfLineFunction, LogGrid, _hold, decay_admissible
 from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
 
@@ -80,19 +80,17 @@ def fractional_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> tuple[f
     """||(I - u1^2)^(t/2) f|| and whether it is admissible: finite, with
     weighted samples that pass the line-0 decay test.
 
-    The norm and the decay test read one profile of the weighted samples; at
-    t = 0 it is f's held profile.  A weight that overflows where f is
-    nonzero gives (inf, False).
+    The norm and the decay gate read the profile held on the weighted
+    function, which at t = 0 is f itself.  A weight that overflows where f
+    is nonzero gives (inf, False).
     """
-    if t == 0:
-        held = profile(f, 0.0)
-    else:
-        try:
-            w = np.abs(fractional_weight(f, t, p).values)
-        except NonFiniteSample:
-            return float("inf"), False
-        held = Profile.of(w, f.grid.h)
-    return held.norm, bool(held.decays() and np.isfinite(held.norm))
+    try:
+        weighted = fractional_weight(f, t, p)
+    except NonFiniteSample:
+        return float("inf"), False
+    # read before the gate, so that the calls made do not depend on its verdict
+    norm = weighted.norm
+    return norm, bool(decay_admissible(weighted, 0.0) and np.isfinite(norm))
 
 
 def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:
@@ -101,4 +99,4 @@ def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:
     Stands in for the order-t Sobolev norm on the right-hand side of bounds;
     equivalent to it up to fixed factors for the model generators.
     """
-    return fractional_norm(f, t, p)[0] + base_norm(f)
+    return fractional_norm(f, t, p)[0] + f.norm

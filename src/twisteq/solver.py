@@ -28,12 +28,12 @@ from .grid import (
     _difference_norm,
     _hold,
     _ratio,
-    base_norm,
+    decay_admissible,
     lin_comb,
-    profile,
     relative_to,
     require_same_grid,
     trapezoid,
+    weighted_norm,
 )
 from .mellin import (
     MellinLine,
@@ -96,17 +96,16 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
 
     Defined only for data with regularity beyond m/lambda1: on both edges of
     the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
-    decay test and have a finite weighted norm, both read off g's held
-    profile at the edge.  NotAdmissible names the first failing edge.
+    decay test and have a finite weighted norm at the edge.  NotAdmissible
+    names the first failing edge.
     """
     m = p.m
     for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
-        held = profile(g, -edge)
-        if not held.decays():
+        if not decay_admissible(g, -edge):
             raise NotAdmissible(
                 f"obstruction undefined: non-decaying weighted samples at edge {edge}"
             )
-        if not np.isfinite(held.norm):
+        if not np.isfinite(weighted_norm(g, -edge)):
             raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
     integrand = g.values * g.grid.weight(m)
     return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
@@ -150,7 +149,9 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     F = np.empty(n, dtype=np.complex128)
     F[0] = 0.0
     start = 0
-    with np.errstate(under="ignore"):
+    # a twist too large for the grid overflows a block's weight: the NaN or
+    # Inf it leaves is refused by HalfLineFunction below
+    with np.errstate(all="ignore"):
         while start < n:
             k = np.rint(x[start] / w)
             edge = ((k + 0.5) * w - grid.x_min) / h  # first index past block k
@@ -173,7 +174,7 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     # damped by e^{m(x_0 - x_j)}.
     psi = _fd_derivative(G, h)
     psi += m * G
-    with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):  # e^{-inf} = 0 damps exactly
         damp = np.exp(m * (grid.x_min - x))
     psi -= psi[0] * damp
     psi *= h * h / 12.0
@@ -314,7 +315,7 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
         solution=base,
         obstruction=d_val,
         residual=base_residual,
-        base_norm_ratio=relative_to(m * base_norm(base), g),
+        base_norm_ratio=relative_to(m * base.norm, g),
         weighted_norms=(),
         coincidence_defect=coincidence,
         flags=tuple(flags),

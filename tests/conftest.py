@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from twisteq import grid as grid_module
 from twisteq.grid import default_grid, make_log_grid
 
 settings.register_profile(
@@ -94,5 +95,34 @@ def abses(monkeypatch):
         calls.clear()
         call()
         return len(calls)
+
+    return count
+
+
+@pytest.fixture
+def gates(monkeypatch):
+    """count(call) runs call and returns its decay_admissible call count and
+    its Profile.decays call count: the decay gate under every name the
+    package binds it to, and the decay tests it makes."""
+    calls = {"gate": 0, "decays": 0}
+    gate, decays = grid_module.decay_admissible, grid_module.Profile.decays
+
+    def counted_gate(*args, **kwargs):
+        calls["gate"] += 1
+        return gate(*args, **kwargs)
+
+    def counted_decays(*args, **kwargs):
+        calls["decays"] += 1
+        return decays(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "twisteq" and getattr(module, "decay_admissible", None) is gate:
+            monkeypatch.setattr(module, "decay_admissible", counted_gate)
+    monkeypatch.setattr(grid_module.Profile, "decays", counted_decays)
+
+    def count(call):
+        calls.update(gate=0, decays=0)
+        call()
+        return calls["gate"], calls["decays"]
 
     return count

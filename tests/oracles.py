@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from twisteq.families import Terms
-from twisteq.grid import HalfLineFunction, base_norm, lin_comb
+from twisteq.grid import HalfLineFunction, lin_comb
 from twisteq.mellin import MellinLine
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -61,8 +61,8 @@ def decays_reference(w: np.ndarray, tol: float) -> bool:
 
 
 def rel_err(got: HalfLineFunction, expected: HalfLineFunction) -> float:
-    scale = base_norm(expected)
-    diff = base_norm(lin_comb(1.0, got, -1.0, expected))
+    scale = expected.norm
+    diff = lin_comb(1.0, got, -1.0, expected).norm
     return diff / scale if scale > 0 else diff
 
 

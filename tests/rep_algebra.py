@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from twisteq.errors import MissingParams
-from twisteq.grid import HalfLineFunction, LogGrid, base_norm, require_same_grid, sample, trapezoid
+from twisteq.grid import HalfLineFunction, LogGrid, require_same_grid, sample, trapezoid
 from twisteq.reps import ModelRepParams, apply_X
 
 # Relative mass below which a truncated boundary tail counts as machine noise.
@@ -129,7 +129,7 @@ def flow_action(f: HalfLineFunction, s: float) -> HalfLineFunction:
     else:
         values[-k:] = f.values[: n + k]
         dropped = f.values[n + k :]
-    total = base_norm(f)
+    total = f.norm
     if total > 0 and dropped.size:
         lost = np.sqrt(float(np.sum(np.abs(dropped) ** 2)) * f.grid.h)
         if lost > MACHINE_TAIL_TOL * total:
@@ -186,7 +186,7 @@ def sobolev_norm(
             raise MissingParams(f"unknown generator {name!r}")
         if name == "u2" and not _has_u2(p):
             raise MissingParams("generator u2 needs s0 and lambda2")
-    total = base_norm(f) ** 2
+    total = f.norm**2
     layer = {(): f}
     for _ in range(k):
         next_layer = {}
@@ -194,6 +194,6 @@ def sobolev_norm(
             for name in generators:
                 image = _GENERATORS[name](vec, p)
                 next_layer[word + (name,)] = image
-                total += base_norm(image) ** 2
+                total += image.norm**2
         layer = next_layer
     return float(np.sqrt(total))

@@ -24,7 +24,6 @@ from twisteq.families import (
 )
 from twisteq.grid import (
     HalfLineFunction,
-    base_norm,
     lin_comb,
     make_log_grid,
     weighted_norm,
@@ -165,7 +164,7 @@ def test_criterion_06_obstruction_functional(solve_grid, p, projected_family):
     for name in ("r2_exp", "r3_exp", "mix_23"):
         f = sample_terms(family_member(name), inv_grid)
         coboundary = lin_comb(1.0, apply_X(f), p.m, f)
-        defect = abs(obstruction(coboundary, p)) / base_norm(f)
+        defect = abs(obstruction(coboundary, p)) / f.norm
         worst_inv = max(worst_inv, defect)
         assert defect <= 1e-7, name
 
@@ -219,11 +218,11 @@ def test_criterion_08_coincidence_of_lines(p):
         z = gl.a + 1j * grid.frequencies
         ratio_line = MellinLine(gl.a, grid, gl.spectrum / (p.m + z))
         inversions[a] = mellin_inverse_line(ratio_line, grid)
-    scale = base_norm(inversions[0.0])
+    scale = inversions[0.0].norm
     worst = 0.0
     for i, a in enumerate(lines):
         for b in lines[i + 1 :]:
-            diff = base_norm(lin_comb(1.0, inversions[a], -1.0, inversions[b])) / scale
+            diff = lin_comb(1.0, inversions[a], -1.0, inversions[b]).norm / scale
             worst = max(worst, diff)
             assert diff <= 1e-6, (a, b)
     report = solve_mellin(g, p, lines=lines)
@@ -287,7 +286,7 @@ def test_criterion_11_perturbation_sweep(solve_grid):
             for name, terms in FAMILY:
                 g = sample_terms(terms, solve_grid)
                 f = solve_mellin(g, rep, lines=(0.0,)).solution
-                ratio = m0 * base_norm(f) / (2.0 * base_norm(g))
+                ratio = m0 * f.norm / (2.0 * g.norm)
                 worst = max(worst, ratio)
                 assert ratio <= 1.0, (name, dl, dm)
     elapsed = time.perf_counter() - started
@@ -307,15 +306,15 @@ def test_criterion_12_representation_algebra(grid, p):
     for f in probes:
         u1f = apply_u1(f, p)
         comm1 = lin_comb(1.0, apply_X(u1f), -1.0, apply_u1(apply_X(f), p))
-        defect1 = base_norm(lin_comb(1.0, comm1, -p.lambda1, u1f)) / base_norm(u1f)
+        defect1 = lin_comb(1.0, comm1, -p.lambda1, u1f).norm / u1f.norm
         u2f = apply_u2(f, p2)
         comm2 = lin_comb(1.0, apply_X(u2f), -1.0, apply_u2(apply_X(f), p2))
-        defect2 = base_norm(lin_comb(1.0, comm2, -p2.lambda2, u2f)) / base_norm(u2f)
+        defect2 = lin_comb(1.0, comm2, -p2.lambda2, u2f).norm / u2f.norm
         worst = max(worst, defect1, defect2)
         assert defect1 <= 1e-6 and defect2 <= 1e-6
 
     g = sample_terms(family_member("r2_exp"), grid)
-    drift = abs(base_norm(flow_action(g, np.exp(grid.h))) - base_norm(g)) / base_norm(g)
+    drift = abs(flow_action(g, np.exp(grid.h)).norm - g.norm) / g.norm
     assert drift <= 1e-10
     _report(
         12,

@@ -786,12 +786,20 @@ class TestReportWriters:
         _assert_reports_match_reference(rows, cfg, tmp_path)
 
 
+def _one_pass(out: Path) -> None:
+    """Run every shipped config once, each into its own directory under out."""
+    for stem in SHIPPED:
+        assert main(["run", str(CONFIG_DIR / f"{stem}.cfg"), "--out", str(out / stem)]) == 0
+
+
 def test_transform_census_of_the_shipped_configs(ffts, tmp_path):
     # the forward and inverse transforms of one pass over the shipped
     # configs: a change that runs fewer has dropped a measurement
-    def one_pass():
-        for stem in SHIPPED:
-            assert main(["run", str(CONFIG_DIR / f"{stem}.cfg"), "--out", str(tmp_path / stem)]) == 0
-
-    assert ffts(one_pass) == (176, 217)
+    assert ffts(lambda: _one_pass(tmp_path)) == (176, 217)
     assert ffts.calls == (155, 125)
+
+
+def test_decay_gate_census_of_the_shipped_configs(gates, tmp_path):
+    # every decay test of one pass over the shipped configs is one call of
+    # the one gate, so a tracer of decay_admissible sees each of them
+    assert gates(lambda: _one_pass(tmp_path)) == (528, 528)

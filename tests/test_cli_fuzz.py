@@ -48,7 +48,7 @@ def configs(draw) -> dict[str, str]:
         "grid.x_max": repr(x_min + draw(_finite(0.5, 60.0))),
     }
     optional = {
-        "twist.m": _number([1.0, 0.5, 1.5, 2.0, 3.0, 0.0, -1.0], 1e-3, 6.0),
+        "twist.m": _number([1.0, 0.5, 1.5, 2.0, 3.0, 0.0, -1.0, 1e20, 1e100], 1e-3, 6.0),
         "rep.lambda1": _number([1.0, -1.0, 0.8, 0.0, 2.5], -3.0, 3.0),
         "regularity.s": _number([2.0, 3.0, 0.0], -1.0, 6.0),
         "family": st.sampled_from(["default", "none"]),
@@ -92,6 +92,12 @@ def _files(root: Path) -> dict[str, bytes]:
 )
 @example(entries={"suite": "perturbation-sweep", "function": "1e200,3,1"}, strict=False)
 @example(entries={"suite": "mellin-identities", "family": "none", "function": "1e+200,1,1.0"}, strict=False)
+# Twists so large that the semigroup's block weight overflows, and that
+# m0 ||f|| overflows in the uniform bound.
+@example(
+    entries={"suite": "solve", "family": "none", "function": "1,2,1", "twist.m": "1e20"}, strict=False
+)
+@example(entries={"suite": "perturbation-sweep", "twist.m": "1e308"}, strict=False)
 @settings(max_examples=100)
 @given(entries=configs(), strict=st.booleans())
 def test_main_exits_cleanly_and_reproducibly(entries, strict):

@@ -6,7 +6,7 @@ from twisteq.cocycle import CocycleData, common_solution, verify_cocycle
 from twisteq.errors import IncompatibleCocycle, ObstructionNonzero, PoleOnLine
 from twisteq.families import flow_rhs, make_terms, sample_terms, scale_terms
 from twisteq.grid import (
-    HalfLineFunction, base_norm, lin_comb, make_log_grid, relative_difference, sample,
+    HalfLineFunction, lin_comb, make_log_grid, relative_difference, sample,
 )
 from twisteq.reps import ModelRepParams, apply_X
 
@@ -40,7 +40,7 @@ class TestVerifyCocycle:
     def test_underflowing_norms_are_not_measured(self, wide_grid, p):
         # compatible data whose norms underflow to 0 on nonzero samples
         d = _dataset(make_terms([(1e-300, 1, 1.0)]), v=1.0, m1=0.0, m=1.0, grid=wide_grid)
-        assert base_norm(d.g1) == 0.0 and d.g1.sup > 0.0
+        assert d.g1.norm == 0.0 and d.g1.sup > 0.0
         assert np.isnan(verify_cocycle(d))
 
     def test_one_buffer_equals_composed_operators(self, wide_grid, p):
@@ -48,15 +48,15 @@ class TestVerifyCocycle:
         d = _dataset(make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), v=-1.5, m1=0.5, m=1.0,
                      grid=wide_grid)
         lhs = lin_comb(1.0, apply_X(d.g1), d.m, d.g1)
-        composed = base_norm(lin_comb(1.0, lhs, -d.character, d.g2))
-        assert verify_cocycle(d) == composed / max(base_norm(d.g1), base_norm(d.g2))
+        composed = lin_comb(1.0, lhs, -d.character, d.g2).norm
+        assert verify_cocycle(d) == composed / max(d.g1.norm, d.g2.norm)
 
     def test_perturbation_detected(self, wide_grid, p):
         d = _dataset(make_terms([(1.0, 1, 1.0)]), v=1.0, m1=0.0, m=1.0, grid=wide_grid)
         bump = sample_terms(make_terms([(0.1, 2, 2.0)]), wide_grid)
         d_bad = CocycleData(lin_comb(1.0, d.g1, 1.0, bump), d.g2, v=1.0, m1=0.0, p=p)
-        scale = max(base_norm(d_bad.g1), base_norm(d_bad.g2))
-        assert verify_cocycle(d_bad) >= 0.05 * base_norm(bump) / scale
+        scale = max(d_bad.g1.norm, d_bad.g2.norm)
+        assert verify_cocycle(d_bad) >= 0.05 * bump.norm / scale
 
     def test_zero_frequency_rejected(self, wide_grid, p):
         z = sample(lambda r: 0.0 * r, wide_grid)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twisteq import grid as grid_module
 from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample
 from twisteq.families import FAMILY, flow_rhs, make_terms, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
     Profile,
-    base_norm,
     decay_admissible,
     lin_comb,
     make_log_grid,
@@ -175,22 +175,25 @@ class TestDecayTest:
         ids=["nan", "nan-end", "inf", "zero", "first-end-at-bound", "last-end-at-bound",
              "first-end-ulp-above", "last-end-ulp-above"],
     )
-    def test_hand_built_profiles(self, w, expected):
+    def test_hand_built_profiles(self, monkeypatch, w, expected):
+        monkeypatch.setattr(grid_module, "DECAY_TOL", 0.25)
         assert decays_reference(w, 0.25) is expected
-        assert Profile.of(w, 0.1).decays(0.25) is expected
+        assert Profile.of(w, 0.1).decays() is expected
         if np.isfinite(w).all():
             f = HalfLineFunction(make_log_grid(16, -1.0, 1.0), w)
-            assert decay_admissible(f, 0.0, 0.25) is expected
+            assert decay_admissible(f, 0.0) is expected
 
-    def test_family(self, grid):
+    def test_family(self, monkeypatch, grid):
         verdicts = set()
         for name, terms in FAMILY:
             f = sample_terms(terms, grid)
             for a in (0.0, 0.5, -1.0):
                 w = np.abs(f.values) * grid.weight(a)
                 for tol in (0.5, 1e-3):
+                    # the held profile answers the tolerance read at call time
+                    monkeypatch.setattr(grid_module, "DECAY_TOL", tol)
                     expected = decays_reference(w, tol)
-                    assert decay_admissible(f, a, tol) is expected, (name, a, tol)
+                    assert decay_admissible(f, a) is expected, (name, a, tol)
                     verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -222,7 +225,7 @@ class TestHalfLineFunction:
         uncached = float(np.sqrt(trapezoid(np.abs(f.values) ** 2, grid.h)))
         assert f.norm == uncached
         assert f._held[("profile", 0.0)].norm == uncached  # computed once, then held
-        assert base_norm(f) == weighted_norm(f, 0.0) == uncached
+        assert weighted_norm(f, 0.0) == uncached
 
 
 class TestUnderflow:
@@ -307,5 +310,5 @@ class TestNormProperties:
         f = sample_terms(_member(c1, c2), grid)
         b = frac * a
         lhs = weighted_norm(f, b)
-        rhs = weighted_norm(f, a) + base_norm(f)
+        rhs = weighted_norm(f, a) + f.norm
         assert lhs <= rhs * (1.0 + 1e-10)

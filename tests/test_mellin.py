@@ -8,7 +8,7 @@ from twisteq import grid as grid_module
 from twisteq import mellin as mellin_module
 from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
-from twisteq.grid import DECAY_TOL, HalfLineFunction, base_norm, lin_comb, make_log_grid, sample, trapezoid
+from twisteq.grid import HalfLineFunction, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
     checked_line,
     derivative_rule_defect,
@@ -292,7 +292,7 @@ class TestParseval:
         # both sides equal ||r e^-r||^2 = 1/4
         f = sample_terms(family_member("r_exp"), grid)
         assert parseval_defect(f) <= 1e-7
-        assert base_norm(f) ** 2 == pytest.approx(0.25, rel=1e-7)
+        assert f.norm**2 == pytest.approx(0.25, rel=1e-7)
         assert line_energy(mellin_line(f, 0.0)) == pytest.approx(0.25, rel=1e-7)
 
     def test_family_on_default_grid(self, grid):
@@ -407,7 +407,7 @@ class TestStripAdmissible:
         p = ModelRepParams(1, 1.0, 0.85)
         obstruction(f, p)
         assert [a for a in weights if a != 0] == [p.m + DEFAULT_ADMISSIBILITY_MARGIN]
-        assert f._held[("profile", p.m + DEFAULT_ADMISSIBILITY_MARGIN)].decays(DECAY_TOL)
+        assert f._held[("profile", p.m + DEFAULT_ADMISSIBILITY_MARGIN)].decays()
 
 
 coef = st.complex_numbers(

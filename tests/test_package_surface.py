@@ -20,7 +20,9 @@ in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines.  A sixth
 keeps the gates' tolerances fixed: no function takes a tolerance of its
 own, and no package call hands one to a gate predicate, so every gate reads
 grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
-cocycle.COMPAT_TOL.
+cocycle.COMPAT_TOL.  A seventh keeps one decay gate: no module but grid.py
+reads grid.profile, grid.Profile or Profile.decays, so every decay test is
+a call of grid.decay_admissible.
 """
 
 import ast
@@ -202,8 +204,8 @@ def test_one_path_for_inverse_transforms():
 
 
 # Tolerance parameters that the gates once took, and each gate predicate
-# with the number of arguments it takes before an optional tolerance.
-_TOLERANCE_PARAMETERS = frozenset({"decay_tol", "obstruction_tol", "eps_pole", "compat_tol"})
+# with the number of arguments it takes: one more would be a tolerance.
+_TOLERANCE_PARAMETERS = frozenset({"tol", "decay_tol", "obstruction_tol", "eps_pole", "compat_tol"})
 _GATES = {"decays": 0, "decay_admissible": 2, "line_admissible": 2, "obstructed": 2}
 
 
@@ -236,3 +238,32 @@ def test_gate_tolerances_are_constants():
         for leak in _tolerance_leaks(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"a tolerance passed or taken outside its constant: {found}"
+
+
+def _profile_uses(tree: ast.AST) -> list[str]:
+    """Lines that name profile or Profile, or read the attribute decays
+    (a local variable of that name is not the method)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in ("profile", "Profile") or (name == "decays" and not isinstance(node, ast.Name)):
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_one_decay_gate():
+    # a weighted profile is read, and tested for decay, only inside grid.py
+    found = [
+        f"{path.name}:{use}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "grid.py"
+        for use in _profile_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"a profile read outside grid.decay_admissible and the norms: {found}"

@@ -6,7 +6,6 @@ from twisteq.errors import MissingParams, NonFiniteSample
 from twisteq.families import FAMILY, family_member, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
-    base_norm,
     lin_comb,
     make_log_grid,
     sample,
@@ -133,7 +132,7 @@ class TestMultipliers:
 
     def test_X_essentially_skew(self, grid, p):
         f = sample_terms(family_member("r2_exp"), grid)
-        assert abs(inner(apply_X(f), f).real) <= 1e-8 * base_norm(f) ** 2
+        assert abs(inner(apply_X(f), f).real) <= 1e-8 * f.norm**2
 
 
 class TestFlowAction:
@@ -145,7 +144,7 @@ class TestFlowAction:
     def test_one_bin_norm_preservation(self, grid):
         f = sample_terms(family_member("r2_exp"), grid)
         out = flow_action(f, np.exp(grid.h))
-        assert abs(base_norm(out) - base_norm(f)) <= 1e-10 * base_norm(f)
+        assert abs(out.norm - f.norm) <= 1e-10 * f.norm
 
     def test_composition(self, grid):
         f = sample_terms(family_member("r2_exp"), grid)
@@ -196,15 +195,15 @@ class TestFractionalWeight:
     def test_monotone_multiplier(self, grid, p):
         f = sample_terms(family_member("r3_exp"), grid)
         for t in (0.5, 1.0, 2.0):
-            assert base_norm(fractional_weight(f, t, p)) >= base_norm(f)
+            assert fractional_weight(f, t, p).norm >= f.norm
 
     @given(t=st.floats(0.1, 2.0))
     def test_multiplier_sandwich(self, grid, p, t):
         # r^{-t l1} <= (1+r^{-2 l1})^{t/2} <= 2^{t/2} max(1, r^{-t l1})
         f = sample_terms(family_member("r3_exp"), grid)
-        wn = base_norm(fractional_weight(f, t, p))
+        wn = fractional_weight(f, t, p).norm
         lower = weighted_norm(f, t * p.lambda1)
-        upper = 2 ** (t / 2.0) * (weighted_norm(f, t * p.lambda1) + base_norm(f))
+        upper = 2 ** (t / 2.0) * (weighted_norm(f, t * p.lambda1) + f.norm)
         assert lower <= wn * (1 + 1e-12)
         assert wn <= upper * (1 + 1e-12)
 
@@ -231,10 +230,10 @@ class TestFractionalNorm:
                 for t in (0.0, 0.5, 1.25, 2.9):
                     values = f.values * np.exp((t / 2.0) * log_sq)
                     wf = HalfLineFunction(grid, np.where(f.values == 0, 0.0, values))
-                    value = base_norm(wf)
+                    value = wf.norm
                     admissible = line_admissible(wf, 0.0) and np.isfinite(value)
                     assert fractional_norm(f, t, p) == (value, admissible), (name, lam, t)
-                    assert regularity_norm(f, t, p) == value + base_norm(f), (name, lam, t)
+                    assert regularity_norm(f, t, p) == value + f.norm, (name, lam, t)
 
     def test_log_weight_held_per_grid_and_lambda1(self, monkeypatch):
         calls = []
@@ -304,7 +303,7 @@ class TestFractionalNorm:
 class TestSobolevNorm:
     def test_order_zero(self, grid, p):
         f = sample_terms(family_member("r2_exp"), grid)
-        assert sobolev_norm(f, 0, p) == pytest.approx(base_norm(f), rel=1e-14)
+        assert sobolev_norm(f, 0, p) == pytest.approx(f.norm, rel=1e-14)
 
     def test_order_one_closed_form(self, wide_grid, p):
         # ||f||^2 + ||X f||^2 + ||u1 f||^2 = 3/8 + 3/8 + 1/4 = 1 for r^2 e^-r
@@ -337,19 +336,19 @@ class TestCommutators:
         # [X, u1] = lambda1 u1
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u1(f, p)), -1.0, apply_u1(apply_X(f), p))
-        defect = base_norm(lin_comb(1.0, lhs, -p.lambda1, apply_u1(f, p)))
-        assert defect / base_norm(apply_u1(f, p)) <= 1e-6
+        defect = lin_comb(1.0, lhs, -p.lambda1, apply_u1(f, p)).norm
+        assert defect / apply_u1(f, p).norm <= 1e-6
 
     def test_x_u1_commutator_noninteger_rate(self, grid):
         p = ModelRepParams(sigma=-1, lambda1=0.6, m=1.0)
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u1(f, p)), -1.0, apply_u1(apply_X(f), p))
-        defect = base_norm(lin_comb(1.0, lhs, -p.lambda1, apply_u1(f, p)))
-        assert defect / base_norm(apply_u1(f, p)) <= 1e-6
+        defect = lin_comb(1.0, lhs, -p.lambda1, apply_u1(f, p)).norm
+        assert defect / apply_u1(f, p).norm <= 1e-6
 
     def test_x_u2_commutator(self, grid, p_rank2):
         p = p_rank2
         f = gaussian_log(grid)
         lhs = lin_comb(1.0, apply_X(apply_u2(f, p)), -1.0, apply_u2(apply_X(f), p))
-        defect = base_norm(lin_comb(1.0, lhs, -p.lambda2, apply_u2(f, p)))
-        assert defect / base_norm(apply_u2(f, p)) <= 1e-6
+        defect = lin_comb(1.0, lhs, -p.lambda2, apply_u2(f, p)).norm
+        assert defect / apply_u2(f, p).norm <= 1e-6
