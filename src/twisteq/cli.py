@@ -489,7 +489,8 @@ def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
 
     cases = [(f"({lam:g},{m:g})", _measure(point, lam, m)) for lam, m in points]
     if ratios:
-        spread = max(ratios) - min(ratios)
+        # np.max and np.min, unlike max() and min(), keep a NaN ratio
+        spread = float(np.max(ratios)) - float(np.min(ratios))
         summary = Check("base_norm_ratio_spread", f"delta={cfg.sweep_delta:g}", spread, None)
         cases.append(("summary", [summary]))
     return cases

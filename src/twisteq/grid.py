@@ -9,6 +9,7 @@ and integrals use trapezoidal quadrature in x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
@@ -47,7 +48,7 @@ class LogGrid:
     def __post_init__(self):
         if self.n_points < MIN_POINTS:
             raise InvalidGrid(f"n_points must be >= {MIN_POINTS}, got {self.n_points}")
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise InvalidGrid("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise InvalidGrid(f"x_min < x_max required, got [{self.x_min}, {self.x_max}]")
@@ -175,7 +176,7 @@ def all_finite(values: np.ndarray) -> bool:
     propagates through max, and an infinity shows up at one end.
     """
     parts = values.view(np.float64)
-    return bool(np.isfinite(parts.max()) and np.isfinite(parts.min()))
+    return math.isfinite(parts.max()) and math.isfinite(parts.min())
 
 
 def vanishes(f: HalfLineFunction) -> bool:
@@ -210,13 +211,13 @@ class Profile:
 
     @classmethod
     def of(cls, w: np.ndarray, h: float) -> Profile:
-        return cls(float(np.sqrt(_energy(w, h))), float(w.max()), float(max(w[0], w[-1])))
+        return cls(math.sqrt(_energy(w, h)), float(w.max()), float(max(w[0], w[-1])))
 
     def decays(self) -> bool:
         """True when both ends stay below DECAY_TOL * peak; a profile whose
         end rivals its peak signals a divergent (or unresolved) weighted
         integral.  A NaN or +Inf anywhere shows in the peak, and fails."""
-        if not np.isfinite(self.peak):
+        if not math.isfinite(self.peak):
             return False
         return self.peak == 0.0 or self.end <= DECAY_TOL * self.peak
 
@@ -228,6 +229,10 @@ def profile(f: HalfLineFunction, a: float) -> Profile:
     weight costs one product; the unweighted profile reads |f| when it is
     held and does not hold it otherwise.
     """
+    hit = f._held.get(("profile", a))
+    if hit is not None:
+        return hit
+
     def compute():
         if a == 0:
             held = f._held.get(("abs",))
@@ -259,7 +264,7 @@ def _energy(w: np.ndarray, h: float) -> float:
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         sq = w * w
         val = trapezoid(sq, h)
-        if not np.isfinite(val) and np.isinf(sq).any():
+        if not math.isfinite(val) and np.isinf(sq).any():
             return float("inf")
     return float(val)
 
@@ -287,10 +292,13 @@ def lin_comb(
 
 
 def _difference_norm(diff: np.ndarray, h: float) -> float:
-    """L2 norm of a difference taken in one buffer, scanned once for NaN/Inf."""
-    if not all_finite(diff):
+    """L2 norm of a difference taken in one buffer; +Inf when its squares
+    overflow.  A NaN or Inf sample makes the energy non-finite, so only
+    then is diff scanned, and NonFiniteSample raised."""
+    energy = _energy(np.abs(diff), h)
+    if not math.isfinite(energy) and not all_finite(diff):
         raise NonFiniteSample("values contain NaN or Inf")
-    return float(np.sqrt(_energy(np.abs(diff), h)))
+    return math.sqrt(energy)
 
 
 def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
@@ -305,9 +313,8 @@ def _ratio(value: float, scale: float, *refs: HalfLineFunction) -> float:
     NaN when scale underflows to 0 on nonzero samples: the quotient is then
     not measured, and must not read as 0.  inf / inf is NaN too.
     """
-    if scale > 0:
-        with np.errstate(invalid="ignore"):
-            return value / scale
+    if scale > 0:  # float division: inf on overflow, inf / inf NaN, no warning
+        return float(value) / float(scale)
     return value if all(map(vanishes, refs)) else float("nan")
 
 

@@ -11,6 +11,7 @@ tests/rep_algebra.py as a test reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ def _weight(grid: LogGrid, lambda1: float, t: float) -> tuple[np.ndarray, bool]:
         with np.errstate(over="ignore", under="ignore"):
             weight = np.exp((t / 2.0) * _log_weight(grid, lambda1))
         weight.flags.writeable = False
-        return weight, bool(np.isfinite(weight.max()))
+        return weight, math.isfinite(weight.max())
 
     return _hold(grid, ("fractional_weight", lambda1, t), compute)
 
@@ -90,7 +91,7 @@ def fractional_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> tuple[f
         return float("inf"), False
     # read before the gate, so that the calls made do not depend on its verdict
     norm = weighted.norm
-    return norm, bool(decay_admissible(weighted, 0.0) and np.isfinite(norm))
+    return norm, bool(decay_admissible(weighted, 0.0) and math.isfinite(norm))
 
 
 def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .grid import (
     relative_to,
     require_same_grid,
     trapezoid,
+    vanishes,
     weighted_norm,
 )
 from .mellin import (
@@ -46,7 +48,9 @@ from .mellin import (
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
 
-_SQRT2PI = np.sqrt(2.0 * np.pi)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+# the smallest normal float, np.finfo(float).tiny
+_TINY = sys.float_info.min
 
 # The gates of the dichotomy: a line may pass within EPS_POLE of the pole -m
 # only when |D(g)| is at most OBSTRUCTION_TOL relative to the sup norm of g.
@@ -88,7 +92,7 @@ def obstructed(g: HalfLineFunction, d: complex) -> bool:
     """Whether |D(g)| = |d| exceeds OBSTRUCTION_TOL relative to the sup norm of g.
 
     An undefined (NaN) obstruction is not obstructed."""
-    return magnitude(d) > OBSTRUCTION_TOL * max(g.sup, np.finfo(float).tiny)
+    return magnitude(d) > OBSTRUCTION_TOL * max(g.sup, _TINY)
 
 
 def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
@@ -105,7 +109,7 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
             raise NotAdmissible(
                 f"obstruction undefined: non-decaying weighted samples at edge {edge}"
             )
-        if not np.isfinite(weighted_norm(g, -edge)):
+        if not math.isfinite(weighted_norm(g, -edge)):
             raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
     integrand = g.values * g.grid.weight(m)
     return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
@@ -209,8 +213,11 @@ def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) 
     spectral_dx(f) + m f - g.
     """
     defect = xf
-    defect += m * f.values
-    defect -= g.values
+    # a twist too large for f overflows here: the NaN or Inf it leaves is
+    # refused by _difference_norm below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect += m * f.values
+        defect -= g.values
     return relative_to(_difference_norm(defect, f.grid.h), g)
 
 
@@ -309,13 +316,16 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
     base_residual = _defect(values[1], base, g, m)
     defects = [relative_to(_difference_norm(row - base.values, grid.h), base) for row in values[2:]]
     # np.max, unlike max(), keeps a NaN defect
-    coincidence = float(np.max(defects, initial=0.0))
+    coincidence = float(np.max(defects)) if defects else 0.0
+    norm = base.norm
+    if norm == 0 and not vanishes(base):
+        norm = float("nan")  # underflowed on nonzero samples: not measured, as in _ratio
 
     return SolveReport(
         solution=base,
         obstruction=d_val,
         residual=base_residual,
-        base_norm_ratio=relative_to(m * base.norm, g),
+        base_norm_ratio=relative_to(m * norm, g),
         weighted_norms=(),
         coincidence_defect=coincidence,
         flags=tuple(flags),

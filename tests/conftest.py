@@ -126,3 +126,25 @@ def gates(monkeypatch):
         return calls["gate"], calls["decays"]
 
     return count
+
+
+@pytest.fixture
+def scalar_math(monkeypatch):
+    """count(call) runs call and returns its np.isfinite, np.sqrt and
+    np.finfo call count: numpy scalar math, which the package does in math."""
+    calls = []
+    for name in ("isfinite", "sqrt", "finfo"):
+        original = getattr(np, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    return count

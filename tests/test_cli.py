@@ -419,6 +419,37 @@ class TestPerturbationSweep:
             "base_norm_ratio_spread"
         ]
 
+    def test_underflowing_solution_norms_are_not_measured(self, tmp_path):
+        # at m = 1e308 every solution's norm underflows to 0 on nonzero
+        # samples: its ratios read NaN and fail, and none reads 0
+        path = write(
+            tmp_path, f"suite = perturbation-sweep\ntwist.m = 1e308\nout.dir = {tmp_path}\n"
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path, "perturbation-sweep")
+        ratios = [r for r in rows if r["quantity"] in ("base_norm_ratio", "uniform_bound_ratio")]
+        assert len(ratios) == 400
+        assert {(r["value"], r["passed"], r["flags"]) for r in ratios} == {
+            ("nan", "fail", "non-finite")
+        }
+        assert sum(r["passed"] == "pass" for r in rows) == 201 and len(rows) == 601
+        assert [r["value"] for r in rows if r["function"] == "summary"] == ["nan"]
+
+    def test_spread_keeps_a_nan_ratio(self, tmp_path):
+        # the inline input's norm underflows, so its ratios, measured after
+        # the family's finite ones, are NaN; so is the spread over them all
+        path = write(
+            tmp_path,
+            "suite = perturbation-sweep\nfunction = 1e-300,2,1\nsweep.steps = 2\n"
+            f"out.dir = {tmp_path}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path, "perturbation-sweep")
+        ratios = [r["value"] for r in rows if r["quantity"] == "base_norm_ratio"]
+        assert ratios[0] != "nan" and "nan" in ratios
+        summary = [r for r in rows if r["function"] == "summary"]
+        assert [(r["value"], r["flags"]) for r in summary] == [("nan", "non-finite")]
+
     def test_point_without_a_model_component_is_a_case_error(self):
         # lambda1 = 0.1 swept by +-0.1 puts five points on lambda1 = 0, where
         # no model component exists: each is one case-level error row.  A

@@ -98,6 +98,12 @@ def _files(root: Path) -> dict[str, bytes]:
     entries={"suite": "solve", "family": "none", "function": "1,2,1", "twist.m": "1e20"}, strict=False
 )
 @example(entries={"suite": "perturbation-sweep", "twist.m": "1e308"}, strict=False)
+# A twist so large that (X + m) f overflows in the residual's defect.
+@example(
+    entries={"suite": "solve", "family": "none", "function": "1,2,1", "twist.m": "1e308",
+             "grid.n_points": "16"},
+    strict=False,
+)
 @settings(max_examples=100)
 @given(entries=configs(), strict=st.booleans())
 def test_main_exits_cleanly_and_reproducibly(entries, strict):

@@ -20,6 +20,7 @@ from twisteq.grid import (
     make_log_grid,
     relative_difference,
     sample,
+    vanishes,
     weighted_norm,
 )
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight
@@ -432,6 +433,54 @@ class TestWorkPerSolve:
         assert ("abs",) not in g._held
 
 
+class TestFixedCost:
+    """A solve call pays for its array work: its scalar math runs in math,
+    a held profile is returned before anything else is built, and a
+    difference is scanned for NaN/Inf only when its energy is not finite."""
+
+    def test_solve_runs_no_numpy_scalar_math(self, scalar_math):
+        grid = make_log_grid(64, -6.0, 6.0)
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        assert scalar_math(lambda: solve_mellin(g, p, lines=(0.0,))) == 0
+        # a new twist on the held profiles, then the held solve itself
+        other = ModelRepParams(sigma=1, lambda1=1.0, m=1.5)
+        assert scalar_math(lambda: solve_mellin(g, other, lines=(0.0,))) == 0
+        assert scalar_math(lambda: solve_mellin(g, p, lines=(0.0,))) == 0
+        # the weighted norms of the held solution
+        assert scalar_math(lambda: solve_mellin(g, p, lines=(0.0,), t_list=(0.0, 0.5))) == 0
+
+    def test_held_profile_hit_builds_nothing(self, scalar_math, monkeypatch, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        assert decay_admissible(g, 0.4)
+        holds = []
+        original = grid_module._hold
+        monkeypatch.setattr(
+            grid_module, "_hold", lambda *args: holds.append(args[1]) or original(*args)
+        )
+        assert scalar_math(lambda: (decay_admissible(g, 0.4), weighted_norm(g, 0.4))) == 0
+        assert holds == []
+
+    def test_difference_scanned_only_when_its_energy_is_not_finite(self, monkeypatch):
+        scans = []
+        original = grid_module.all_finite
+        monkeypatch.setattr(grid_module, "all_finite", lambda v: scans.append(1) or original(v))
+        h = 0.1
+        finite = np.linspace(-1.0, 1.0, 64) + 0.5j
+        expected = float(np.sqrt(grid_module._energy(np.abs(finite), h)))
+        assert grid_module._difference_norm(finite, h) == expected
+        assert scans == []
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            diff = finite.copy()
+            diff[7] = bad
+            with pytest.raises(NonFiniteSample, match="values contain NaN or Inf"):
+                grid_module._difference_norm(diff, h)
+        assert len(scans) == 3
+        # finite samples whose squares overflow: scanned, and +Inf
+        assert grid_module._difference_norm(np.full(64, 1e200 + 0j), h) == np.inf
+        assert len(scans) == 4
+
+
 def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
     # 8 inputs, 4 weights and 2 grids: every weighted norm reads the log-weight
     # held on its grid for lambda1 = -1, one per grid
@@ -553,6 +602,14 @@ class TestUnderflowingNorms:
         t_grid = (0.0, 0.5, 2.0)
         assert all(np.isnan(row.ratio) for row in estimate_sweep(tiny, p, 1.0, t_grid))
         assert all(row.ratio == 0.0 for row in estimate_sweep(zero, p, 1.0, t_grid))
+
+    def test_solution_norm_underflowing(self, grid):
+        # at m = 1e308 the solution f ~ g/m has nonzero samples whose squares
+        # underflow: ||f|| = 0 is not measured, and m ||f|| / ||g|| is NaN
+        g = sample_terms(family_member("r2_exp"), grid)
+        report = solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=1e308))
+        assert report.solution.norm == 0.0 and not vanishes(report.solution)
+        assert np.isnan(report.base_norm_ratio)
 
 
 class TestRegularityDichotomy:
