@@ -8,7 +8,6 @@ the experiment runner construct exactly compatible cocycle data.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,16 +45,13 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
     e^(-c r) is computed once per call, and none is kept after it.
 
     Each term is coef * (r^k e^(-c r)): the shape, 0 wherever e^(-c r)
-    underflows to 0, is scaled by the coefficient.  A power finite on the
-    whole grid already gives +0 there; one that overflows somewhere (r^k,
-    or r itself, is inf) is masked, so inf * 0 is never formed.  Whether
-    r^k is finite is checked once per k per call.  Real and imaginary parts
-    are summed in real arithmetic from +0, which gives the bits of the
-    complex sum; a zero part adds nothing and is skipped.
+    underflows to 0 (so inf * 0 is never formed, even where r is inf), is
+    scaled by the coefficient.  Real and imaginary parts are summed in real
+    arithmetic from +0, which gives the bits of the complex sum; a zero
+    part adds nothing and is skipped.
     """
     def expr(r):
         powers = {k: r**k for k in {t.k for t in terms}}
-        finite = {k: math.isfinite(power.max()) for k, power in powers.items()}
         decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
         term = np.empty_like(r)
         values = np.empty(r.shape, dtype=np.complex128)
@@ -63,15 +59,11 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
             acc = np.zeros_like(r)
             for coef, k, c in terms:
                 part = getattr(coef, side)
-                if not part:
-                    continue
-                if finite[k]:
-                    np.multiply(powers[k], decays[c], out=term)
-                else:
+                if part:
                     term.fill(0.0)
                     np.multiply(powers[k], decays[c], out=term, where=decays[c] > 0)
-                term *= part
-                acc += term
+                    term *= part
+                    acc += term
             setattr(values, side, acc)
         return values
 

@@ -229,10 +229,6 @@ def profile(f: HalfLineFunction, a: float) -> Profile:
     weight costs one product; the unweighted profile reads |f| when it is
     held and does not hold it otherwise.
     """
-    hit = f._held.get(("profile", a))
-    if hit is not None:
-        return hit
-
     def compute():
         if a == 0:
             held = f._held.get(("abs",))
@@ -307,15 +303,28 @@ def relative_difference(f: HalfLineFunction, ref: HalfLineFunction) -> float:
     return relative_to(_difference_norm(f.values - ref.values, f.grid.h), ref)
 
 
+def measured(norm: float, *refs: HalfLineFunction) -> float:
+    """norm as reported: NaN when it is 0 but some ref has nonzero samples.
+
+    A norm that underflows to 0 on nonzero samples is not measured, and
+    must not read as 0, whether it is reported or divides another value.
+    Only a norm of 0 is checked against the samples.
+    """
+    if norm == 0 and not all(map(vanishes, refs)):
+        return float("nan")
+    return norm
+
+
 def _ratio(value: float, scale: float, *refs: HalfLineFunction) -> float:
     """value / scale, or value itself when every ref is zero.
 
-    NaN when scale underflows to 0 on nonzero samples: the quotient is then
-    not measured, and must not read as 0.  inf / inf is NaN too.
+    NaN when scale is not measured, by the rule of measured: the quotient
+    is then not measured either.  inf / inf is NaN too.
     """
+    scale = measured(scale, *refs)
     if scale > 0:  # float division: inf on overflow, inf / inf NaN, no warning
         return float(value) / float(scale)
-    return value if all(map(vanishes, refs)) else float("nan")
+    return value if scale == 0 else float("nan")
 
 
 def relative_to(value: float, ref: HalfLineFunction) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingParams, NonFiniteSample
-from .grid import HalfLineFunction, LogGrid, _hold, decay_admissible
+from .grid import HalfLineFunction, LogGrid, _hold, decay_admissible, measured
 from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
 
@@ -83,14 +83,15 @@ def fractional_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> tuple[f
 
     The norm and the decay gate read the profile held on the weighted
     function, which at t = 0 is f itself.  A weight that overflows where f
-    is nonzero gives (inf, False).
+    is nonzero gives (inf, False); a norm that underflows to 0 on nonzero
+    weighted samples is not measured, and gives (nan, False).
     """
     try:
         weighted = fractional_weight(f, t, p)
     except NonFiniteSample:
         return float("inf"), False
     # read before the gate, so that the calls made do not depend on its verdict
-    norm = weighted.norm
+    norm = measured(weighted.norm, weighted)
     return norm, bool(decay_admissible(weighted, 0.0) and math.isfinite(norm))
 
 
@@ -100,4 +101,4 @@ def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:
     Stands in for the order-t Sobolev norm on the right-hand side of bounds;
     equivalent to it up to fixed factors for the model generators.
     """
-    return fractional_norm(f, t, p)[0] + f.norm
+    return fractional_norm(f, t, p)[0] + measured(f.norm, f)

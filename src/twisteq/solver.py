@@ -31,10 +31,10 @@ from .grid import (
     _ratio,
     decay_admissible,
     lin_comb,
+    measured,
     relative_to,
     require_same_grid,
     trapezoid,
-    vanishes,
     weighted_norm,
 )
 from .mellin import (
@@ -317,15 +317,12 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
     defects = [relative_to(_difference_norm(row - base.values, grid.h), base) for row in values[2:]]
     # np.max, unlike max(), keeps a NaN defect
     coincidence = float(np.max(defects)) if defects else 0.0
-    norm = base.norm
-    if norm == 0 and not vanishes(base):
-        norm = float("nan")  # underflowed on nonzero samples: not measured, as in _ratio
 
     return SolveReport(
         solution=base,
         obstruction=d_val,
         residual=base_residual,
-        base_norm_ratio=relative_to(m * norm, g),
+        base_norm_ratio=relative_to(m * measured(base.norm, base), g),
         weighted_norms=(),
         coincidence_defect=coincidence,
         flags=tuple(flags),

@@ -749,6 +749,22 @@ class TestDegenerateInputs:
         for r in ratios:
             assert r["value"] == "nan" and "non-finite" in r["flags"].split(";"), r
 
+    def test_underflowing_estimate_lhs_is_not_measured(self, tmp_path):
+        # at m = 1e308 the solution's weighted norms underflow to 0 on
+        # nonzero samples: every lhs, and so every ratio, reads NaN, not 0
+        path = write(
+            tmp_path,
+            "suite = estimate-sweep\nrep.lambda1 = 0.8\ntwist.m = 1e308\nregularity.s = 3\n"
+            f"t_grid = 0, 1.25\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "estimate-sweep")
+        ratios = [r for r in rows if r["quantity"] == "estimate_ratio"]
+        assert len(ratios) == 4
+        for r in ratios:
+            assert r["value"] == "nan", r
+            assert r["flags"].split(";") == ["not-admissible", "non-finite"], r
+
 
 def _reference_reports(rows, cfg, out_dir: Path) -> None:
     """The CSV of csv.DictWriter and the JSON of json.dumps(payload, indent=2)."""

@@ -14,6 +14,7 @@ from twisteq.grid import (
     decay_admissible,
     lin_comb,
     make_log_grid,
+    measured,
     relative_difference,
     relative_to,
     sample,
@@ -235,6 +236,15 @@ class TestUnderflow:
         tiny = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
         assert tiny.norm == 0.0
         assert np.isnan(relative_difference(lin_comb(2.0, tiny, 0.0, tiny), tiny))
+
+    def test_measured_norm(self, grid):
+        # a 0 on nonzero samples is not measured; a 0 on zero samples is
+        tiny = sample_terms(make_terms([(1e-300, 2, 1.0)]), grid)
+        zero = sample(lambda r: 0.0 * r, grid)
+        assert np.isnan(measured(tiny.norm, tiny))
+        assert measured(zero.norm, zero) == 0.0
+        assert np.isnan(measured(0.0, zero, tiny))
+        assert measured(1e-160, tiny) == 1e-160 and measured(np.inf, tiny) == np.inf
 
     def test_infinite_over_infinite_is_nan(self, grid):
         # both norms overflow: inf / inf is not measured, and a numpy scalar
