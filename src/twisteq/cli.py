@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import functools
 import json
 import math
 import os
@@ -105,12 +104,8 @@ class ExperimentConfig:
     def grid(self) -> LogGrid:
         return make_log_grid(self.n_points, self.x_min, self.x_max)
 
-    def rep(self, m: float | None = None, lambda1: float | None = None) -> ModelRepParams:
-        return ModelRepParams(
-            sigma=1,
-            lambda1=self.lambda1 if lambda1 is None else lambda1,
-            m=self.m if m is None else m,
-        )
+    def rep(self, m: float | None = None) -> ModelRepParams:
+        return ModelRepParams(sigma=1, lambda1=self.lambda1, m=self.m if m is None else m)
 
     def cases(self) -> tuple[tuple[str, Terms], ...]:
         """Input functions: the published family, an inline function, or both."""
@@ -178,19 +173,31 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"sweep.delta: must satisfy 0 <= delta < m/2 = {cfg.m / 2.0}, "
                 f"got {cfg.sweep_delta}"
             )
-        # the sweep's lambda1 axis spans lambda1 +- delta/2 and must miss 0
-        if cfg.sweep_delta >= 2.0 * abs(cfg.lambda1):
-            raise ConfigError(
-                f"sweep.delta: must satisfy delta < 2|lambda1| = {2.0 * abs(cfg.lambda1)}, "
-                f"got {cfg.sweep_delta}"
-            )
         if cfg.sweep_steps < 1:
             raise ConfigError("sweep.steps: must be >= 1")
     # A suite whose rows carry no bound would pass while measuring nothing.
-    if cfg.suite == "estimate-sweep" and not cfg.t_grid:
-        raise ConfigError("t_grid: estimate-sweep needs at least one weight t")
-    if cfg.suite == "obstruction-scan" and len(cfg.scan_x_max) < 2:
-        raise ConfigError("scan.x_max: obstruction-scan needs at least two windows")
+    if cfg.suite == "estimate-sweep":
+        if not cfg.t_grid:
+            raise ConfigError("t_grid: estimate-sweep needs at least one weight t")
+        if all(_below_regularity(cfg, terms) for _, terms in cfg.cases()):
+            raise ConfigError(
+                "regularity.s: estimate-sweep skips every input, as each leading power "
+                f"is <= s*lambda1 = {cfg.s * cfg.lambda1:g}"
+            )
+    if cfg.suite == "obstruction-scan":
+        if len(cfg.scan_x_max) < 2:
+            raise ConfigError("scan.x_max: obstruction-scan needs at least two windows")
+        windows = (cfg.x_min, *cfg.scan_x_max)
+        if any(b <= a for a, b in zip(windows, windows[1:])):
+            raise ConfigError(
+                f"scan.x_max: windows must increase strictly from above grid.x_min = "
+                f"{cfg.x_min:g}, got {cfg.scan_x_max}"
+            )
+
+
+def _below_regularity(cfg: ExperimentConfig, terms: Terms) -> bool:
+    """Whether estimate-sweep skips the input: its leading power is at most s*lambda1."""
+    return cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1
 
 
 @dataclass
@@ -216,17 +223,16 @@ class Check(NamedTuple):
     bound: float | None
     direction: str = "<="
     flags: str = ""
-    function: str | None = None  # names the input when a case covers several
 
 
-def _measure(fn: Callable[..., Any], *args, params: str = "", function: str | None = None) -> Any:
+def _measure(fn: Callable[..., Any], *args, params: str = "") -> Any:
     """fn(*args), or [the failing `error` Check] when fn raises a module error;
     the Check names the error, and its NaN value is no measurement."""
     try:
         return fn(*args)
     except TwisteqError as exc:
         flags = f"{type(exc).__name__}: {exc}"
-        return [Check("error", params, float("nan"), None, flags=flags, function=function)]
+        return [Check("error", params, float("nan"), None, flags=flags)]
 
 
 def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> ReportRow:
@@ -244,7 +250,7 @@ def _row(cfg: ExperimentConfig, case_id: int, function: str, check: Check) -> Re
         else:
             passed = value >= check.bound
     return ReportRow(
-        cfg.suite, case_id, check.function or function, check.quantity, check.params,
+        cfg.suite, case_id, function, check.quantity, check.params,
         value, check.bound, check.direction, passed and not (cfg.strict and flags), flags,
     )
 
@@ -348,7 +354,7 @@ def _estimate_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grids = (cfg.grid(), make_log_grid(2 * cfg.n_points, cfg.x_min, cfg.x_max))
 
     def estimate(name: str, terms: Terms) -> list[Check]:
-        if cfg.lambda1 > 0 and min_power(terms) <= cfg.s * cfg.lambda1:
+        if _below_regularity(cfg, terms):
             # a window that misses the data is an error, skipped or not
             sample_terms(terms, grids[0])
             flags = f"regularity below s={cfg.s:g} for lambda1={cfg.lambda1:g}"
@@ -450,44 +456,35 @@ def _cocycle_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
 
 def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     grid = cfg.grid()
-    inputs = cfg.cases()
+    # X acts as -r d/dr in every component, so a line-0 solve and the rows
+    # below read the twist alone: the sweep runs over m +- delta/2, and
+    # lambda1 is the config's.
     steps = cfg.sweep_steps
-    # Tensor grid over [-delta/2, delta/2] per axis keeps every point inside
-    # the L1 ball |d lambda| + |d m| <= delta.
     offsets = (
         np.linspace(-cfg.sweep_delta / 2.0, cfg.sweep_delta / 2.0, steps)
         if steps > 1
         else np.array([0.0])
     )
-    points = [(cfg.lambda1 + dl, cfg.m + dm) for dl in offsets for dm in offsets]
-    # Each input is sampled on its first use and shared by every point, so its
-    # line-0 spectrum is transformed once per run.  A failed sampling is not
-    # held: it raises again, and becomes an error row, in every case.
-    sampled = functools.cache(functools.partial(sample_terms, grid=grid))
     ratios = []  # every base_norm_ratio measured
 
-    def solve(fun: str, terms: Terms, p: ModelRepParams, params: str) -> list[Check]:
-        report = solve_mellin(sampled(terms), p, lines=(0.0,))
-        ratio = report.base_norm_ratio
-        ratios.append(ratio)
+    def solve(g: HalfLineFunction, m: float, params: str) -> list[Check]:
+        report = solve_mellin(g, cfg.rep(m=m), lines=(0.0,))
+        ratios.append(report.base_norm_ratio)
         return [
-            Check("base_norm_ratio", params, ratio, 1.0 + 1e-8, function=fun),
-            # ||f|| <= 2/m0 ||g||  <=>  m0 ||f|| / (2 ||g||) <= 1; halved
-            # first, which is exact, so that m0 ||f|| / ||g|| may not overflow
-            Check("uniform_bound_ratio", params, ratio / 2.0 * cfg.m / p.m, 1.0, function=fun),
-            Check("residual_mellin", params, report.residual, 1e-6, function=fun),
+            Check("base_norm_ratio", params, report.base_norm_ratio, 1.0 + 1e-8),
+            Check("residual_mellin", params, report.residual, 1e-6),
         ]
 
-    def point(lam: float, m: float) -> list[Check]:
-        params = f"m={m:.6g};lambda1={lam:.6g}"
-        p = cfg.rep(m=m, lambda1=lam)
+    def sweep(terms: Terms) -> list[Check]:
+        g = sample_terms(terms, grid)
         checks = []
-        # one input's module error must not hide the other inputs' rows
-        for fun, terms in inputs:
-            checks += _measure(solve, fun, terms, p, params, params=params, function=fun)
+        # one twist's module error must not hide the other twists' rows
+        for m in cfg.m + offsets:
+            params = f"m={m:.6g};lambda1={cfg.lambda1:.6g}"
+            checks += _measure(solve, g, m, params, params=params)
         return checks
 
-    cases = [(f"({lam:g},{m:g})", _measure(point, lam, m)) for lam, m in points]
+    cases = [(name, _measure(sweep, terms)) for name, terms in cfg.cases()]
     if ratios:
         # np.max and np.min, unlike max() and min(), keep a NaN ratio
         spread = float(np.max(ratios)) - float(np.min(ratios))

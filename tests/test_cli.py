@@ -136,8 +136,6 @@ class TestMainExitCodes:
             ("tol.eps_pole = inf\n", "unknown key 'tol.eps_pole'"),
             ("tol.decay = nan\n", "unknown key 'tol.decay'"),
             ("suite = perturbation-sweep\nsweep.delta = nan\n", "sweep.delta: must be finite"),
-            # the lambda1 axis lambda1 +- delta/2 would reach 0
-            ("suite = perturbation-sweep\nrep.lambda1 = 0.1\nsweep.delta = 0.2\n", "sweep.delta"),
             ("grid.x_min = 5\ngrid.x_max = 5\n", "grid: x_min < x_max required"),
             ("lines = 0, nan\n", "lines: must be finite"),
             ("t_grid = 0, inf\n", "t_grid: must be finite"),
@@ -147,15 +145,25 @@ class TestMainExitCodes:
             ("suite = estimate-sweep\nt_grid =\n", "estimate-sweep needs at least one"),
             ("suite = obstruction-scan\nscan.x_max =\n", "obstruction-scan needs at least two"),
             ("suite = obstruction-scan\nscan.x_max = 12\n", "obstruction-scan needs at least two"),
+            # a shrinking, repeated or empty window would blame the data
+            ("suite = obstruction-scan\nscan.x_max = 12, 8\n", "windows must increase strictly"),
+            ("suite = obstruction-scan\nscan.x_max = 12, 12\n", "windows must increase strictly"),
+            ("suite = obstruction-scan\nscan.x_max = -12, 8\n", "from above grid.x_min = -12"),
+            # every input's leading power is <= s*lambda1 = 4.5: all would be skipped
+            (
+                "suite = estimate-sweep\nrep.lambda1 = 1.5\nregularity.s = 3\n",
+                "estimate-sweep skips every input",
+            ),
             # keys that changed no report, or set a value --strict sets
             *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
         ],
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
              "nan-lambda1", "infinite-m", "nan-s",
-             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta",
-             "sweep-reaches-lambda1-0", "empty-window",
+             "infinite-eps-pole", "nan-decay-tol", "nan-sweep-delta", "empty-window",
              "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
              "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
+             "shrinking-scan", "repeated-scan-window", "scan-window-at-x-min",
+             "estimate-skips-every-input",
              *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS]],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
@@ -170,6 +178,8 @@ class TestMainExitCodes:
         # r = e^800 is +Inf at the left end, where every term is 0: the window
         # gives the verdicts of [-709, 12], and no NonFiniteSample
         function = "" if suite == "cocycle" else "function = 1,2,1\n"
+        if suite == "estimate-sweep":  # lambda1 = 1 skips every input
+            function += "rep.lambda1 = 0.8\n"
         verdicts = {}
         for x_min in (-709, -800):
             out = tmp_path / str(x_min)
@@ -375,28 +385,34 @@ class TestPerturbationSweep:
         assert code == 0
         rows = read_rows(out, "perturbation-sweep")
         ratios = [r for r in rows if r["quantity"] == "base_norm_ratio"]
-        assert len(ratios) == 25 * 8  # 5x5 grid, 8 family members
+        assert len(ratios) == 5 * 8  # 5 twists, 8 family members
         assert all(float(r["value"]) <= 1.0 + 1e-8 for r in ratios)
-        uniform = [r for r in rows if r["quantity"] == "uniform_bound_ratio"]
-        assert all(float(r["value"]) <= 1.0 for r in uniform)
+        # every row carries the config's lambda1, which no sweep row reads
+        assert {r["params"].partition(";")[2] for r in rows[:-1]} == {"lambda1=1"}
+        assert [r["case_id"] for r in rows[::10]] == [str(case) for case in range(9)]
 
     def test_each_input_and_twist_solved_once(self, tmp_path, monkeypatch):
-        # 8 inputs at 25 (lambda1, m) points, 5 distinct m: 40 of the 200
-        # solves divide and invert, the others reuse the solve held on g
-        divided = []
-        original = solver.divide_line
+        # 8 inputs at 5 twists: each of the 40 solves divides and inverts
+        divided, solved = [], []
+        divide, solve = solver.divide_line, cli.solve_mellin
 
-        def counted(g_line, m, out=None):
+        def counted_divide(g_line, m, out=None):
             divided.append((g_line.a, m))
-            return original(g_line, m, out=out)
+            return divide(g_line, m, out=out)
 
-        monkeypatch.setattr(solver, "divide_line", counted)
+        def counted_solve(g, p, *args, **kwargs):
+            solved.append((g, p.m))
+            return solve(g, p, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "divide_line", counted_divide)
+        monkeypatch.setattr(cli, "solve_mellin", counted_solve)
         config = str(CONFIG_DIR / "perturbation.cfg")
         assert main(["run", config, "--out", str(tmp_path)]) == 0
         assert len(divided) == 40 and len(set(divided)) == 5
         assert all(a == 0.0 for a, _ in divided)
+        assert len(solved) == len({(id(g), m) for g, m in solved}) == 40
         rows = read_rows(tmp_path, "perturbation-sweep")
-        assert len([r for r in rows if r["quantity"] == "residual_mellin"]) == 200
+        assert len([r for r in rows if r["quantity"] == "residual_mellin"]) == 40
 
     def test_failing_input_hides_no_other_rows(self, tmp_path):
         # r e^{-0.00001 r} does not decay on the default window; the family does
@@ -408,13 +424,13 @@ class TestPerturbationSweep:
         assert main(["run", str(path)]) == 1
         rows = read_rows(tmp_path / "out", "perturbation-sweep")
         errors = [r for r in rows if r["quantity"] == "error"]
-        assert [(r["case_id"], r["function"]) for r in errors] == [
-            (str(case), "inline") for case in range(4)
+        assert [(r["case_id"], r["function"], r["params"]) for r in errors] == [
+            ("8", "inline", f"m={m};lambda1=1") for m in ("0.9", "1.1")
         ]
         assert all(r["flags"].startswith("NotAdmissible") for r in errors)
-        assert all(r["passed"] == "fail" and r["params"].startswith("m=") for r in errors)
+        assert all(r["passed"] == "fail" for r in errors)
         members = [r for r in rows if r["function"] not in ("inline", "summary")]
-        assert len(members) == 4 * 8 * 3 and all(r["passed"] == "pass" for r in members)
+        assert len(members) == 8 * 2 * 2 and all(r["passed"] == "pass" for r in members)
         assert [r["quantity"] for r in rows if r["function"] == "summary"] == [
             "base_norm_ratio_spread"
         ]
@@ -427,12 +443,12 @@ class TestPerturbationSweep:
         )
         assert main(["run", str(path)]) == 1
         rows = read_rows(tmp_path, "perturbation-sweep")
-        ratios = [r for r in rows if r["quantity"] in ("base_norm_ratio", "uniform_bound_ratio")]
-        assert len(ratios) == 400
+        ratios = [r for r in rows if r["quantity"] == "base_norm_ratio"]
+        assert len(ratios) == 40
         assert {(r["value"], r["passed"], r["flags"]) for r in ratios} == {
             ("nan", "fail", "non-finite")
         }
-        assert sum(r["passed"] == "pass" for r in rows) == 201 and len(rows) == 601
+        assert sum(r["passed"] == "pass" for r in rows) == 41 and len(rows) == 81
         assert [r["value"] for r in rows if r["function"] == "summary"] == ["nan"]
 
     def test_spread_keeps_a_nan_ratio(self, tmp_path):
@@ -451,19 +467,17 @@ class TestPerturbationSweep:
         assert [(r["value"], r["flags"]) for r in summary] == [("nan", "non-finite")]
 
     def test_point_without_a_model_component_is_a_case_error(self):
-        # lambda1 = 0.1 swept by +-0.1 puts five points on lambda1 = 0, where
-        # no model component exists: each is one case-level error row.  A
-        # config file with this sweep is refused, so the config is built
-        # directly and its suite run without validate_config.
+        # at lambda1 = 0 no model component exists: each twist is one error
+        # row, and there is no ratio to summarise.  A config file with it is
+        # refused, so the config is built directly and its suite run without
+        # validate_config.
         cfg = cli.ExperimentConfig(
             suite="perturbation-sweep", family="none", function=make_terms([(1.0, 2, 1.0)]),
-            lambda1=0.1, sweep_delta=0.2,
+            lambda1=0.0, sweep_delta=0.2,
         )
         rows, _ = cli.run_suite(cfg)
-        assert len(rows) == 66 and sum(r.passed for r in rows) == 61
-        errors = [(r.function, r.params, r.flags) for r in rows if r.quantity == "error"]
-        assert errors == [
-            (f"(0,{m})", "", "MissingParams: lambda1 must be nonzero")
+        assert [(r.function, r.quantity, r.params, r.flags, r.passed) for r in rows] == [
+            ("inline", "error", f"m={m};lambda1=0", "MissingParams: lambda1 must be nonzero", False)
             for m in ("0.9", "0.95", "1", "1.05", "1.1")
         ]
 
@@ -640,9 +654,10 @@ class TestDegenerateInputs:
     )
     def test_window_missing_the_data_is_an_error(self, tmp_path, suite):
         # r = e^35..e^40: every input samples to exactly zero on this window
+        lambda1 = "rep.lambda1 = 0.8\n" if suite == "estimate-sweep" else ""  # 1 skips every input
         path = write(
             tmp_path,
-            f"suite = {suite}\ngrid.x_min = -40\ngrid.x_max = -35\n"
+            f"suite = {suite}\ngrid.x_min = -40\ngrid.x_max = -35\n{lambda1}"
             f"out.dir = {tmp_path / 'out'}\n",
         )
         assert main(["run", str(path)]) == 1

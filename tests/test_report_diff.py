@@ -27,8 +27,34 @@ def test_verdict_changes_of_two_csvs():
     )
     assert report_diff.verdict_changes(parent, change) == [
         "3 of 4 rows' value moved",
-        "solve,0,r_exp,weighted_norm,t=0: passed,flags ('pass', '') -> ('pass', 'non-finite')",
-        "solve,1,mix,residual,m=1: passed,flags ('pass', '') -> ('fail', '')",
-        "solve,1,mix,error,: only in change",
+        "solve,r_exp,weighted_norm,t=0: passed,flags ('pass', '') -> ('pass', 'non-finite')",
+        "solve,mix,residual,m=1: passed,flags ('pass', '') -> ('fail', '')",
+        "solve,mix,error,: only in change",
     ]
     assert report_diff.verdict_changes(parent, parent) == ["0 of 4 rows' value moved"]
+
+
+def test_renumbered_cases_match_their_rows():
+    # the same rows in another case order and numbering: none is "only in"
+    parent = HEADER + (
+        b"sweep,0,r_exp,base_norm_ratio,m=1,0.5,1,<=,pass,\n"
+        b"sweep,0,r_exp,base_norm_ratio,m=1,0.5,1,<=,pass,\n"
+        b"sweep,1,mix,base_norm_ratio,m=1.1,0.4,1,<=,pass,\n"
+    )
+    change = HEADER + (
+        b"sweep,3,mix,base_norm_ratio,m=1.1,0.4,1,<=,pass,\n"
+        b"sweep,7,r_exp,base_norm_ratio,m=1,0.5,1,<=,pass,\n"
+    )
+    assert report_diff.verdict_changes(parent, change) == [
+        "0 of 2 rows' value moved",
+        "sweep,r_exp,base_norm_ratio,m=1: only in parent",
+    ]
+
+
+def test_config_on_one_side_is_a_difference(tmp_path, capsys):
+    # each side has a config that the other lacks: neither is run, both count
+    for side, stem in (("parent", "old"), ("change", "new")):
+        (tmp_path / side / "configs").mkdir(parents=True)
+        (tmp_path / side / "configs" / f"{stem}.cfg").write_text("suite = solve\n")
+    assert report_diff.compare(tmp_path / "parent", tmp_path / "change") == 2
+    assert capsys.readouterr().out == "new.cfg: only in change\nold.cfg: only in parent\n"

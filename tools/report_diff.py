@@ -2,13 +2,16 @@
 
     python tools/report_diff.py --parent ../parent [--change .]
 
-Each `configs/*.cfg` of the change is run through
-`python -W error -m twisteq run <config> --out <dir>`, once with each
-checkout's `src` on `PYTHONPATH`, inside a temporary directory.  The exit
-code, stdout, stderr and every report file are compared byte for byte; for
-each that differs the first differing line is printed, and for a CSV report
-also how many rows' value moved and every row whose verdict (passed or
-flags) changed.  The exit status is 1 on any difference and 0 otherwise.
+Each checkout runs its own copy of every config that either checkout has
+in `configs/*.cfg` through `python -W error -m twisteq run <config> --out
+<dir>`, with its `src` on `PYTHONPATH`, inside a temporary directory.  A
+config that only one checkout has is printed as `only in parent` or `only
+in change` and counts as a difference.  The exit code, stdout, stderr and
+every report file are compared byte for byte; for each that differs the
+first differing line is printed, and for a CSV report also how many rows'
+value moved and every row whose verdict (passed or flags) changed.  Rows
+are matched by suite, function, quantity and params, not by case number.
+The exit status is 1 on any difference and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ def _first_difference(parent: bytes | None, change: bytes | None) -> str:
 
 
 def _rows(report: bytes) -> dict[tuple, dict[str, str]]:
-    """CSV rows in file order, by (suite, case_id, function, quantity, params)
-    and the count of earlier rows with the same five fields."""
+    """CSV rows in file order, by (suite, function, quantity, params) and the
+    count of earlier rows with the same four fields, so that renumbered cases
+    still match."""
     rows: dict[tuple, dict[str, str]] = {}
     seen: Counter[tuple] = Counter()
     for row in csv.DictReader(io.StringIO(report.decode())):
-        key = tuple(row[name] for name in ("suite", "case_id", "function", "quantity", "params"))
+        key = tuple(row[name] for name in ("suite", "function", "quantity", "params"))
         rows[key + (seen[key],)] = row
         seen[key] += 1
     return rows
@@ -84,18 +88,24 @@ def verdict_changes(parent: bytes, change: bytes) -> list[str]:
 def compare(parent: Path, change: Path) -> int:
     """Print each differing output per config; return how many differ."""
     differing = 0
-    configs = sorted((change / "configs").glob("*.cfg"))
+    sides = {"parent": parent, "change": change}
+    configs = sorted({path.name for root in sides.values() for path in root.glob("configs/*.cfg")})
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
+            present = [side for side, root in sides.items() if (root / "configs" / config).is_file()]
+            if len(present) == 1:
+                print(f"{config}: only in {present[0]}")
+                differing += 1
+                continue
             runs = []
-            for side, checkout in (("parent", parent), ("change", change)):
-                work = Path(tmp) / config.stem / side
+            for side, checkout in sides.items():
+                work = Path(tmp) / config / side
                 work.mkdir(parents=True)
-                runs.append(_run(checkout, config, work / "out"))
+                runs.append(_run(checkout, checkout / "configs" / config, work / "out"))
             old, new = runs
             names = sorted(old.keys() | new.keys())
             diffs = [name for name in names if old.get(name) != new.get(name)]
-            print(f"{config.name}: {len(names) - len(diffs)}/{len(names)} outputs identical")
+            print(f"{config}: {len(names) - len(diffs)}/{len(names)} outputs identical")
             for name in diffs:
                 print(f"  {name}: {_first_difference(old.get(name), new.get(name))}")
                 if name.endswith(".csv") and name in old and name in new:
