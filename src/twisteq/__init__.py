@@ -80,6 +80,7 @@ from .solver import (
     estimate_sweep,
     obstruction,
     project_obstruction,
+    reported_obstruction,
     residual,
     solve_mellin,
     solve_semigroup,

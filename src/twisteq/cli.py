@@ -42,6 +42,7 @@ from .solver import (
     estimate_sweep,
     magnitude,
     project_obstruction,
+    reported_obstruction,
     residual,
     solve_mellin,
     solve_semigroup,
@@ -175,6 +176,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
             )
         if cfg.sweep_steps < 1:
             raise ConfigError("sweep.steps: must be >= 1")
+        # twists that one float or one params text stands for are rows that
+        # a report cannot tell apart
+        params = [text for _, text in _sweep_twists(cfg)]
+        if len(set(params)) < len(params):
+            raise ConfigError(
+                f"sweep.delta: the {len(params)} twists m +- delta/2 repeat in the report: "
+                + ", ".join(text.partition(";")[0] for text in params)
+            )
     # A suite whose rows carry no bound would pass while measuring nothing.
     if cfg.suite == "estimate-sweep":
         if not cfg.t_grid:
@@ -193,6 +202,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"scan.x_max: windows must increase strictly from above grid.x_min = "
                 f"{cfg.x_min:g}, got {cfg.scan_x_max}"
             )
+
+
+def _sweep_twists(cfg: ExperimentConfig) -> list[tuple[float, str]]:
+    """perturbation-sweep's twists m +- delta/2, sweep.steps of them, each
+    with the params of its rows."""
+    steps = cfg.sweep_steps
+    offsets = (
+        np.linspace(-cfg.sweep_delta / 2.0, cfg.sweep_delta / 2.0, steps)
+        if steps > 1
+        else np.array([0.0])
+    )
+    return [(float(m), f"m={m:.6g};lambda1={cfg.lambda1:.6g}") for m in cfg.m + offsets]
 
 
 def _below_regularity(cfg: ExperimentConfig, terms: Terms) -> bool:
@@ -305,9 +326,10 @@ def _solve_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
             g = project_obstruction(g, p, bump)
             lines = cfg.lines
         report = solve_mellin(g, p, s=cfg.s, lines=lines, t_list=cfg.t_grid)
+        d, d_flags = reported_obstruction(g, p)
         oracle = solve_semigroup(g, cfg.m)
         agreement = relative_difference(report.solution, oracle)
-        flags = ";".join(report.flags)
+        flags = ";".join(d_flags + report.flags)
         checks = [
             Check("residual_mellin", params, report.residual, 1e-6, flags=flags),
             Check("residual_semigroup", params, residual(oracle, g, cfg.m), 1e-6),
@@ -317,7 +339,7 @@ def _solve_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
         # a case solved on line 0 alone compares no line with it
         if any(a != 0.0 for a in lines):
             checks.append(Check("coincidence_defect", params, report.coincidence_defect, 1e-6))
-        checks.append(Check("obstruction_abs", params, magnitude(report.obstruction), None))
+        checks.append(Check("obstruction_abs", params, magnitude(d), None))
         for entry in report.weighted_norms:
             norm_params = params + f";t={entry.t:g};class={entry.bound_class}"
             norm_flags = "" if entry.admissible else "not-admissible"
@@ -368,8 +390,11 @@ def _estimate_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
             params = f"m={cfg.m:g};lambda1={cfg.lambda1:g};t={entry.t:g};class={entry.bound_class}"
             flags = "" if entry.admissible else "not-admissible"
             checks.append(Check("estimate_ratio", params, entry.ratio, None, flags=flags))
+            # np.min and np.max, unlike min() and max(), keep a NaN ratio,
+            # which fails the test below and divides to a NaN spread
             pair = (entry.ratio, refined.ratio)
-            spread = max(pair) / min(pair) if min(pair) > 0 else float("inf")
+            low = float(np.min(pair))
+            spread = float(np.max(pair)) / low if not low <= 0 else float("inf")
             checks.append(Check("ratio_refinement_spread", params, spread, 2.0))
         table = np.column_stack(
             [[e.t for e in curves[0]], [e.lhs for e in curves[0]], [e.ratio for e in curves[0]]]
@@ -459,12 +484,7 @@ def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     # X acts as -r d/dr in every component, so a line-0 solve and the rows
     # below read the twist alone: the sweep runs over m +- delta/2, and
     # lambda1 is the config's.
-    steps = cfg.sweep_steps
-    offsets = (
-        np.linspace(-cfg.sweep_delta / 2.0, cfg.sweep_delta / 2.0, steps)
-        if steps > 1
-        else np.array([0.0])
-    )
+    twists = _sweep_twists(cfg)
     ratios = []  # every base_norm_ratio measured
 
     def solve(g: HalfLineFunction, m: float, params: str) -> list[Check]:
@@ -479,8 +499,7 @@ def _sweep_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
         g = sample_terms(terms, grid)
         checks = []
         # one twist's module error must not hide the other twists' rows
-        for m in cfg.m + offsets:
-            params = f"m={m:.6g};lambda1={cfg.lambda1:.6g}"
+        for m, params in twists:
             checks += _measure(solve, g, m, params, params=params)
         return checks
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleCocycle, NotAdmissible, ObstructionNonzero
+from .errors import IncompatibleCocycle, ObstructionNonzero
 from .grid import HalfLineFunction, _difference_norm, _ratio, relative_to, require_same_grid
 from .mellin import _dx
 from .reps import ModelRepParams
-from .solver import magnitude, obstructed, obstruction, residual, solve_mellin
+from .solver import magnitude, obstructed, reported_obstruction, residual, solve_mellin
 
 # The largest compatibility defect (verify_cocycle) that common_solution accepts.
 COMPAT_TOL = 1e-7
@@ -77,12 +77,14 @@ class CommonSolutionReport:
 def common_solution(d: CocycleData) -> CommonSolutionReport:
     """Solve both equations of a compatible component with a single h.
 
-    Solves (X+m) h = g2 and reports the residuals of both equations.  With
-    exact compatibility the obstruction of g2 vanishes whenever g1 has
-    regularity past the twist depth; a nonzero obstruction in that regime
-    can only come from discretization and rejects the run.  When g1 lacks
-    that regularity the obstruction value is recorded as a flag instead.
-    A compatibility defect above COMPAT_TOL rejects the data.
+    Solves (X+m) h = g2 on line 0 and reports the residuals of both
+    equations.  The obstruction D(g2) is evaluated here, by
+    solver.reported_obstruction, as the line-0 solve does not need it.  With
+    exact compatibility it vanishes whenever g1 has regularity past the
+    twist depth; a nonzero obstruction in that regime can only come from
+    discretization and rejects the run.  When g1 lacks that regularity the
+    obstruction value is recorded as a flag instead.  A compatibility defect
+    above COMPAT_TOL rejects the data.
     """
     defect = verify_cocycle(d)
     if defect > COMPAT_TOL:
@@ -90,15 +92,15 @@ def common_solution(d: CocycleData) -> CommonSolutionReport:
             f"compatibility defect {defect:.3e} exceeds tolerance {COMPAT_TOL:.1e}"
         )
     report = solve_mellin(d.g2, d.p, lines=(0.0,))
+    d_g2, undefined = reported_obstruction(d.g2, d.p)
     flags: tuple[str, ...] = ()
-    if obstructed(d.g2, report.obstruction):
-        try:
-            obstruction(d.g1, d.p)
-        except NotAdmissible:  # g1 lacks the regularity that forces D(g2) = 0
+    if obstructed(d.g2, d_g2):
+        _, g1_undefined = reported_obstruction(d.g1, d.p)
+        if g1_undefined:  # g1 lacks the regularity that forces D(g2) = 0
             flags = ("obstruction-nonzero-low-regularity",)
         else:
             raise ObstructionNonzero(
-                f"obstruction {magnitude(report.obstruction):.3e} contradicts compatibility at "
+                f"obstruction {magnitude(d_g2):.3e} contradicts compatibility at "
                 f"this regularity; discretization failure"
             )
     h = report.solution
@@ -109,7 +111,7 @@ def common_solution(d: CocycleData) -> CommonSolutionReport:
         residual_flow=residual(h, d.g2, d.m),
         residual_character=relative_to(_difference_norm(character_defect, h.grid.h), d.g1),
         compatibility_defect=defect,
-        obstruction=report.obstruction,
+        obstruction=d_g2,
         base_norm_ratio=report.base_norm_ratio,
-        flags=flags + report.flags,
+        flags=flags + undefined + report.flags,
     )

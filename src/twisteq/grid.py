@@ -125,8 +125,9 @@ class HalfLineFunction:
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which only this module reads (norm, sup, weighted_norm and the one decay
     gate, decay_admissible); |f| itself ("abs",) once f is weighed at some
-    a != 0; X f ("X",) of mellin.apply_X; and each Mellin solve ("solve", m,
-    lines) of solver.solve_mellin.
+    a != 0; X f ("X",) of mellin.apply_X; the obstruction D(g) ("obstruction",
+    m) of solver.obstruction; and each Mellin solve ("solve", m, lines) of
+    solver.solve_mellin.
     """
 
     grid: LogGrid

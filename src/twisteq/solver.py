@@ -10,8 +10,11 @@ Two independent routes are provided:
   g(rho) rho^(-m-1) d rho, an oracle that never touches Fourier space.
 
 The obstruction functional D(g) = M(g, -m) is evaluated by direct
-quadrature.  Estimates of the weighted norms ||(I-u1^2)^(t/2) f|| against
-their bound classes are collected by estimate_sweep.
+quadrature, and only where it is read: by the dichotomy gate of a solve
+whose lines may come near the pole -m, and by the reports that carry it
+(reported_obstruction).  Estimates of the weighted norms
+||(I-u1^2)^(t/2) f|| against their bound classes are collected by
+estimate_sweep.
 """
 
 from __future__ import annotations
@@ -71,8 +74,12 @@ class WeightedNormEntry:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
+    """What solve_mellin measures of a solve: the line-0 solution, its
+    residual, m ||f|| / ||g||, the weighted norms of t_list, the coincidence
+    defect of the further lines and the weighted-norm flags.  D(g) is not
+    part of it; reported_obstruction gives it and its flag."""
+
     solution: HalfLineFunction
-    obstruction: complex
     residual: float
     base_norm_ratio: float
     weighted_norms: tuple[WeightedNormEntry, ...]
@@ -101,18 +108,36 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
     Defined only for data with regularity beyond m/lambda1: on both edges of
     the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
     decay test and have a finite weighted norm at the edge.  NotAdmissible
-    names the first failing edge.
+    names the first failing edge.  The value is held on g per m, so a solve
+    that gates with it and the report that carries it compute it once.
     """
     m = p.m
-    for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
-        if not decay_admissible(g, -edge):
-            raise NotAdmissible(
-                f"obstruction undefined: non-decaying weighted samples at edge {edge}"
-            )
-        if not math.isfinite(weighted_norm(g, -edge)):
-            raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
-    integrand = g.values * g.grid.weight(m)
-    return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
+
+    def compute():
+        for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
+            if not decay_admissible(g, -edge):
+                raise NotAdmissible(
+                    f"obstruction undefined: non-decaying weighted samples at edge {edge}"
+                )
+            if not math.isfinite(weighted_norm(g, -edge)):
+                raise NotAdmissible(
+                    f"obstruction undefined: weighted norm overflows at edge {edge}"
+                )
+        integrand = g.values * g.grid.weight(m)
+        return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
+
+    return _hold(g, ("obstruction", m), compute)
+
+
+def reported_obstruction(
+    g: HalfLineFunction, p: ModelRepParams
+) -> tuple[complex, tuple[str, ...]]:
+    """D(g) and the flags a report carries with it: (NaN,
+    ("obstruction-undefined",)) where obstruction raises NotAdmissible."""
+    try:
+        return obstruction(g, p), ()
+    except NotAdmissible:
+        return complex("nan"), ("obstruction-undefined",)
 
 
 def project_obstruction(
@@ -251,6 +276,10 @@ def solve_mellin(
     are meaningful only when the grid window is wide enough for the weighted
     data; the admissibility gate rejects unresolved requests.
 
+    D(g) is evaluated only for that gate, in a solve whose lines include one
+    other than 0 or whose twist puts line 0 itself within EPS_POLE of -m;
+    the report does not carry it (see reported_obstruction).
+
     t_list adds weighted-norm diagnostics ||(I-u1^2)^(t/2) f||, each tagged
     with its bound class and an admissibility flag.
 
@@ -264,7 +293,7 @@ def solve_mellin(
     held = _hold(g, ("solve", p.m, lines), lambda: _solve(g, p, lines))
     if not t_list:
         return held
-    flags = list(held.flags)
+    flags = []
     entries = []
     for t in t_list:
         value, admissible = fractional_norm(held.solution, t, p)
@@ -276,33 +305,32 @@ def solve_mellin(
 
 def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> SolveReport:
     """The report of solve_mellin with an empty t_list: the gates, the
-    obstruction, the line-0 solve and the coincidence lines.  Of p only the
-    twist m is read.  One mellin_inverse_lines call inverts every row: the
-    divided line-0 spectrum D, i t D (the residual's X base), then the
-    divided coincidence lines of one mellin_lines call, in line order.
+    line-0 solve and the coincidence lines.  Of p only the twist m is read.
+
+    D(g) is evaluated for the pole gate exactly when some line other than 0
+    is inverted or m < EPS_POLE puts line 0 itself near -m.  The choice
+    rests on the line set and m, not on which line lies near -m, so a
+    solve's work does not depend on where its lines fall.  One
+    mellin_inverse_lines call inverts every row: the divided line-0
+    spectrum Q, i t Q (the residual's X base), then the divided coincidence
+    lines of one mellin_lines call, in line order.
     """
     m = p.m
-    flags: list[str] = []
     for a in lines:
         if not line_admissible(g, a):
             raise NotAdmissible(f"g lacks decay for the requested line Re z = {a}")
-    try:
-        d_val = obstruction(g, p)
-        d_known = True
-    except NotAdmissible:
-        d_val = complex("nan")
-        d_known = False
-        flags.append("obstruction-undefined")
-    pole_excluded = obstructed(g, d_val) or not d_known
-    for a in lines:
-        if abs(a + m) < EPS_POLE and pole_excluded:
-            raise PoleOnLine(
-                f"line Re z = {a} passes within {EPS_POLE} of the pole -m = {-m} "
-                f"while the obstruction is not negligible"
-            )
+    others = tuple(a for a in lines if a != 0.0)
+    if others or m < EPS_POLE:
+        d_val, undefined = reported_obstruction(g, p)
+        pole_excluded = obstructed(g, d_val) or bool(undefined)
+        for a in lines:
+            if abs(a + m) < EPS_POLE and pole_excluded:
+                raise PoleOnLine(
+                    f"line Re z = {a} passes within {EPS_POLE} of the pole -m = {-m} "
+                    f"while the obstruction is not negligible"
+                )
 
     grid = g.grid
-    others = tuple(a for a in lines if a != 0.0)
     found = mellin_lines([(g, a) for a in others])
     quotients = np.empty((len(others) + 2, grid.n_points), np.complex128)
     divide_line(mellin_line(g, 0.0), m, out=quotients[0])
@@ -320,12 +348,11 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
 
     return SolveReport(
         solution=base,
-        obstruction=d_val,
         residual=base_residual,
         base_norm_ratio=relative_to(m * measured(base.norm, base), g),
         weighted_norms=(),
         coincidence_defect=coincidence,
-        flags=tuple(flags),
+        flags=(),
     )
 
 

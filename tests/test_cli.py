@@ -154,6 +154,11 @@ class TestMainExitCodes:
                 "suite = estimate-sweep\nrep.lambda1 = 1.5\nregularity.s = 3\n",
                 "estimate-sweep skips every input",
             ),
+            # sweep twists a report cannot tell apart: one float (1e308 +- 0.1),
+            # one twist five times (delta = 0), one params text (1e+06)
+            ("suite = perturbation-sweep\ntwist.m = 1e308\n", "twists m +- delta/2 repeat"),
+            ("suite = perturbation-sweep\nsweep.delta = 0\n", "twists m +- delta/2 repeat"),
+            ("suite = perturbation-sweep\ntwist.m = 1e6\n", "m=1e+06, m=1e+06"),
             # keys that changed no report, or set a value --strict sets
             *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
         ],
@@ -163,7 +168,8 @@ class TestMainExitCodes:
              "nan-line", "infinite-t", "infinite-scan-x-max", "nan-coefficient",
              "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
              "shrinking-scan", "repeated-scan-window", "scan-window-at-x-min",
-             "estimate-skips-every-input",
+             "estimate-skips-every-input", "sweep-twists-one-float", "sweep-zero-delta",
+             "sweep-twists-one-params",
              *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS]],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
@@ -437,9 +443,12 @@ class TestPerturbationSweep:
 
     def test_underflowing_solution_norms_are_not_measured(self, tmp_path):
         # at m = 1e308 every solution's norm underflows to 0 on nonzero
-        # samples: its ratios read NaN and fail, and none reads 0
+        # samples: its ratios read NaN and fail, and none reads 0.  A delta
+        # of 1e307 keeps the 5 twists distinct floats.
         path = write(
-            tmp_path, f"suite = perturbation-sweep\ntwist.m = 1e308\nout.dir = {tmp_path}\n"
+            tmp_path,
+            "suite = perturbation-sweep\ntwist.m = 1e308\nsweep.delta = 1e307\n"
+            f"out.dir = {tmp_path}\n",
         )
         assert main(["run", str(path)]) == 1
         rows = read_rows(tmp_path, "perturbation-sweep")
@@ -557,6 +566,42 @@ class TestOtherSuites:
         rows = [r for r in read_rows(tmp_path / "out", "cocycle") if r["quantity"] == "residual_flow"]
         assert len(rows) == 3
         assert all(r["flags"].split(";").count("obstruction-undefined") == 1 for r in rows)
+
+    def test_solve_obstruction_flag_once_and_first(self, tmp_path):
+        # past the twist depth of every member D(g) is undefined: each
+        # residual_mellin row names that once, before its weighted-norm flags
+        text = (CONFIG_DIR / "solve.cfg").read_text().replace("twist.m = 1.0", "twist.m = 3.5")
+        assert main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 0
+        rows = [r for r in read_rows(tmp_path / "out", "solve") if r["quantity"] == "residual_mellin"]
+        assert len(rows) == 8
+        for r in rows:
+            flags = r["flags"].split(";")
+            assert flags[0] == "obstruction-undefined" and flags.count(flags[0]) == 1, r
+        assert any(len(r["flags"].split(";")) > 1 for r in rows)
+
+    @pytest.mark.parametrize("sides", [("refined",), ("base", "refined")], ids=["refined", "both"])
+    def test_refinement_spread_keeps_a_nan_ratio(self, tmp_path, monkeypatch, sides):
+        # a NaN ratio on either grid leaves no measured spread; max() and
+        # min() read 1.0 (passing) for a NaN refined ratio, and inf for two
+        sweep = cli.estimate_sweep
+
+        def nan_ratios(g, p, s, t_grid):
+            rows = sweep(g, p, s, t_grid)
+            side = "base" if g.grid.n_points == 4096 else "refined"
+            return [dataclasses.replace(r, ratio=math.nan) for r in rows] if side in sides else rows
+
+        monkeypatch.setattr(cli, "estimate_sweep", nan_ratios)
+        path = write(
+            tmp_path,
+            "suite = estimate-sweep\nfamily = none\nfunction = 1,3,1\nrep.lambda1 = 0.8\n"
+            f"t_grid = 0, 0.5\nout.dir = {tmp_path / 'out'}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        rows = read_rows(tmp_path / "out", "estimate-sweep")
+        spreads = [r for r in rows if r["quantity"] == "ratio_refinement_spread"]
+        assert [(r["value"], r["passed"], r["flags"]) for r in spreads] == [
+            ("nan", "fail", "non-finite")
+        ] * 2
 
     def test_obstruction_scan(self, shipped):
         code, out = shipped("obstruction")
@@ -863,5 +908,7 @@ def test_transform_census_of_the_shipped_configs(ffts, tmp_path):
 
 def test_decay_gate_census_of_the_shipped_configs(gates, tmp_path):
     # every decay test of one pass over the shipped configs is one call of
-    # the one gate, so a tracer of decay_admissible sees each of them
-    assert gates(lambda: _one_pass(tmp_path)) == (528, 528)
+    # the one gate, so a tracer of decay_admissible sees each of them; the
+    # line-0 solves evaluate no obstruction, so its strip edges are tested
+    # only where D is gated or reported
+    assert gates(lambda: _one_pass(tmp_path)) == (414, 414)

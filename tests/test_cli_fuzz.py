@@ -101,7 +101,9 @@ def _files(root: Path) -> dict[str, bytes]:
 @example(
     entries={"suite": "solve", "family": "none", "function": "1,2,1", "twist.m": "1e20"}, strict=False
 )
-@example(entries={"suite": "perturbation-sweep", "twist.m": "1e308"}, strict=False)
+@example(
+    entries={"suite": "perturbation-sweep", "twist.m": "1e308", "sweep.delta": "1e307"}, strict=False
+)
 # A twist so large that (X + m) f overflows in the residual's defect.
 @example(
     entries={"suite": "solve", "family": "none", "function": "1,2,1", "twist.m": "1e308",

@@ -20,7 +20,7 @@ import pytest
 
 from twisteq.families import FAMILY, Terms, sample_terms
 from twisteq.reps import ModelRepParams
-from twisteq.solver import solve_mellin
+from twisteq.solver import obstruction
 
 mp = pytest.importorskip("mpmath")
 
@@ -75,7 +75,7 @@ def _window_tail(terms: Terms, m: float, x_max: float):
 def _relative_gap(wide_grid, m, lam, terms, windowed=False):
     """|D_grid - reference| / |D|, the reference being D or D minus the window tail."""
     g = sample_terms(terms, wide_grid)
-    d = solve_mellin(g, ModelRepParams(sigma=1, lambda1=lam, m=m), lines=(0.0,)).obstruction
+    d = obstruction(g, ModelRepParams(sigma=1, lambda1=lam, m=m))
     assert np.isfinite(d)
     with mp.workdps(DIGITS):
         exact = _obstruction_exact(terms, m)

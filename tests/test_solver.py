@@ -9,6 +9,7 @@ import pytest
 
 import twisteq
 from twisteq import grid as grid_module
+from twisteq import solver
 from twisteq.cli import main, parse_config
 from twisteq.errors import DegenerateBump, GridMismatch, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, flow_rhs, make_terms, min_power, sample_terms
@@ -31,6 +32,7 @@ from twisteq.solver import (
     magnitude,
     obstruction,
     project_obstruction,
+    reported_obstruction,
     residual,
     solve_mellin,
     solve_semigroup,
@@ -240,6 +242,66 @@ class TestSolveMellin:
         with pytest.raises(NotAdmissible):
             solve_mellin(obstructed, p, lines=(0.0, -2.5))
 
+    def test_line_zero_near_the_pole_is_gated(self, wide_grid, obstructed):
+        # at m < EPS_POLE line 0 itself passes near -m, so even a line-0
+        # solve evaluates D(g) and refuses the obstructed input
+        with pytest.raises(PoleOnLine):
+            solve_mellin(obstructed, ModelRepParams(sigma=1, lambda1=1.0, m=0.03))
+
+
+class TestObstructionWork:
+    """D(g) is evaluated only where it is gated or reported, and held on g
+    per m: a gating solve and the report that carries D compute it once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """{"calls": solver.obstruction calls, "quadratures": D's quadratures}"""
+        counts = {"calls": 0, "quadratures": 0}
+        call, quadrature = solver.obstruction, solver.trapezoid
+
+        def counted_call(*args):
+            counts["calls"] += 1
+            return call(*args)
+
+        def counted_quadrature(*args):
+            counts["quadratures"] += 1
+            return quadrature(*args)
+
+        monkeypatch.setattr(solver, "obstruction", counted_call)
+        monkeypatch.setattr(solver, "trapezoid", counted_quadrature)
+        return counts
+
+    def test_line_zero_solve_evaluates_no_obstruction(self, counts, grid):
+        g = sample_terms(family_member("r2_exp"), grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        solve_mellin(g, p, lines=(0.0,), t_list=(0.0, 0.5))
+        estimate_sweep(g, ModelRepParams(sigma=1, lambda1=-1.0, m=1.5), 1.0, (0.0, 0.5))
+        assert counts == {"calls": 0, "quadratures": 0}
+        assert not [key for key in g._held if key[0] == "obstruction"]
+
+    def test_gate_and_report_compute_d_once(self, counts, wide_grid):
+        g = sample_terms(family_member("r2_exp"), wide_grid)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        solve_mellin(g, p, lines=(0.0, -0.4))
+        assert counts == {"calls": 1, "quadratures": 1}
+        d, flags = reported_obstruction(g, p)
+        assert counts == {"calls": 2, "quadratures": 1}
+        assert flags == () and d == pytest.approx(INV_SQRT2PI, rel=1e-7)
+        # another twist is another D
+        reported_obstruction(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.5))
+        assert counts == {"calls": 3, "quadratures": 2}
+
+    def test_undefined_obstruction_reported_with_its_flag(self, grid):
+        g = sample_terms(family_member("r_exp"), grid)  # k = m = 1
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        with pytest.raises(NotAdmissible):
+            obstruction(g, p)
+        d, flags = reported_obstruction(g, p)
+        assert np.isnan(d) and math.isnan(magnitude(d))
+        assert flags == ("obstruction-undefined",)
+        # a solve that gates with the undefined D carries no flag of its own
+        assert solve_mellin(g, p, lines=(0.0, -0.4), t_list=(0.0,)).flags == ()
+
     def test_oracle_agreement_family(self, wide_grid, p):
         # every obstruction-free input: the two routes agree
         bump = sample_terms(family_member("r2_exp2"), wide_grid)
@@ -366,18 +428,20 @@ class TestWorkPerSolve:
         assert exps(lambda: solve_mellin(g2, p, lines=lines)) == 0
 
     def test_many_twists_stay_within_the_cap(self, ffts):
-        # each twist holds a solve and a strip edge's profile on g and two
-        # weights on the grid; past MAX_HELD the first one held goes
+        # with a coincidence line, each twist holds a solve, D and a strip
+        # edge's profile on g and D's two strip weights on the grid; past
+        # MAX_HELD the first one held goes
         grid = make_log_grid(1024, -12.0, 12.0)
         g = sample_terms(family_member("r2_exp"), grid)
+        lines = (0.0, -0.4)
         twists = [float(m) for m in np.linspace(0.6, 1.4, 200)]
         for m in twists:
-            solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=m))
+            solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=m), lines=lines)
             assert len(g._held) <= MAX_HELD and len(grid._held) <= MAX_HELD
         assert len(g._held) == len(grid._held) == MAX_HELD
-        assert ("solve", twists[0], (0.0,)) not in g._held
+        assert ("solve", twists[0], lines) not in g._held
         last = ModelRepParams(sigma=1, lambda1=1.0, m=twists[-1])
-        assert ffts(lambda: solve_mellin(g, last)) == (0, 0)
+        assert ffts(lambda: solve_mellin(g, last, lines=lines)) == (0, 0)
 
     def test_held_report_returned_without_t_list(self, grid):
         g = sample_terms(family_member("r2_exp"), grid)
@@ -492,19 +556,19 @@ def test_contracting_config_computes_two_log_weights(monkeypatch, tmp_path):
 
 
 def test_contracting_config_exponential_count(exps, tmp_path):
-    # per grid (2): r, 10 sampling rates over the 8 inputs, the grid weights
-    # e^{a x} at a = -2 (the regularity gate's line Re z = 2), m and m + 0.05
-    # (the obstruction strip), and the fractional weights at t = 0.5, 1, 2
+    # per grid (2): r, 10 sampling rates over the 8 inputs, the grid weight
+    # e^{a x} at a = -2 (the regularity gate's line Re z = 2), and the
+    # fractional weights at t = 0.5, 1, 2; the line-0 solves evaluate no
+    # obstruction, so no weight at m or m + 0.05 (its strip)
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
-    assert exps(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 34
+    assert exps(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 30
 
 
 def test_contracting_config_abs_count(abses, tmp_path):
     # per grid (2) and input (8), 9 |.| passes: |g| once, held by its first
     # weighted profile (a = -2, the regularity gate's line Re z = 2) and read
-    # by its profiles at m + 0.05 (the obstruction strip) and 0, the
-    # solution's profile at 0 and the residual, and the fractional weights
-    # of the solution and of g at t = 0.5, 1, 2
+    # by its profile at 0, the solution's profile at 0 and the residual, and
+    # the fractional weights of the solution and of g at t = 0.5, 1, 2
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
     assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 144
 
@@ -525,11 +589,16 @@ class TestHeldSolve:
         for lam in (-1.0, 0.8, 1.2):
             p = ModelRepParams(sigma=1, lambda1=lam, m=1.0)
             hit = solve_mellin(g, p, **kwargs)
-            cold = solve_mellin(HalfLineFunction(g.grid, g.values), p, **kwargs)
+            cold_g = HalfLineFunction(g.grid, g.values)
+            cold = solve_mellin(cold_g, p, **kwargs)
             assert hit.solution is not cold.solution
             assert np.array_equal(hit.solution.values, cold.solution.values), (name, lam)
-            for field in ("obstruction", "residual", "base_norm_ratio", "coincidence_defect"):
+            for field in ("residual", "base_norm_ratio", "coincidence_defect"):
                 assert _equal(getattr(hit, field), getattr(cold, field)), (name, lam, field)
+            (d_hit, hit_flags), (d_cold, cold_flags) = (
+                reported_obstruction(f, p) for f in (g, cold_g)
+            )
+            assert _equal(d_hit, d_cold) and hit_flags == cold_flags, (name, lam)
             assert hit.flags == cold.flags, (name, lam)
             assert len(hit.weighted_norms) == len(cold.weighted_norms) == 3
             for a, b in zip(hit.weighted_norms, cold.weighted_norms):
