@@ -248,6 +248,28 @@ class TestSolveMellin:
         with pytest.raises(PoleOnLine):
             solve_mellin(obstructed, ModelRepParams(sigma=1, lambda1=1.0, m=0.03))
 
+    def test_oracle_agreement_family(self, wide_grid, p):
+        # every obstruction-free input: the two routes agree
+        bump = sample_terms(family_member("r2_exp2"), wide_grid)
+        for name, terms in FAMILY:
+            if min_power(terms) <= p.m:
+                continue
+            g = sample_terms(terms, wide_grid)
+            if name != "r2_exp2":
+                g = project_obstruction(g, p, bump)
+            report = solve_mellin(g, p, lines=(0.0,))
+            oracle = solve_semigroup(g, p.m)
+            assert rel_err(report.solution, oracle) <= 1e-6, name
+
+    def test_base_bound_sweep(self, wide_grid):
+        for m in (0.5, 0.75, 1.0, 1.5, 2.0):
+            for lam in (-2.0, -1.0, 0.5, 1.0, 2.0):
+                p = ModelRepParams(sigma=1, lambda1=lam, m=m)
+                for name, terms in FAMILY:
+                    g = sample_terms(terms, wide_grid)
+                    report = solve_mellin(g, p, lines=(0.0,))
+                    assert report.base_norm_ratio <= 1.0 + 1e-8, (name, m, lam)
+
 
 class TestObstructionWork:
     """D(g) is evaluated only where it is gated or reported, and held on g
@@ -301,28 +323,6 @@ class TestObstructionWork:
         assert flags == ("obstruction-undefined",)
         # a solve that gates with the undefined D carries no flag of its own
         assert solve_mellin(g, p, lines=(0.0, -0.4), t_list=(0.0,)).flags == ()
-
-    def test_oracle_agreement_family(self, wide_grid, p):
-        # every obstruction-free input: the two routes agree
-        bump = sample_terms(family_member("r2_exp2"), wide_grid)
-        for name, terms in FAMILY:
-            if min_power(terms) <= p.m:
-                continue
-            g = sample_terms(terms, wide_grid)
-            if name != "r2_exp2":
-                g = project_obstruction(g, p, bump)
-            report = solve_mellin(g, p, lines=(0.0,))
-            oracle = solve_semigroup(g, p.m)
-            assert rel_err(report.solution, oracle) <= 1e-6, name
-
-    def test_base_bound_sweep(self, wide_grid):
-        for m in (0.5, 0.75, 1.0, 1.5, 2.0):
-            for lam in (-2.0, -1.0, 0.5, 1.0, 2.0):
-                p = ModelRepParams(sigma=1, lambda1=lam, m=m)
-                for name, terms in FAMILY:
-                    g = sample_terms(terms, wide_grid)
-                    report = solve_mellin(g, p, lines=(0.0,))
-                    assert report.base_norm_ratio <= 1.0 + 1e-8, (name, m, lam)
 
 
 class TestResidual:
