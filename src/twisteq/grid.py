@@ -71,14 +71,16 @@ class LogGrid:
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        """DFT bin frequencies t_k = 2 pi k/(n h), in FFT bin order."""
-        omega = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.h)
+        """The half-spectrum's bin frequencies t_k = 2 pi k/(n h), k = 0 ..
+        n//2, in np.fft.rfft bin order (read-only).  For even n the last bin
+        is the unpaired Nyquist bin, at t = +pi/h."""
+        omega = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.h)
         omega.flags.writeable = False
         return omega
 
     @cached_property
     def i_frequencies(self) -> np.ndarray:
-        """The multiplier i t_k of d/dx, in FFT bin order (read-only)."""
+        """The multiplier i t_k of d/dx, in rfft bin order (read-only)."""
         i_omega = 1j * self.frequencies
         i_omega.flags.writeable = False
         return i_omega
@@ -121,7 +123,7 @@ class HalfLineFunction:
     """Complex samples f(r_j) of a function on the half-line.
 
     The samples are a private read-only copy, so what depends on them alone
-    is computed at most once: the FFT spectrum, and, held in `_held` by a
+    is computed at most once: the half-spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which only this module reads (norm, sup, weighted_norm and the one decay
     gate, decay_admissible); |f| itself ("abs",) once f is weighed at some
@@ -157,21 +159,37 @@ class HalfLineFunction:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only FFT of the samples: the line-0 spectrum of every solve of f.
+        """Read-only half-spectrum of the samples: the line-0 spectrum of
+        every solve of f.
 
+        It is the (rows, n//2+1) np.fft.rfft of _real_rows(values): one row
+        for real samples, two when the imaginary part is not exactly zero.
         Checked for NaN/Inf here, once, so the line-0 lines that share it
         need no scan of their own.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            spectrum = np.fft.fft(self.values)
+            spectrum = np.fft.rfft(_real_rows(self.values))
         if not all_finite(spectrum):
             raise InvalidGrid("Mellin line values contain NaN or Inf")
         spectrum.flags.writeable = False
         return spectrum
 
 
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """The real rows that the transforms of complex samples act on, as a
+    C-ordered (rows, n) float array, whose rfft is C-ordered too: the real
+    part, and below it the imaginary part when that is not exactly zero.
+    The one row of real samples is a view of them.
+
+    The transforms are real operators, so the transform of the samples is
+    the row transforms recombined as row 0 + i row 1.
+    """
+    rows = np.ascontiguousarray(values, np.complex128).view(np.float64).reshape(-1, 2).T
+    return np.ascontiguousarray(rows) if rows[1].any() else rows[:1]
+
+
 def all_finite(values: np.ndarray) -> bool:
-    """True when a contiguous complex array holds no NaN and no infinity.
+    """True when a contiguous float or complex array holds no NaN and no infinity.
 
     max and min reduce the float view without a scratch array: a NaN
     propagates through max, and an infinity shows up at one end.

@@ -9,12 +9,20 @@ On the grid this Fourier transform is realized by the DFT with frequencies
 t_k = 2*pi*k/(n*h); forward and inverse lines are then exactly mutually
 inverse and the discrete Parseval identity holds to rounding error.
 
-A line is held as the plain FFT of the weighted samples f e^(-a x), in FFT
-bin order.  The unitary transform multiplies that spectrum by
-(h/sqrt(2 pi)) e^(-i t x_min) and sorts the bins by t; the inverse undoes
-exactly those factors.  Divide-then-invert never needs them, so no line
-applies them.  Every forward transform of a line runs through mellin_lines
-and every inverse one, d/dx included, through mellin_inverse_lines.
+Every transform is a real-input FFT.  The samples are split into real
+rows (grid._real_rows): the real part, and the imaginary part only when it
+is not exactly zero.  The flow X = -r d/dr, the weights r^{-a} and the
+division by m + z are real operators, so each row is transformed, divided
+and inverted on its own, and the inverse rows are recombined as
+row 0 + i row 1.  For real samples the result's imaginary part is exactly 0.
+
+A line is held as the (rows, n//2+1) np.fft.rfft half-spectrum of the
+weighted rows f e^(-a x), in rfft bin order; the bins t < 0 of a real row
+are the conjugates of the bins t > 0.  The unitary transform multiplies the
+recombined spectrum by (h/sqrt(2 pi)) e^(-i t x_min); the inverse undoes
+exactly that factor.  Divide-then-invert never needs it, so no line applies
+it.  Every forward transform of a line runs through mellin_lines and every
+inverse one, d/dx included, through mellin_inverse_lines.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .grid import (
     _energy,
     _hold,
     _ratio,
+    _real_rows,
     all_finite,
     decay_admissible,
 )
@@ -40,9 +49,10 @@ from .grid import (
 class MellinLine:
     """Samples of M(f, a + i t_k) along the vertical line Re z = a.
 
-    `spectrum` is the FFT of f e^{-a x} on `grid`, in FFT bin order (bin k
-    at frequency grid.frequencies[k]).  Lines are made by mellin_lines and
-    checked_line, which see that the spectrum holds no NaN/Inf.
+    `spectrum` holds the rfft half-spectra of the real rows of f e^{-a x} on
+    `grid`, one row each, in rfft bin order (bin k at frequency
+    grid.frequencies[k]).  Lines are made by mellin_lines and checked_line,
+    which see that the spectrum holds no NaN/Inf.
     """
 
     a: float
@@ -63,37 +73,40 @@ def line_admissible(f: HalfLineFunction, a: float) -> bool:
 
 
 def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[MellinLine]:
-    """Forward transforms along Re z = a of each (f, a), off line 0 in one FFT call.
+    """Forward transforms along Re z = a of each (f, a), off line 0 in one rfft call.
 
-    values[k] = (h/sqrt(2 pi)) * sum_j f_j e^{-a x_j} e^{-i t_k x_j}, the
-    rectangle-rule Fourier transform of the weighted samples.  Admissibility
-    is not tested: the discrete transform is always defined and exactly
-    invertible.  The line a = 0 is f's held, read-only spectrum, which was
-    checked for NaN/Inf when it was computed.  The other lines' weighted
-    samples are written into the rows of one (k, n) array, whose one
-    np.fft.fft call gives each row the bits of its own (n,) transform; their
-    lines are the rows of its result.  The lines are checked in pair order,
-    each for an overflowing weight (NotAdmissible) and then for a NaN/Inf
-    spectrum (InvalidGrid), so the error raised is the first that
-    one-line-at-a-time transforms would raise.
+    The recombined rows give values[k] = (h/sqrt(2 pi)) * sum_j f_j
+    e^{-a x_j} e^{-i t_k x_j}, the rectangle-rule Fourier transform of the
+    weighted samples.  Admissibility is not tested: the discrete transform
+    is always defined and exactly invertible.  The line a = 0 is f's held,
+    read-only spectrum, which was checked for NaN/Inf when it was computed.
+    The other lines' weighted real rows are written into one (k, n) array,
+    whose one np.fft.rfft call gives each row the bits of its own (n,)
+    transform; each line's spectrum is its block of rows of the result.
+    The lines are checked in pair order, each for an overflowing weight
+    (NotAdmissible) and then for a NaN/Inf spectrum (InvalidGrid), so the
+    error raised is the first that one-line-at-a-time transforms would raise.
     """
     off = [(f, a) for f, a in pairs if a != 0]
-    rows = iter(())
+    blocks = iter(())
     if off:
-        weighted = np.empty((len(off), off[0][0].grid.n_points), np.complex128)
+        rows = [_real_rows(f.values) for f, _ in off]
+        cuts = np.cumsum([len(part) for part in rows])[:-1]
+        weighted = np.empty((sum(map(len, rows)), off[0][0].grid.n_points))
+        samples = np.split(weighted, cuts)
         # 0 * inf is NaN, and a row with NaN or Inf, or whose sum overflows,
         # is refused by the scans below, not by a warning
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for row, (f, a) in zip(weighted, off):
-                np.multiply(f.values, f.grid.weight(-a), out=row)
-            spectra = np.fft.fft(weighted)
-        rows = zip([all_finite(row) for row in weighted], spectra)
+            for (f, a), part, block in zip(off, rows, samples):
+                np.multiply(part, f.grid.weight(-a), out=block)
+            spectra = np.fft.rfft(weighted)
+        blocks = zip([all_finite(block) for block in samples], np.split(spectra, cuts))
     lines = []
     for f, a in pairs:
         if a == 0:
             lines.append(MellinLine(0.0, f.grid, f.spectrum))
             continue
-        weight_finite, spectrum = next(rows)
+        weight_finite, spectrum = next(blocks)
         if not weight_finite:
             raise NotAdmissible(f"weight r^{a!r} overflows on this grid")
         lines.append(checked_line(float(a), f.grid, spectrum))
@@ -106,18 +119,25 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
 
 
 def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid) -> np.ndarray:
-    """Inverse transforms of the rows of a (k, n) array of spectra on `grid`,
-    in one np.fft.ifft call: row j becomes r^{-a_j} * ifft(spectra[j]) at the
-    nodes x, each with the bits of its own (n,) inverse.
+    """Inverse transforms of a (k, rows, n//2+1) array of half-spectra on
+    `grid`, in one np.fft.irfft call: entry j becomes the (n,) complex row
+    r^{-a_j} * (irfft(spectra[j, 0]) + i irfft(spectra[j, 1])) at the nodes
+    x, each real row with the bits of its own (n,) inverse.  With one row
+    per entry the imaginary part is exactly 0.
 
-    A row holding the spectrum of a line on Re z = a_j that mellin_lines
+    An entry holding the spectrum of a line on Re z = a_j that mellin_lines
     made on the same grid inverts it exactly.
     """
-    values = np.fft.ifft(spectra)
+    k, rows, _ = spectra.shape
+    n = grid.n_points
+    values = np.zeros((k, n), np.complex128)
+    # the real and imaginary parts of values, as (k, 2, n) rows
+    parts = values.view(np.float64).reshape(k, n, 2).transpose(0, 2, 1)[:, :rows]
+    np.fft.irfft(spectra, n, out=parts)
     with np.errstate(over="ignore", under="ignore"):
-        for row, aj in zip(values, a):
+        for entry, aj in zip(parts, a):
             if aj != 0:
-                row *= grid.weight(aj)
+                entry *= grid.weight(aj)
     return values
 
 
@@ -130,13 +150,27 @@ def mellin_inverse_line(line: MellinLine, grid: LogGrid) -> HalfLineFunction:
 
 
 def line_energy(line: MellinLine) -> float:
-    """Trapezoid of |M(f, a+it)|^2 dt along the line.
+    """Trapezoid of |M(f, a+it)|^2 dt along the full line: the n bins of the
+    recombined spectrum sorted by t, as np.fft.fftshift sorts them, so that
+    an even grid's Nyquist bin is the end t = -pi/h.
 
     |M| is (h/sqrt(2 pi)) |spectrum| (the phase has modulus one), and
     dt (h/sqrt(2 pi))^2 = h/n.  +Inf when |M|^2 overflows, by grid._energy.
     """
     grid = line.grid
-    return _energy(np.abs(np.fft.fftshift(line.spectrum)), grid.h / grid.n_points)
+    return _energy(np.abs(_full_line(line.spectrum, grid.n_points)), grid.h / grid.n_points)
+
+
+def _full_line(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """The n-bin spectrum, in np.fft.fftshift order, of the samples whose
+    real rows have the half-spectra `spectrum`: bin k >= 0 is row 0 + i
+    row 1 at k, and bin -k the same sum of their conjugates, since a real
+    row's bins -k and k are conjugate."""
+    nonnegative, negative = (
+        rows[0] if len(rows) == 1 else rows[0] + 1j * rows[1]
+        for rows in (spectrum, spectrum.conj())
+    )
+    return np.concatenate((negative[n // 2 : 0 : -1], nonnegative[: (n + 1) // 2]))
 
 
 def parseval_defect(f: HalfLineFunction) -> float:
@@ -149,18 +183,23 @@ def parseval_defect(f: HalfLineFunction) -> float:
 
 
 def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
-    """d/dx of samples on `grid` by DFT multiplier, including the (unpaired)
-    Nyquist mode.
+    """d/dx of samples on `grid` by the multiplier i t_k on the half-spectra
+    of their real rows.
 
-    Keeping the Nyquist mode makes the multiplier the exact inverse image of
-    the line frequencies, so derivative identities hold bin-by-bin.
+    The Nyquist rule: on an even grid a real row's unpaired Nyquist bin R_N
+    is real, so i t_N R_N is imaginary, and np.fft.irfft, which reads only
+    the real part of that bin, drops it.  d/dx thus has no Nyquist mode, and
+    the derivative identities hold bin by bin in every bin but that one,
+    where they hold in its real part, the only part an inverse transform
+    reads (derivative_rule_defect compares it so).  d/dx of a real row is
+    real.
     """
-    return _dx(np.fft.fft(values), grid)
+    return _dx(np.fft.rfft(_real_rows(values)), grid)
 
 
 def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
-    """d/dx of the samples whose FFT is `spectrum`, as in spectral_dx: the
-    line-0 inverse of i t * spectrum."""
+    """d/dx of the samples whose real rows have the half-spectra `spectrum`,
+    as in spectral_dx: the line-0 inverse of i t * spectrum."""
     (values,) = mellin_inverse_lines((spectrum * grid.i_frequencies)[np.newaxis], (0.0,), grid)
     return values
 
@@ -174,7 +213,9 @@ def derivative_rule_defect(f: HalfLineFunction, a: float) -> float:
     """Sup-norm defect of M(Xf, a+it) = (a+it) M(f, a+it), where X = -r d/dr.
 
     Xf is f's held apply_X; both f and Xf must pass the decay test for the
-    line, otherwise NotAdmissible.
+    line, otherwise NotAdmissible.  By spectral_dx's Nyquist rule, an even
+    grid's Nyquist bin is compared in its real part alone, the only part an
+    inverse transform reads of it; every other bin is compared whole.
     """
     grid = f.grid
     xf = apply_X(f)
@@ -182,9 +223,11 @@ def derivative_rule_defect(f: HalfLineFunction, a: float) -> float:
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(xf, a):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
-    lhs, rhs = (line.spectrum for line in mellin_lines([(xf, a), (f, a)]))
-    z = a + grid.i_frequencies
-    return _sup_relative(lhs - z * rhs, rhs, f)
+    lhs, rhs = _same_rows(*(line.spectrum for line in mellin_lines([(xf, a), (f, a)])))
+    diff = lhs - (a + grid.i_frequencies) * rhs
+    if grid.n_points % 2 == 0:
+        diff[:, -1] = diff[:, -1].real
+    return _sup_relative(diff, rhs, f)
 
 
 def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:
@@ -196,12 +239,21 @@ def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:
     grid = f.grid
     with np.errstate(over="ignore", invalid="ignore"):
         fb = HalfLineFunction(grid, f.values * grid.weight(b))
-    lhs, rhs = (line.spectrum for line in mellin_lines([(fb, a), (f, a - b)]))
+    lhs, rhs = _same_rows(*(line.spectrum for line in mellin_lines([(fb, a), (f, a - b)])))
     return _sup_relative(lhs - rhs, rhs, f)
 
 
+def _same_rows(*spectra: np.ndarray) -> list[np.ndarray]:
+    """The spectra with as many rows each: a function whose imaginary part is
+    exactly 0 has no imaginary row, which is a zero one (f r^{-b} loses it
+    where r^{-b} underflows a tiny imaginary part)."""
+    rows = max(map(len, spectra))
+    return [s if len(s) == rows else np.concatenate((s, np.zeros_like(s))) for s in spectra]
+
+
 def _sup_relative(diff: np.ndarray, ref: np.ndarray, f: HalfLineFunction) -> float:
-    """max|diff| / max|ref| by the ratio rule of grid._ratio, where f is the
-    function whose line is ref.  Lines on one grid share the transform's
-    scale and phase, so their spectra compare directly."""
+    """max|diff| / max|ref| over every row and bin, by the ratio rule of
+    grid._ratio, where f is the function whose line is ref.  Lines on one
+    grid share the transform's scale and phase, so their spectra compare
+    directly, row by row."""
     return _ratio(float(np.abs(diff).max()), float(np.abs(ref).max()), f)

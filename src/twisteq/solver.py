@@ -226,7 +226,7 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
     """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally to
-    an FFT of f that is not held."""
+    a half-spectrum of f that is not held."""
     require_same_grid(f, g)
     return _defect(spectral_dx(f.values, f.grid), f, g, m)
 
@@ -248,13 +248,15 @@ def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) 
 
 def divide_line(g_line: MellinLine, m: float, out: np.ndarray | None = None) -> MellinLine:
     """The line of M(g, z)/(m + z): the transform of the solution along Re z = a,
-    written into `out` when it is given.
+    each row divided bin by bin, written into `out` when it is given.
 
     Raises PoleOnLine on the line a = -m, where m + z vanishes at t = 0.
     """
     if m + g_line.a == 0:
         raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
-    z = np.add(g_line.grid.i_frequencies, m + g_line.a, out=out)
+    if out is None:
+        out = np.empty_like(g_line.spectrum)
+    z = np.add(g_line.grid.i_frequencies, m + g_line.a, out=out)  # m + z in every row
     ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
     return checked_line(g_line.a, g_line.grid, ratio)
 
@@ -311,9 +313,10 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
     is inverted or m < EPS_POLE puts line 0 itself near -m.  The choice
     rests on the line set and m, not on which line lies near -m, so a
     solve's work does not depend on where its lines fall.  One
-    mellin_inverse_lines call inverts every row: the divided line-0
-    spectrum Q, i t Q (the residual's X base), then the divided coincidence
-    lines of one mellin_lines call, in line order.
+    mellin_inverse_lines call inverts every entry, each as many real rows
+    as g has: the divided line-0 spectrum Q, i t Q (the residual's X base),
+    then the divided coincidence lines of one mellin_lines call, in line
+    order.
     """
     m = p.m
     for a in lines:
@@ -332,12 +335,13 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
 
     grid = g.grid
     found = mellin_lines([(g, a) for a in others])
-    quotients = np.empty((len(others) + 2, grid.n_points), np.complex128)
-    divide_line(mellin_line(g, 0.0), m, out=quotients[0])
+    line0 = mellin_line(g, 0.0)
+    quotients = np.empty((len(others) + 2, *line0.spectrum.shape), np.complex128)
+    divide_line(line0, m, out=quotients[0])
     np.multiply(quotients[0], grid.i_frequencies, out=quotients[1])
-    for row in quotients[2:]:
+    for entry in quotients[2:]:
         # popped, so the forward spectra are freed before the inverse call
-        divide_line(found.pop(0), m, out=row)
+        divide_line(found.pop(0), m, out=entry)
     values = mellin_inverse_lines(quotients, (0.0, 0.0, *others), grid)
     del quotients
     base = HalfLineFunction(grid, values[0])  # its own copy, so no row pins the batch

@@ -33,10 +33,11 @@ def wide_grid():
 
 @pytest.fixture
 def ffts(monkeypatch):
-    """count(call) runs call and returns its (fft, ifft) transform counts, a
-    (k, n) call counting k transforms; count.calls is then its (fft, ifft)
-    call counts."""
-    rows = {"fft": 0, "ifft": 0}
+    """count(call) runs call and returns its (rfft, irfft) transform counts,
+    each a count of real rows: a (k, n) call counts k transforms, and a
+    (k, rows, n//2+1) irfft call k * rows.  count.calls is then its (rfft,
+    irfft) call counts."""
+    rows = {"rfft": 0, "irfft": 0}
     calls = dict(rows)
     for name in calls:
         original = getattr(np.fft, name)
@@ -50,10 +51,10 @@ def ffts(monkeypatch):
 
     def count(call):
         for counts in (rows, calls):
-            counts.update(fft=0, ifft=0)
+            counts.update(rfft=0, irfft=0)
         call()
-        count.calls = calls["fft"], calls["ifft"]
-        return rows["fft"], rows["ifft"]
+        count.calls = calls["rfft"], calls["irfft"]
+        return rows["rfft"], rows["irfft"]
 
     return count
 

@@ -1,7 +1,8 @@
 """Analytic oracles for the Gamma test family, independent of the package's
 transform machinery: everything here reduces to Gamma-function identities
 evaluated with scipy.  Also the unitary view of a Mellin line (line_values
-at t_samples), which the package never forms: it keeps the FFT spectrum."""
+at t_samples), which the package never forms: it keeps the half-spectra of
+the real rows of the samples."""
 
 from __future__ import annotations
 
@@ -25,16 +26,26 @@ def mellin_exact(terms: Terms, z: complex | np.ndarray) -> complex | np.ndarray:
 
 
 def t_samples(line: MellinLine) -> np.ndarray:
-    """The frequencies of a line's bins in increasing order, symmetric about 0."""
-    return np.fft.fftshift(line.grid.frequencies)
+    """The frequencies of the full line's n bins in increasing order, as
+    np.fft.fftshift sorts them: for even n from the Nyquist bin t = -pi/h."""
+    grid = line.grid
+    return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.n_points, d=grid.h))
 
 
 def line_values(line: MellinLine) -> np.ndarray:
-    """M(f, a + i t) at t_samples(line): the line's FFT-order spectrum times
-    (h/sqrt(2 pi)) e^{-i t x_min}, with the bins sorted by t."""
+    """M(f, a + i t) at t_samples(line), from the line's half-spectra.
+
+    Bin k >= 0 of a real row's spectrum is its DFT at t_k, and bin -k the
+    conjugate of bin k; the rows recombine as row 0 + i row 1, and the
+    unitary transform is that DFT times (h/sqrt(2 pi)) e^{-i t x_min}.
+    """
     grid = line.grid
-    phase = np.exp(-1j * grid.frequencies * grid.x_min)
-    return np.fft.fftshift((grid.h / SQRT2PI) * phase * line.spectrum)
+    n = grid.n_points
+    k = np.rint(np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / n))).astype(int)
+    rows = line.spectrum[:, np.abs(k)]
+    rows = np.where(k < 0, rows.conj(), rows)
+    dft = rows[0] + 1j * rows[1] if len(rows) == 2 else rows[0]
+    return (grid.h / SQRT2PI) * np.exp(-1j * t_samples(line) * grid.x_min) * dft
 
 
 def weighted_norm_exact(terms: Terms, a: float) -> float:

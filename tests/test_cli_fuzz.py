@@ -110,6 +110,12 @@ def _files(root: Path) -> dict[str, bytes]:
              "grid.n_points": "16"},
     strict=False,
 )
+# Complex data, two real rows a transform, on an odd grid.
+@example(
+    entries={"suite": "solve", "family": "none", "function": "1+2j,2,1; 0.5j,3,2",
+             "grid.n_points": "4095", "lines": "0, -0.4", "t_grid": "0, 0.5"},
+    strict=False,
+)
 @settings(max_examples=100)
 @given(entries=configs(), strict=st.booleans())
 def test_main_exits_cleanly_and_reproducibly(entries, strict):

@@ -69,34 +69,58 @@ class TestMellinLine:
         assert np.allclose(np.diff(t), spacing, rtol=1e-12)
 
     def test_frequencies_held_on_the_grid(self):
-        grid = make_log_grid(19200, -12.0, 40.0)
-        omega = grid.frequencies
-        assert omega is grid.frequencies and not omega.flags.writeable
-        assert np.array_equal(omega, 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.h))
-        # spectral_dx reads the held frequencies and keeps every bit
-        f = sample_terms(family_member("r2_exp"), grid)
-        direct = np.fft.ifft(np.fft.fft(f.values) * (1j * omega))
-        assert np.array_equal(spectral_dx(f.values, grid), direct)
+        # the half-spectrum's bins 0 .. n//2: an even grid ends at the
+        # Nyquist bin t = +pi/h, an odd one half a bin short of it
+        for n in (19200, 4779):
+            grid = make_log_grid(n, -12.0, 40.0)
+            omega = grid.frequencies
+            assert omega is grid.frequencies and not omega.flags.writeable
+            assert np.array_equal(omega, 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.h))
+            assert len(omega) == n // 2 + 1 and omega[0] == 0.0
+            last = np.pi / grid.h * (1.0 if n % 2 == 0 else (n - 1) / n)
+            assert omega[-1] == pytest.approx(last, rel=1e-14)
+            # spectral_dx reads the held frequencies and keeps every bit
+            f = sample_terms(family_member("r2_exp"), grid)
+            direct = np.fft.irfft(np.fft.rfft(f.values.real) * (1j * omega), n)
+            assert np.array_equal(spectral_dx(f.values, grid), direct)
+
+
+# A complex input, whose samples are two real rows.
+COMPLEX_TERMS = make_terms([(1 + 2j, 2, 1.0), (0.5j, 3, 2.0)])
+
+
+def _full_fft_energy(f: HalfLineFunction, a: float) -> float:
+    """line_energy by its full-FFT formula: the trapezoid of |M|^2 over the
+    np.fft.fftshift-ed bins of the complex FFT of f e^{-a x}."""
+    grid = f.grid
+    spectrum = np.fft.fft(f.values * np.exp(-a * grid.x))
+    return trapezoid(np.abs(np.fft.fftshift(spectrum)) ** 2, grid.h / grid.n_points)
 
 
 class TestLineRepresentation:
-    """A line holds the FFT-order spectrum; the unitary transform and its
-    frequencies (oracles.line_values and t_samples) are views of it."""
+    """A line holds the rfft half-spectra of the real rows of the weighted
+    samples; the unitary transform on the full line and its frequencies
+    (oracles.line_values and t_samples) are views of it."""
 
     @pytest.mark.parametrize("a", [0.0, -0.5, 0.4])
-    def test_values_match_direct_sum(self, grid, a):
-        # (h/sqrt(2 pi)) sum_j f_j e^{-a x_j} e^{-i t_k x_j}, summed without the FFT
-        # relative to the line's sup norm: the sum cancels where the line decays
-        f = sample_terms(family_member("r2_exp"), grid)
-        line = mellin_line(f, a)
-        values = line_values(line)
-        scale = np.abs(values).max()
-        n = grid.n_points
-        for k in (n // 2, n // 2 + 1, n // 2 - 3, n // 2 + 17, n // 2 - 40):
-            t = t_samples(line)[k]
-            terms = f.values * np.exp(-a * grid.x) * np.exp(-1j * t * grid.x)
-            direct = grid.h / np.sqrt(2.0 * np.pi) * terms.sum()
-            assert abs(values[k] - direct) <= 1e-12 * scale, k
+    def test_values_match_direct_sum(self, a):
+        # (h/sqrt(2 pi)) sum_j f_j e^{-a x_j} e^{-i t_k x_j}, summed without
+        # the FFT, relative to the line's sup norm, as the sum cancels where
+        # the line decays: at DC, at interior bins on both sides, and at the
+        # two ends, which are the Nyquist bin for even n and the last bin
+        # (and its mirror) for odd n
+        for n in (4096, 4095):
+            grid = make_log_grid(n, -12.0, 12.0)
+            for terms in (family_member("r2_exp"), COMPLEX_TERMS):
+                f = sample_terms(terms, grid)
+                line = mellin_line(f, a)
+                values = line_values(line)
+                scale = np.abs(values).max()
+                for k in (n // 2, n // 2 + 1, n // 2 - 3, n // 2 + 17, n // 2 - 40, 0, n - 1):
+                    t = t_samples(line)[k]
+                    terms_k = f.values * np.exp(-a * grid.x) * np.exp(-1j * t * grid.x)
+                    direct = grid.h / np.sqrt(2.0 * np.pi) * terms_k.sum()
+                    assert abs(values[k] - direct) <= 1e-12 * scale, (n, k)
 
     def test_line_energy_is_trapezoid_of_values(self, grid):
         line = mellin_line(sample_terms(family_member("r_exp"), grid), -0.3)
@@ -105,23 +129,44 @@ class TestLineRepresentation:
         expected = trapezoid(np.abs(line_values(line)) ** 2, dt)
         assert line_energy(line) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("index", [0, 2048, 4095], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("n", [4096, 4095])
+    @pytest.mark.parametrize(
+        "name, terms", [*FAMILY, ("complex", COMPLEX_TERMS)], ids=[*dict(FAMILY), "complex"]
+    )
+    def test_line_energy_keeps_the_full_fft_formula(self, name, terms, n):
+        f = sample_terms(terms, make_log_grid(n, -12.0, 12.0))
+        for a in (0.0, -0.3):
+            expected = _full_fft_energy(f, a)
+            assert line_energy(mellin_line(f, a)) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("index", [0, 1024, 2048], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_spectrum_rejected(self, grid, bad, part, index):
         # the one scan that mellin_line off line 0 and divide_line go through
         spectrum = mellin_line(gaussian_log(grid), 0.0).spectrum.copy()
-        getattr(spectrum, part)[index] = bad
+        getattr(spectrum, part)[0, index] = bad
         with pytest.raises(InvalidGrid, match="NaN or Inf"):
             checked_line(0.0, grid, spectrum)
 
     def test_line_zero_is_the_plain_transform(self, grid):
-        # the weight e^{0 x} is exactly 1, so line 0 is the FFT of the samples
+        # the weight e^{0 x} is exactly 1, so line 0 is the rfft of the
+        # samples' real rows, and its inverse their irfft, recombined
+        n = grid.n_points
         f = sample_terms(family_member("mix_23"), grid)
         line = mellin_line(f, 0.0)
-        assert np.array_equal(line.spectrum, np.fft.fft(f.values))
+        assert line.spectrum.shape == (1, n // 2 + 1)
+        assert np.array_equal(line.spectrum[0], np.fft.rfft(f.values.real))
         back = mellin_inverse_line(line, grid)
-        assert np.array_equal(back.values, np.fft.ifft(line.spectrum))
+        assert np.array_equal(back.values, np.fft.irfft(line.spectrum[0], n))
+        assert not back.values.imag.any()
+        g = sample_terms(COMPLEX_TERMS, grid)
+        line = mellin_line(g, 0.0)
+        rows = [np.fft.rfft(part) for part in (g.values.real, g.values.imag)]
+        assert np.array_equal(line.spectrum, rows)
+        back = mellin_inverse_line(line, grid)
+        assert np.array_equal(back.values.real, np.fft.irfft(rows[0], n))
+        assert np.array_equal(back.values.imag, np.fft.irfft(rows[1], n))
 
     def test_line_zero_is_not_rescanned(self, monkeypatch, grid):
         # the held spectrum is checked once, when it is computed
@@ -171,36 +216,43 @@ class TestLineRepresentation:
 
 
 class TestPairedLines:
-    """mellin_lines transforms the lines off 0 in one (k, n) FFT call, and
-    mellin_inverse_lines inverts k spectra in one call; every row has the
-    bits of its own one-row transform."""
+    """mellin_lines transforms the real rows of the lines off 0 in one
+    (k, n) rfft call, and mellin_inverse_lines inverts k entries of real
+    rows in one irfft call; every row has the bits of its own one-row
+    transform."""
 
     # the shipped grids (estimate-sweep doubles 4096), the benchmark's
-    # 19200, obstruction-scan's Bluestein sizes and an odd length
-    @pytest.mark.parametrize("n", [4096, 5472, 6144, 6912, 8192, 9600, 19200, 3413, 4779, 1001])
+    # 19200, obstruction-scan's Bluestein sizes and two odd lengths
+    @pytest.mark.parametrize(
+        "n", [4096, 5472, 6144, 6912, 8192, 9600, 19200, 3413, 4779, 1001, 17]
+    )
     def test_rows_are_the_one_row_transforms(self, ffts, n):
         grid = make_log_grid(n, -12.0, 24.0)
         f = sample_terms(family_member("r2_exp"), grid)
-        h = sample_terms(family_member("mix_23"), grid)
+        h = sample_terms(COMPLEX_TERMS, grid)
         h.spectrum
         pairs = [(f, -0.4), (h, 0.0), (h, 0.3), (f, -0.8)]
-        assert ffts(lambda: mellin_lines(pairs)) == (3, 0) and ffts.calls == (1, 0)
+        # f has one real row, h two
+        assert ffts(lambda: mellin_lines(pairs)) == (4, 0) and ffts.calls == (1, 0)
         lines = mellin_lines(pairs)
         for (g, a), line in zip(pairs, lines):
             assert line.a == a and line.grid == grid
-            assert np.array_equal(line.spectrum, np.fft.fft(g.values * grid.weight(-a)))
+            parts = (g.values.real, g.values.imag)[: len(line.spectrum)]
+            rows = [np.fft.rfft(part * grid.weight(-a)) for part in parts]
+            assert np.array_equal(line.spectrum, rows)
         assert lines[1].spectrum is h.spectrum
-        spectra = np.array([line.spectrum for line in lines])
+        # f's entries take a zero imaginary row, so that all stack
+        spectra = np.zeros((len(lines), 2, n // 2 + 1), np.complex128)
+        for entry, line in zip(spectra, lines):
+            entry[: len(line.spectrum)] = line.spectrum
         a_values = [a for _, a in pairs]
-        assert ffts(lambda: mellin_inverse_lines(spectra, a_values, grid)) == (0, 4)
+        assert ffts(lambda: mellin_inverse_lines(spectra, a_values, grid)) == (0, 8)
         assert ffts.calls == (0, 1)
         back = mellin_inverse_lines(spectra, a_values, grid)
-        for row, line in zip(back, lines):
-            expected = np.fft.ifft(line.spectrum)
-            if line.a != 0:
-                expected *= grid.weight(line.a)
-            assert np.array_equal(row, expected)
-            assert np.array_equal(row, mellin_inverse_line(line, grid).values)
+        for values, entry, line in zip(back, spectra, lines):
+            real, imag = (np.fft.irfft(row, n) * grid.weight(line.a) for row in entry)
+            assert np.array_equal(values.real, real) and np.array_equal(values.imag, imag)
+            assert np.array_equal(values, mellin_inverse_line(line, grid).values)
 
     def test_lines_at_zero_alone_run_no_fft(self, ffts, grid):
         f = sample_terms(family_member("r2_exp"), grid)
@@ -319,6 +371,16 @@ class TestDerivativeRule:
         exact = sample(lambda r: (r - 1.0) * r * np.exp(-r), wide_grid)
         assert np.abs(apply_X(f).values - exact.values).max() <= 1e-8
 
+    @pytest.mark.parametrize("n", [6912, 6911])
+    def test_line_zero_holds_to_rounding(self, n):
+        # mellin.cfg's window.  By the Nyquist rule only the real part of an
+        # even grid's Nyquist bin is compared: irfft drops i t_N R_N from
+        # X f, and the whole bin would read pi/h |R_N| / sup|R|, 1.1e-12 for
+        # r_exp
+        grid = make_log_grid(n, -12.0, 28.0)
+        for name, terms in FAMILY:
+            assert derivative_rule_defect(sample_terms(terms, grid), 0.0) <= 1e-14, name
+
     def test_not_admissible_line(self, grid):
         f = sample_terms(family_member("r_exp"), grid)
         with pytest.raises(NotAdmissible):
@@ -327,7 +389,8 @@ class TestDerivativeRule:
     def test_derivatives_read_the_held_spectrum(self, ffts, grid):
         f = sample_terms(family_member("r2_exp"), grid)
         assert ffts(lambda: f.spectrum) == (1, 0)
-        # d/dx is one inverse FFT; the line-0 rule adds the derivative's forward one
+        # d/dx is one inverse transform; the line-0 rule adds the derivative's
+        # forward one
         assert ffts(lambda: derivative_rule_defect(f, 0.0)) == (1, 1)
         # the rule's X f is held on f, and so is its spectrum
         assert ffts(lambda: apply_X(f)) == (0, 0)
@@ -361,10 +424,20 @@ class TestShiftLaw:
     def test_equals_the_sup_of_the_spectra(self, grid):
         f = sample_terms(family_member("mix_23"), grid)
         shifted = HalfLineFunction(grid, f.values * np.exp(0.3 * grid.x))
-        lhs = np.fft.fft(shifted.values * np.exp(0.25 * grid.x))
-        rhs = np.fft.fft(f.values * np.exp(0.55 * grid.x))
+        lhs = np.fft.rfft(shifted.values.real * np.exp(0.25 * grid.x))
+        rhs = np.fft.rfft(f.values.real * np.exp(0.55 * grid.x))
         expected = np.abs(lhs - rhs).max() / np.abs(rhs).max()
         assert shift_law_defect(f, -0.25, 0.3) == pytest.approx(expected, rel=1e-6, abs=1e-18)
+
+    def test_shift_that_underflows_the_imaginary_part(self, grid):
+        # f's imaginary part is one subnormal sample at x > 0, which e^{-x}
+        # weighs to 0: f r^{-b} has no imaginary row, f has one, and the
+        # missing row compares as zero
+        values = sample_terms(family_member("r2_exp"), grid).values.copy()
+        values[3 * grid.n_points // 4] += 5e-324j
+        f = HalfLineFunction(grid, values)
+        assert len(f.spectrum) == 2
+        assert shift_law_defect(f, 0.0, -1.0) <= 1e-10
 
 
 class TestStripAdmissible:

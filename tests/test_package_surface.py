@@ -14,9 +14,10 @@ mellin.checked_line, which scans the spectrum for NaN/Inf, and by
 mellin_lines' a == 0 branch, whose held spectrum was scanned when it was
 computed.  A fourth keeps one get-or-compute for held values: no module but
 grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
-one forward and one inverse transform: np.fft.fft runs only in
-HalfLineFunction.spectrum, which holds it, in mellin_lines, off line 0, and
-in spectral_dx; np.fft.ifft runs only in mellin_inverse_lines.  A sixth
+one forward and one inverse transform, both real-input: np.fft.rfft runs
+only in HalfLineFunction.spectrum, which holds it, in mellin_lines, off line
+0, and in spectral_dx; np.fft.irfft runs only in mellin_inverse_lines; and
+the complex np.fft.fft and np.fft.ifft run nowhere.  A sixth
 keeps the gates' tolerances fixed: no function takes a tolerance of its
 own, and no package call hands one to a gate predicate, so every gate reads
 grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
@@ -162,8 +163,8 @@ def test_one_get_or_compute_for_held_values():
 
 
 def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:
-    """Lines of `call` (np.fft.fft or np.fft.ifft) outside the functions
-    named in sites, where "HalfLineFunction.spectrum" names the method."""
+    """Lines of `call` (an np.fft function) outside the functions named in
+    sites, where "HalfLineFunction.spectrum" names the method."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "HalfLineFunction":
@@ -181,26 +182,31 @@ def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:
     ]
 
 
-def test_one_path_for_forward_transforms():
-    # a function's spectrum is read from where it is held, not recomputed
-    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx")
-    found = [
+def _fft_calls_outside(call: str, sites: tuple[str, ...]) -> list[str]:
+    """Every call of `call` in the package outside sites, as "<file>:<line>"."""
+    return [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.fft", sites)
+        for line in _fft_calls(ast.parse(path.read_text(), str(path)), call, sites)
     ]
-    assert not found, f"np.fft.fft outside HalfLineFunction.spectrum and mellin: {found}"
+
+
+def test_one_path_for_forward_transforms():
+    # a function's spectrum is read from where it is held, not recomputed,
+    # and every forward transform is of real rows
+    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx")
+    found = _fft_calls_outside("np.fft.rfft", sites)
+    assert not found, f"np.fft.rfft outside HalfLineFunction.spectrum and mellin: {found}"
+    found = _fft_calls_outside("np.fft.fft", ())
+    assert not found, f"complex np.fft.fft in the package: {found}"
 
 
 def test_one_path_for_inverse_transforms():
     # every inverse transform, d/dx included, runs through mellin_inverse_lines
-    sites = ("mellin_inverse_lines",)
-    found = [
-        f"{path.name}:{line}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _fft_calls(ast.parse(path.read_text(), str(path)), "np.fft.ifft", sites)
-    ]
-    assert not found, f"np.fft.ifft outside mellin_inverse_lines: {found}"
+    found = _fft_calls_outside("np.fft.irfft", ("mellin_inverse_lines",))
+    assert not found, f"np.fft.irfft outside mellin_inverse_lines: {found}"
+    found = _fft_calls_outside("np.fft.ifft", ())
+    assert not found, f"complex np.fft.ifft in the package: {found}"
 
 
 # Tolerance parameters that the gates once took, and each gate predicate

@@ -379,9 +379,32 @@ class TestResidual:
             residual(f, f, 10.0)
 
 
+class TestRealData:
+    """X, the weights and the division by m + z are real operators, so real
+    data stays real and complex data solves as its two real parts."""
+
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_real_member_solves_to_real_values(self, wide_grid, p, name, terms):
+        g = sample_terms(terms, wide_grid)
+        report = solve_mellin(g, p, lines=(0.0, -0.4, -0.8))
+        assert not report.solution.values.imag.any()
+        assert not apply_X(g).values.imag.any()
+
+    def test_complex_input_solves_as_its_parts(self, wide_grid, p):
+        g = sample_terms(make_terms([(1 + 2j, 2, 1.0), (0.5j, 3, 2.0)]), wide_grid)
+        real, imag = (
+            solve_mellin(HalfLineFunction(wide_grid, part), p).solution.values
+            for part in (g.values.real, g.values.imag)
+        )
+        solution = solve_mellin(g, p).solution.values
+        assert np.array_equal(solution.real, real.real)
+        assert np.array_equal(solution.imag, imag.real)
+
+
 class TestWorkPerSolve:
     """g's line-0 spectrum is computed once, on its first solve; every other
-    line adds one forward and one inverse FFT, and the residual one inverse.
+    line adds one forward and one inverse transform of g's one real row, and
+    the residual one inverse.
     The other lines are transformed in one forward call, and base, the
     residual's X base and the other lines are inverted in one call.  The
     solve itself is held on g per (m, lines): a repeat runs no FFT at all."""
