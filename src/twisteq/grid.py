@@ -177,9 +177,10 @@ class HalfLineFunction:
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
     """The real rows that the transforms of complex samples act on, as a
-    C-ordered (rows, n) float array, whose rfft is C-ordered too: the real
-    part, and below it the imaginary part when that is not exactly zero.
-    The one row of real samples is a view of them.
+    (rows, n) float array: the real part, and below it the imaginary part
+    when that is not exactly zero.  The one row of real samples is a
+    strided view of them (every other float); only the two-row result is
+    a C-ordered copy.  np.fft.rfft of either is C-ordered.
 
     The transforms are real operators, so the transform of the samples is
     the row transforms recombined as row 0 + i row 1.

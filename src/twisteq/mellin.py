@@ -130,14 +130,14 @@ def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid)
     """
     k, rows, _ = spectra.shape
     n = grid.n_points
-    values = np.zeros((k, n), np.complex128)
-    # the real and imaginary parts of values, as (k, 2, n) rows
-    parts = values.view(np.float64).reshape(k, n, 2).transpose(0, 2, 1)[:, :rows]
-    np.fft.irfft(spectra, n, out=parts)
+    parts = np.fft.irfft(spectra, n)
     with np.errstate(over="ignore", under="ignore"):
         for entry, aj in zip(parts, a):
             if aj != 0:
                 entry *= grid.weight(aj)
+    values = np.empty((k, n), np.complex128)
+    values.real = parts[:, 0]
+    values.imag = parts[:, 1] if rows == 2 else 0.0
     return values
 
 
@@ -186,13 +186,21 @@ def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
     """d/dx of samples on `grid` by the multiplier i t_k on the half-spectra
     of their real rows.
 
-    The Nyquist rule: on an even grid a real row's unpaired Nyquist bin R_N
-    is real, so i t_N R_N is imaginary, and np.fft.irfft, which reads only
-    the real part of that bin, drops it.  d/dx thus has no Nyquist mode, and
-    the derivative identities hold bin by bin in every bin but that one,
-    where they hold in its real part, the only part an inverse transform
-    reads (derivative_rule_defect compares it so).  d/dx of a real row is
-    real.
+    The Nyquist rule, the package's one: on an even grid np.fft.irfft reads
+    only the real part of a row's unpaired Nyquist bin.  A real row's bin
+    R_N is real, so i t_N R_N is imaginary and dropped: d/dx has no Nyquist
+    mode, and the derivative identities hold bin by bin in every bin but
+    that one, where they hold in its real part, the only part an inverse
+    transform reads (derivative_rule_defect compares it so).  d/dx of a
+    real row is real.
+
+    The solve applies the same rule to a complex bin: its X base is the
+    inverse of i t Q with Q = R/(m + i t), whose Nyquist bin keeps the real
+    part R_N t_N^2/(m^2 + t_N^2), and its solution keeps Re Q_N = R_N
+    m/(m^2 + t_N^2), so the solve's residual vanishes in that bin.  d/dx of
+    that solution drops the bin, so residual(report.solution, g, m) holds
+    t_N^2/(m^2 + t_N^2) of g's Nyquist bin, which is at rounding level for
+    data the window resolves.
     """
     return _dx(np.fft.rfft(_real_rows(values)), grid)
 

@@ -226,7 +226,8 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
     """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally to
-    a half-spectrum of f that is not held."""
+    a half-spectrum of f that is not held, by mellin.spectral_dx and its
+    Nyquist rule."""
     require_same_grid(f, g)
     return _defect(spectral_dx(f.values, f.grid), f, g, m)
 
@@ -316,7 +317,9 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
     mellin_inverse_lines call inverts every entry, each as many real rows
     as g has: the divided line-0 spectrum Q, i t Q (the residual's X base),
     then the divided coincidence lines of one mellin_lines call, in line
-    order.
+    order.  By the Nyquist rule of mellin.spectral_dx the X base keeps the
+    real part of the Nyquist bin of i t Q, so on an even grid the report's
+    residual differs from residual(solution, g, m), which drops it.
     """
     m = p.m
     for a in lines:

@@ -343,6 +343,23 @@ class TestResidual:
         assert report.residual <= 1e-12, name
         assert residual(report.solution, g, p.m) <= 1e-12, name
 
+    def test_nyquist_bin_of_the_two_residuals(self, p):
+        # data with most of their weight near the Nyquist bin of an even,
+        # under-resolved grid: the solve's X base keeps the real part of
+        # i t_N Q_N, so its residual vanishes there; X of the solution's
+        # samples drops the bin, which leaves t_N^2/(m^2 + t_N^2) of g's
+        grid = make_log_grid(64, -3.0, 3.0)
+        g = HalfLineFunction(grid, np.exp(-grid.x**2) * (-1.0) ** np.arange(64))
+        m, t_n = p.m, np.pi / grid.h
+        report = solve_mellin(g, p)
+        nyquist = np.zeros(33, np.complex128)
+        nyquist[-1] = -np.fft.rfft(g.values.real)[-1] * t_n**2 / (m**2 + t_n**2)
+        shifted = HalfLineFunction(grid, g.values + np.fft.irfft(nyquist, 64))
+        dropped = relative_difference(shifted, g)
+        assert dropped > 0.5
+        assert report.residual <= 1e-15
+        assert residual(report.solution, g, m) == pytest.approx(dropped, rel=1e-13)
+
     def test_operands_on_different_grids_rejected(self):
         # same length, different windows: the samples must not be compared
         terms = family_member("r2_exp")
