@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IncompatibleCocycle, ObstructionNonzero
 from .grid import HalfLineFunction, _difference_norm, _ratio, relative_to, require_same_grid
 from .mellin import _dx
@@ -55,11 +57,14 @@ class CocycleData:
 
 def verify_cocycle(d: CocycleData) -> float:
     """Compatibility defect ||(X+m) g1 - (iv+m1) g2|| / max(||g1||, ||g2||) by
-    grid._ratio's rule, accumulated in one buffer from g1's held spectrum."""
+    grid._ratio's rule, from g1's held spectrum.  (X+m) g1 is real for real
+    g1 and (iv+m1) g2 never is, so the difference is taken in the buffer of
+    (iv+m1) g2."""
     g1, g2 = d.g1, d.g2
-    diff = _dx(g1.spectrum, g1.grid)
-    diff += d.m * g1.values
-    diff -= d.character * g2.values
+    flow = _dx(g1.spectrum, g1.grid)
+    flow += d.m * g1.values
+    diff = d.character * g2.values
+    np.subtract(flow, diff, out=diff)
     return _ratio(_difference_norm(diff, g1.grid.h), max(g1.norm, g2.norm), g1, g2)
 
 

@@ -48,14 +48,17 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
     underflows to 0 (so inf * 0 is never formed, even where r is inf), is
     scaled by the coefficient.  Real and imaginary parts are summed in real
     arithmetic from +0, which gives the bits of the complex sum; a zero
-    part adds nothing and is skipped.
+    part adds nothing and is skipped.  When every coefficient is real only
+    the real part is formed, and the samples are float64.
     """
+    sides = ("real", "imag") if any(t.coef.imag for t in terms) else ("real",)
+
     def expr(r):
         powers = {k: r**k for k in {t.k for t in terms}}
         decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
         term = np.empty_like(r)
-        values = np.empty(r.shape, dtype=np.complex128)
-        for side in ("real", "imag"):
+        parts = []
+        for side in sides:
             acc = np.zeros_like(r)
             for coef, k, c in terms:
                 part = getattr(coef, side)
@@ -64,7 +67,11 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
                     np.multiply(powers[k], decays[c], out=term, where=decays[c] > 0)
                     term *= part
                     acc += term
-            setattr(values, side, acc)
+            parts.append(acc)
+        if len(parts) == 1:
+            return parts[0]
+        values = np.empty(r.shape, dtype=np.complex128)
+        values.real, values.imag = parts
         return values
 
     f = sample(expr, grid)

@@ -120,9 +120,12 @@ def default_grid() -> LogGrid:
 
 @dataclass(frozen=True, eq=False)
 class HalfLineFunction:
-    """Complex samples f(r_j) of a function on the half-line.
+    """Samples f(r_j) of a function on the half-line.
 
-    The samples are a private read-only copy, so what depends on them alone
+    The samples are a private read-only copy, float64 when they are real
+    (a complex array whose imaginary part is exactly zero everywhere
+    included) and complex128 otherwise; the package runs the same code on
+    either dtype.  So what depends on the samples alone
     is computed at most once: the half-spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which only this module reads (norm, sup, weighted_norm and the one decay
@@ -137,7 +140,11 @@ class HalfLineFunction:
     _held: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        if np.iscomplexobj(values) and values.imag.any():
+            values = np.array(values, np.complex128)
+        else:
+            values = np.array(values.real, np.float64)
         if values.shape != (self.grid.n_points,):
             raise InvalidGrid(
                 f"values shape {values.shape} does not match grid ({self.grid.n_points},)"
@@ -163,7 +170,7 @@ class HalfLineFunction:
         every solve of f.
 
         It is the (rows, n//2+1) np.fft.rfft of _real_rows(values): one row
-        for real samples, two when the imaginary part is not exactly zero.
+        for float64 samples, two for complex128 ones.
         Checked for NaN/Inf here, once, so the line-0 lines that share it
         need no scan of their own.
         """
@@ -176,17 +183,17 @@ class HalfLineFunction:
 
 
 def _real_rows(values: np.ndarray) -> np.ndarray:
-    """The real rows that the transforms of complex samples act on, as a
-    (rows, n) float array: the real part, and below it the imaginary part
-    when that is not exactly zero.  The one row of real samples is a
-    strided view of them (every other float); only the two-row result is
-    a C-ordered copy.  np.fft.rfft of either is C-ordered.
+    """The real rows that the transforms of samples act on, as a (rows, n)
+    float array.  Real samples are their own one row, a view of them;
+    complex samples give a C-ordered copy of the real part with the
+    imaginary part below it.  np.fft.rfft of either is C-ordered.
 
     The transforms are real operators, so the transform of the samples is
     the row transforms recombined as row 0 + i row 1.
     """
-    rows = np.ascontiguousarray(values, np.complex128).view(np.float64).reshape(-1, 2).T
-    return np.ascontiguousarray(rows) if rows[1].any() else rows[:1]
+    if not np.iscomplexobj(values):
+        return values[np.newaxis]
+    return np.stack((values.real, values.imag))
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -208,7 +215,7 @@ def vanishes(f: HalfLineFunction) -> bool:
 def sample(expr: Callable[[np.ndarray], np.ndarray], grid: LogGrid) -> HalfLineFunction:
     """Evaluate a pointwise expression of r on the grid nodes."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        values = np.asarray(expr(grid.r), dtype=np.complex128)
+        values = np.asarray(expr(grid.r))
     try:
         return HalfLineFunction(grid, np.broadcast_to(values, (grid.n_points,)))
     except NonFiniteSample:

@@ -10,11 +10,12 @@ t_k = 2*pi*k/(n*h); forward and inverse lines are then exactly mutually
 inverse and the discrete Parseval identity holds to rounding error.
 
 Every transform is a real-input FFT.  The samples are split into real
-rows (grid._real_rows): the real part, and the imaginary part only when it
-is not exactly zero.  The flow X = -r d/dr, the weights r^{-a} and the
-division by m + z are real operators, so each row is transformed, divided
-and inverted on its own, and the inverse rows are recombined as
-row 0 + i row 1.  For real samples the result's imaginary part is exactly 0.
+rows (grid._real_rows): float64 samples are their own one row, complex128
+ones give their real and imaginary parts.  The flow X = -r d/dr, the
+weights r^{-a} and the division by m + z are real operators, so each row
+is transformed, divided and inverted on its own.  Real data stay real:
+the inverse of one row is the float64 row itself, and two inverse rows are
+recombined as row 0 + i row 1.
 
 A line is held as the (rows, n//2+1) np.fft.rfft half-spectrum of the
 weighted rows f e^(-a x), in rfft bin order; the bins t < 0 of a real row
@@ -120,10 +121,12 @@ def mellin_line(f: HalfLineFunction, a: float) -> MellinLine:
 
 def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid) -> np.ndarray:
     """Inverse transforms of a (k, rows, n//2+1) array of half-spectra on
-    `grid`, in one np.fft.irfft call: entry j becomes the (n,) complex row
-    r^{-a_j} * (irfft(spectra[j, 0]) + i irfft(spectra[j, 1])) at the nodes
-    x, each real row with the bits of its own (n,) inverse.  With one row
-    per entry the imaginary part is exactly 0.
+    `grid`, in one np.fft.irfft call: entry j becomes the (n,) row
+    r^{-a_j} * irfft(spectra[j, 0]) at the nodes x, a float64 row, when
+    there is one row per entry, and the complex128 row r^{-a_j} *
+    (irfft(spectra[j, 0]) + i irfft(spectra[j, 1])) when there are two.
+    Each real row has the bits of its own (n,) inverse.  The one-row result
+    is a view of the irfft output, so no complex array is assembled.
 
     An entry holding the spectrum of a line on Re z = a_j that mellin_lines
     made on the same grid inverts it exactly.
@@ -135,9 +138,11 @@ def mellin_inverse_lines(spectra: np.ndarray, a: Sequence[float], grid: LogGrid)
         for entry, aj in zip(parts, a):
             if aj != 0:
                 entry *= grid.weight(aj)
+    if rows == 1:
+        return parts[:, 0]
     values = np.empty((k, n), np.complex128)
     values.real = parts[:, 0]
-    values.imag = parts[:, 1] if rows == 2 else 0.0
+    values.imag = parts[:, 1]
     return values
 
 

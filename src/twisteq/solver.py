@@ -158,7 +158,8 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     F(x) = e^(-m x) * integral_{-inf}^x G(y) e^(m y) dy, accumulated by
     trapezoid from the large-r end with an Euler-Maclaurin endpoint
     correction (finite-difference derivative, keeping the route free of
-    Fourier machinery).
+    Fourier machinery).  F has the dtype of g's samples: float64 for real
+    data, complex128 otherwise.
     """
     if not m > 0:
         raise ZeroTwist(f"semigroup solve needs m > 0, got {m}")
@@ -175,7 +176,7 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
     # operand order (G * scale, psi[0] * damp), because swapping the
     # operands of a complex product can change its last bit.
     w = 600.0 / m  # the width of a block in x
-    F = np.empty(n, dtype=np.complex128)
+    F = np.empty(n, dtype=G.dtype)
     F[0] = 0.0
     start = 0
     # a twist too large for the grid overflows a block's weight: the NaN or
@@ -236,9 +237,10 @@ def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) 
     """||(X+m)f - g|| / ||g||, given the scratch array xf = X f.
 
     X f + m f - g is accumulated in xf, in the order of
-    spectral_dx(f) + m f - g.
+    spectral_dx(f) + m f - g; a real xf is first promoted to complex when
+    f or g is complex.
     """
-    defect = xf
+    defect = xf.astype(np.result_type(xf, f.values, g.values), copy=False)
     # a twist too large for f overflows here: the NaN or Inf it leaves is
     # refused by _difference_norm below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +349,9 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
         divide_line(found.pop(0), m, out=entry)
     values = mellin_inverse_lines(quotients, (0.0, 0.0, *others), grid)
     del quotients
-    base = HalfLineFunction(grid, values[0])  # its own copy, so no row pins the batch
+    # its own copy: values[0] is a view into the inverse batch, which a
+    # held solution must not pin
+    base = HalfLineFunction(grid, values[0])
     base_residual = _defect(values[1], base, g, m)
     defects = [relative_to(_difference_norm(row - base.values, grid.h), base) for row in values[2:]]
     # np.max, unlike max(), keeps a NaN defect

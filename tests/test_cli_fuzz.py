@@ -116,6 +116,14 @@ def _files(root: Path) -> dict[str, bytes]:
              "grid.n_points": "4095", "lines": "0, -0.4", "t_grid": "0, 0.5"},
     strict=False,
 )
+# A real input whose u1 weight (1 + r^2)^(t/2) overflows where its samples
+# are exactly zero (r > e^354): the zeroing branch of reps.fractional_weight.
+@example(
+    entries={"suite": "estimate-sweep", "family": "none", "function": "1,2,1",
+             "grid.n_points": "512", "grid.x_min": "-400", "grid.x_max": "12",
+             "rep.lambda1": "-1", "regularity.s": "0", "t_grid": "0, 2"},
+    strict=False,
+)
 @settings(max_examples=100)
 @given(entries=configs(), strict=st.booleans())
 def test_main_exits_cleanly_and_reproducibly(entries, strict):

@@ -26,6 +26,50 @@ def _dataset(h_terms, v, m1, m, grid):
     return CocycleData(g1, g2, v=v, m1=m1, p=ModelRepParams(sigma=1, lambda1=1.0, m=m))
 
 
+def _stored_complex(f):
+    """f with its samples held as complex128 with a zero imaginary part,
+    which HalfLineFunction itself stores as float64: the reference for
+    the real arithmetic that real samples take."""
+    values = f.values.astype(np.complex128)
+    values.flags.writeable = False
+    stored = HalfLineFunction(f.grid, f.values)
+    object.__setattr__(stored, "values", values)
+    return stored
+
+
+def _real_g1_dataset(h_terms, v, m1, m, grid):
+    """Compatible data with a real g1 = h and a complex g2 = (X+m) h/(iv+m1)."""
+    character = complex(m1, v)
+    g1 = sample_terms(h_terms, grid)
+    g2 = sample_terms(flow_rhs(scale_terms(1 / character, h_terms), m), grid)
+    return CocycleData(g1, g2, v=v, m1=m1, p=ModelRepParams(sigma=1, lambda1=1.0, m=m))
+
+
+class TestRealSamples:
+    """Real g1 or g2 with a complex character give the values of the same
+    data stored as complex128: no in-place accumulation casts a complex
+    product into a real buffer."""
+
+    def test_real_data_and_complex_character(self, wide_grid, p):
+        g1 = sample_terms(make_terms([(1.0, 1, 1.0)]), wide_grid)
+        g2 = sample_terms(make_terms([(0.5, 2, 2.0)]), wide_grid)
+        assert g1.values.dtype == g2.values.dtype == np.float64
+        d = CocycleData(g1, g2, v=1.5, m1=0.5, p=p)
+        stored = CocycleData(_stored_complex(g1), _stored_complex(g2), v=1.5, m1=0.5, p=p)
+        assert verify_cocycle(d) == verify_cocycle(stored)
+        assert verify_cocycle(d) > 0.1
+
+    @pytest.mark.parametrize("build", [_dataset, _real_g1_dataset], ids=["real-g2", "real-g1"])
+    def test_common_solution(self, wide_grid, build):
+        d = build(make_terms([(1.0, 1, 1.0), (0.5, 3, 2.0)]), v=-1.5, m1=0.5, m=1.0, grid=wide_grid)
+        assert np.float64 in (d.g1.values.dtype, d.g2.values.dtype)
+        stored = CocycleData(_stored_complex(d.g1), _stored_complex(d.g2), v=d.v, m1=d.m1, p=d.p)
+        report, expected = common_solution(d), common_solution(stored)
+        assert report.compatibility_defect == expected.compatibility_defect <= 1e-7
+        assert report.residual_flow == expected.residual_flow <= 1e-6
+        assert report.residual_character == expected.residual_character <= 1e-6
+
+
 class TestVerifyCocycle:
     def test_closed_form_compatible(self, wide_grid, p):
         # h = r e^-r, v = 1, m1 = 0: both sides equal i r^2 e^-r

@@ -433,7 +433,7 @@ class TestShiftLaw:
         # f's imaginary part is one subnormal sample at x > 0, which e^{-x}
         # weighs to 0: f r^{-b} has no imaginary row, f has one, and the
         # missing row compares as zero
-        values = sample_terms(family_member("r2_exp"), grid).values.copy()
+        values = sample_terms(family_member("r2_exp"), grid).values.astype(complex)
         values[3 * grid.n_points // 4] += 5e-324j
         f = HalfLineFunction(grid, values)
         assert len(f.spectrum) == 2

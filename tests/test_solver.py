@@ -398,14 +398,61 @@ class TestResidual:
 
 class TestRealData:
     """X, the weights and the division by m + z are real operators, so real
-    data stays real and complex data solves as its two real parts."""
+    data stays real (float64 samples) and complex data solves as its two
+    real parts."""
 
     @pytest.mark.parametrize("name, terms", FAMILY)
-    def test_real_member_solves_to_real_values(self, wide_grid, p, name, terms):
+    def test_real_member_solves_to_real_values(self, monkeypatch, wide_grid, p, name, terms):
         g = sample_terms(terms, wide_grid)
+        assert g.values.dtype == np.float64
+        batches = []
+        solver_inverse = solver.mellin_inverse_lines
+
+        def inverse(*args):
+            batches.append(solver_inverse(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(solver, "mellin_inverse_lines", inverse)
         report = solve_mellin(g, p, lines=(0.0, -0.4, -0.8))
-        assert not report.solution.values.imag.any()
-        assert not apply_X(g).values.imag.any()
+        (rows,) = batches
+        assert rows.shape == (4, wide_grid.n_points) and rows.dtype == np.float64
+        assert report.solution.values.dtype == np.float64
+        assert apply_X(g).values.dtype == np.float64
+        assert solve_semigroup(g, p.m).values.dtype == np.float64
+        for t in (0.5, 1.0, 2.0):
+            assert fractional_weight(g, t, p).values.dtype == np.float64
+
+    def test_complex_data_stays_complex(self, wide_grid, p):
+        g = sample_terms(make_terms([(1 + 2j, 2, 1.0), (0.5j, 3, 2.0)]), wide_grid)
+        assert g.values.dtype == np.complex128
+        report = solve_mellin(g, p, lines=(0.0, -0.4, -0.8))
+        assert report.solution.values.dtype == np.complex128
+        assert apply_X(g).values.dtype == np.complex128
+        assert solve_semigroup(g, p.m).values.dtype == np.complex128
+        assert fractional_weight(g, 1.0, p).values.dtype == np.complex128
+
+    def test_exactly_real_expression_samples_as_float(self, grid):
+        # the imaginary part is exactly zero (-0.0 included) at every node
+        def expr(r):
+            values = (r * np.exp(-r)).astype(complex)
+            values.imag[::2] = -0.0
+            return values
+
+        f = sample(expr, grid)
+        assert f.values.dtype == np.float64
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        assert np.array_equal(f.values, grid.r * np.exp(-grid.r))
+        # one nonzero imaginary sample keeps the samples complex
+        values = f.values.astype(complex)
+        values[7] += 1e-300j
+        assert HalfLineFunction(grid, values).values.dtype == np.complex128
+
+    def test_residual_of_real_f_against_complex_g(self, wide_grid, p):
+        # X f + m f is accumulated in a real buffer, and g is complex
+        f = sample_terms(family_member("r2_exp"), wide_grid)
+        g = sample_terms(make_terms([(1 + 0.5j, 2, 1.0)]), wide_grid)
+        lhs = lin_comb(1.0, apply_X(f), p.m, f)
+        assert residual(f, g, p.m) == lin_comb(1.0, lhs, -1.0, g).norm / g.norm
 
     def test_complex_input_solves_as_its_parts(self, wide_grid, p):
         g = sample_terms(make_terms([(1 + 2j, 2, 1.0), (0.5j, 3, 2.0)]), wide_grid)
@@ -413,9 +460,10 @@ class TestRealData:
             solve_mellin(HalfLineFunction(wide_grid, part), p).solution.values
             for part in (g.values.real, g.values.imag)
         )
+        assert real.dtype == imag.dtype == np.float64
         solution = solve_mellin(g, p).solution.values
-        assert np.array_equal(solution.real, real.real)
-        assert np.array_equal(solution.imag, imag.real)
+        assert np.array_equal(solution.real, real)
+        assert np.array_equal(solution.imag, imag)
 
 
 class TestWorkPerSolve:
