@@ -122,11 +122,14 @@ def default_grid() -> LogGrid:
 class HalfLineFunction:
     """Samples f(r_j) of a function on the half-line.
 
-    The samples are a private read-only copy, float64 when they are real
-    (a complex array whose imaginary part is exactly zero everywhere
-    included) and complex128 otherwise; the package runs the same code on
-    either dtype.  So what depends on the samples alone
-    is computed at most once: the half-spectrum, and, held in `_held` by a
+    The samples are a private read-only copy: float64 when they are real,
+    a complex array whose imaginary part is exactly zero everywhere
+    included, and complex128 otherwise.  The package runs the same code on
+    either dtype; X, the weights r^{-a} and the division by m + z are real
+    operators, so real data stays float64 through every solve.
+
+    As the copy is private, what depends on the samples alone is computed
+    at most once: the half-spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which only this module reads (norm, sup, weighted_norm and the one decay
     gate, decay_admissible); |f| itself ("abs",) once f is weighed at some

@@ -1,4 +1,5 @@
-"""tools/report_diff.py names the rows of a differing CSV whose verdict moved."""
+"""tools/report_diff.py names the rows of a differing CSV whose verdict moved,
+and per quantity how many values moved and by how much."""
 
 import importlib.util
 from pathlib import Path
@@ -58,3 +59,31 @@ def test_config_on_one_side_is_a_difference(tmp_path, capsys):
         (tmp_path / side / "configs" / f"{stem}.cfg").write_text("suite = solve\n")
     assert report_diff.compare(tmp_path / "parent", tmp_path / "change") == 2
     assert capsys.readouterr().out == "new.cfg: only in change\nold.cfg: only in parent\n"
+
+
+def test_value_moves_per_quantity():
+    # per quantity with a moved value: moved rows of the shared rows, and
+    # the largest |new - old| / |old|, +Inf from 0 or a non-finite value
+    parent = HEADER + (
+        b"solve,0,r_exp,residual,m=1,1e-12,1e-06,<=,pass,\n"
+        b"solve,0,r_exp,weighted_norm,t=0,0.5,,<=,pass,\n"
+        b"solve,0,r_exp,weighted_norm,t=1,0.7,,<=,pass,\n"
+        b"solve,1,mix,residual,m=1,2e-07,1e-06,<=,pass,\n"
+        b"solve,1,mix,obstruction_abs,m=1,0,,<=,pass,\n"
+        b"solve,1,mix,oracle_agreement,m=1,nan,1e-06,<=,fail,\n"
+    )
+    change = HEADER + (
+        b"solve,0,r_exp,residual,m=1,1.5e-12,1e-06,<=,pass,\n"
+        b"solve,0,r_exp,weighted_norm,t=0,0.5,,<=,pass,\n"
+        b"solve,0,r_exp,weighted_norm,t=1,0.77,,<=,pass,\n"
+        b"solve,1,mix,residual,m=1,2e-07,1e-06,<=,pass,\n"
+        b"solve,1,mix,obstruction_abs,m=1,1e-17,,<=,pass,\n"
+        b"solve,1,mix,oracle_agreement,m=1,nan,1e-06,<=,fail,\n"
+        b"solve,2,new,residual,m=1,3e-07,1e-06,<=,pass,\n"
+    )
+    assert report_diff.value_moves(parent, change) == [
+        "residual: 1 of 2 rows moved, largest relative move 0.5",
+        "weighted_norm: 1 of 2 rows moved, largest relative move 0.1",
+        "obstruction_abs: 1 of 1 rows moved, largest relative move inf",
+    ]
+    assert report_diff.value_moves(parent, parent) == []

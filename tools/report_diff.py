@@ -9,8 +9,10 @@ config that only one checkout has is printed as `only in parent` or `only
 in change` and counts as a difference.  The exit code, stdout, stderr and
 every report file are compared byte for byte; for each that differs the
 first differing line is printed, and for a CSV report also how many rows'
-value moved and every row whose verdict (passed or flags) changed.  Rows
-are matched by suite, function, quantity and params, not by case number.
+value moved, every row whose verdict (passed or flags) changed and, per
+quantity with a moved value, how many of its rows moved and the largest
+relative move.  Rows are matched by suite, function, quantity and params,
+not by case number.
 The exit status is 1 on any difference and 0 otherwise.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -85,6 +88,42 @@ def verdict_changes(parent: bytes, change: bytes) -> list[str]:
     return lines
 
 
+def _relative_move(old: str, new: str) -> float:
+    """|new - old| / |old|, or +Inf when either value is not a finite number
+    or old is 0."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def value_moves(parent: bytes, change: bytes) -> list[str]:
+    """For each quantity, in file order, with a row whose value moved: how
+    many of the rows that both sides have moved, and the largest relative
+    move among them."""
+    old, new = _rows(parent), _rows(change)
+    shared: dict[str, list[tuple]] = {}
+    for key in old:
+        if key in new:
+            shared.setdefault(key[2], []).append(key)
+    lines = []
+    for quantity, keys in shared.items():
+        moves = [
+            _relative_move(old[key]["value"], new[key]["value"])
+            for key in keys
+            if old[key]["value"] != new[key]["value"]
+        ]
+        if moves:
+            lines.append(
+                f"{quantity}: {len(moves)} of {len(keys)} rows moved, "
+                f"largest relative move {max(moves):.2g}"
+            )
+    return lines
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print each differing output per config; return how many differ."""
     differing = 0
@@ -111,6 +150,8 @@ def compare(parent: Path, change: Path) -> int:
                 if name.endswith(".csv") and name in old and name in new:
                     for line in verdict_changes(old[name], new[name]):
                         print(f"    {line}")
+                    for line in value_moves(old[name], new[name]):
+                        print(f"      {line}")
             differing += len(diffs)
     return differing
 
