@@ -370,7 +370,7 @@ class TestResidual:
 
     def test_spectrum_not_held_is_not_held_afterwards(self, ffts, grid):
         # the oracle's solution is measured once: holding its spectrum would
-        # only cost 16 bytes a point
+        # only cost 8 bytes a point (n//2 + 1 complex bins of its one real row)
         f = sample_terms(family_member("r2_exp"), grid)
         g = sample_terms(flow_rhs(family_member("r2_exp"), 1.0), grid)
         fresh = residual(f, g, 1.0)
