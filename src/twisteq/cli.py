@@ -61,6 +61,12 @@ def _parse_suite(text: str) -> str:
     return text
 
 
+def _parse_family(text: str) -> str:
+    if text not in ("default", "none"):
+        raise ValueError("must be one of default, none")
+    return text
+
+
 def _parse_terms(text: str) -> Terms | None:
     if not text.strip():
         return None
@@ -94,7 +100,7 @@ class ExperimentConfig:
     s: float = _key("regularity.s", float, 3.0)
     t_grid: tuple[float, ...] = _key("t_grid", _parse_floats, (0.0, 0.5, 1.0, 2.0))
     lines: tuple[float, ...] = _key("lines", _parse_floats, (0.0, -0.4, -0.8))
-    family: str = _key("family", str, "default")
+    family: str = _key("family", _parse_family, "default")
     function: Terms | None = _key("function", _parse_terms, None)
     out_dir: str = _key("out.dir", str, "reports")
     sweep_delta: float = _key("sweep.delta", float, 0.2)
@@ -113,8 +119,6 @@ class ExperimentConfig:
         cases: list[tuple[str, Terms]] = []
         if self.family == "default":
             cases.extend(families.FAMILY)
-        elif self.family != "none":
-            raise ConfigError(f"family: expected 'default' or 'none', got {self.family!r}")
         if self.function is not None:
             cases.append(("inline", self.function))
         if not cases:
@@ -133,7 +137,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig()
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -567,10 +571,9 @@ def _json_row(row: ReportRow) -> str:
 def write_reports(
     rows: list[ReportRow], plot: PlotData, cfg: ExperimentConfig, out_dir: Path
 ) -> None:
-    """Write <suite>.csv, <suite>.json and the plot tables; the CSV equals
-    csv.DictWriter's and the JSON json.dumps(payload, indent=2)'s, byte for
-    byte."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write <suite>.csv, <suite>.json and the plot tables into the existing
+    directory out_dir; the CSV equals csv.DictWriter's and the JSON
+    json.dumps(payload, indent=2)'s, byte for byte."""
     with (out_dir / f"{cfg.suite}.csv").open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f.name for f in fields(ReportRow)])
@@ -605,8 +608,18 @@ def write_reports(
 
 
 def run(cfg: ExperimentConfig) -> int:
+    """Run the suite and write its reports; an output directory that cannot
+    be made, before the suite runs, or written is a ConfigError."""
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out.dir: {exc}") from exc
     rows, plot = run_suite(cfg)
-    write_reports(rows, plot, cfg, Path(cfg.out_dir))
+    try:
+        write_reports(rows, plot, cfg, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"out.dir: {exc}") from exc
     failed = [row for row in rows if not row.passed]
     total = len(rows)
     try:

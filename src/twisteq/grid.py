@@ -80,8 +80,12 @@ class LogGrid:
 
     @cached_property
     def i_frequencies(self) -> np.ndarray:
-        """The multiplier i t_k of d/dx, in rfft bin order (read-only)."""
+        """The multiplier i t_k of d/dx, in rfft bin order (read-only), that
+        every X of the package reads.  An even grid's Nyquist entry is 0, as
+        the mode (-1)^j has no derivative at the nodes."""
         i_omega = 1j * self.frequencies
+        if self.n_points % 2 == 0:
+            i_omega[-1] = 0
         i_omega.flags.writeable = False
         return i_omega
 

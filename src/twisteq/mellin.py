@@ -188,25 +188,9 @@ def parseval_defect(f: HalfLineFunction) -> float:
 
 
 def spectral_dx(values: np.ndarray, grid: LogGrid) -> np.ndarray:
-    """d/dx of samples on `grid` by the multiplier i t_k on the half-spectra
-    of their real rows.
-
-    The Nyquist rule, the package's one: on an even grid np.fft.irfft reads
-    only the real part of a row's unpaired Nyquist bin.  A real row's bin
-    R_N is real, so i t_N R_N is imaginary and dropped: d/dx has no Nyquist
-    mode, and the derivative identities hold bin by bin in every bin but
-    that one, where they hold in its real part, the only part an inverse
-    transform reads (derivative_rule_defect compares it so).  d/dx of a
-    real row is real.
-
-    The solve applies the same rule to a complex bin: its X base is the
-    inverse of i t Q with Q = R/(m + i t), whose Nyquist bin keeps the real
-    part R_N t_N^2/(m^2 + t_N^2), and its solution keeps Re Q_N = R_N
-    m/(m^2 + t_N^2), so the solve's residual vanishes in that bin.  d/dx of
-    that solution drops the bin, so residual(report.solution, g, m) holds
-    t_N^2/(m^2 + t_N^2) of g's Nyquist bin, which is at rounding level for
-    data the window resolves.
-    """
+    """d/dx of samples on `grid` by the multiplier grid.i_frequencies on the
+    half-spectra of their real rows: d/dx has no Nyquist mode, and d/dx of
+    a real row is real."""
     return _dx(np.fft.rfft(_real_rows(values)), grid)
 
 
@@ -226,21 +210,15 @@ def derivative_rule_defect(f: HalfLineFunction, a: float) -> float:
     """Sup-norm defect of M(Xf, a+it) = (a+it) M(f, a+it), where X = -r d/dr.
 
     Xf is f's held apply_X; both f and Xf must pass the decay test for the
-    line, otherwise NotAdmissible.  By spectral_dx's Nyquist rule, an even
-    grid's Nyquist bin is compared in its real part alone, the only part an
-    inverse transform reads of it; every other bin is compared whole.
+    line, otherwise NotAdmissible.
     """
-    grid = f.grid
     xf = apply_X(f)
     if not line_admissible(f, a):
         raise NotAdmissible(f"f lacks decay for the line Re z = {a}")
     if not line_admissible(xf, a):
         raise NotAdmissible(f"r d/dr f lacks decay for the line Re z = {a}")
     lhs, rhs = _same_rows(*(line.spectrum for line in mellin_lines([(xf, a), (f, a)])))
-    diff = lhs - (a + grid.i_frequencies) * rhs
-    if grid.n_points % 2 == 0:
-        diff[:, -1] = diff[:, -1].real
-    return _sup_relative(diff, rhs, f)
+    return _sup_relative(lhs - (a + f.grid.i_frequencies) * rhs, rhs, f)
 
 
 def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:

@@ -102,8 +102,9 @@ def obstructed(g: HalfLineFunction, d: complex) -> bool:
     return magnitude(d) > OBSTRUCTION_TOL * max(g.sup, _TINY)
 
 
-def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
-    """D(g) = M(g, -m) by direct quadrature of (2 pi)^(-1/2) g(r) r^(-m-1) dr.
+def obstruction(g: HalfLineFunction, p: ModelRepParams) -> float | complex:
+    """D(g) = M(g, -m) by direct quadrature of (2 pi)^(-1/2) g(r) r^(-m-1) dr:
+    real for real samples, complex for complex ones.
 
     Defined only for data with regularity beyond m/lambda1: on both edges of
     the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
@@ -124,7 +125,7 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams) -> complex:
                     f"obstruction undefined: weighted norm overflows at edge {edge}"
                 )
         integrand = g.values * g.grid.weight(m)
-        return complex(trapezoid(integrand, g.grid.h)) / _SQRT2PI
+        return trapezoid(integrand, g.grid.h) / _SQRT2PI
 
     return _hold(g, ("obstruction", m), compute)
 
@@ -227,8 +228,7 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
     """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally to
-    a half-spectrum of f that is not held, by mellin.spectral_dx and its
-    Nyquist rule."""
+    a half-spectrum of f that is not held, by mellin.spectral_dx."""
     require_same_grid(f, g)
     return _defect(spectral_dx(f.values, f.grid), f, g, m)
 
@@ -259,8 +259,9 @@ def divide_line(g_line: MellinLine, m: float, out: np.ndarray | None = None) -> 
         raise PoleOnLine(f"line Re z = {g_line.a} passes through the pole -m = {-m}")
     if out is None:
         out = np.empty_like(g_line.spectrum)
-    z = np.add(g_line.grid.i_frequencies, m + g_line.a, out=out)  # m + z in every row
-    ratio = np.divide(g_line.spectrum, z, out=z)  # m + z is not needed after this
+    out.real = m + g_line.a  # m + z in every row
+    out.imag = g_line.grid.frequencies
+    ratio = np.divide(g_line.spectrum, out, out=out)  # m + z is not needed after this
     return checked_line(g_line.a, g_line.grid, ratio)
 
 
@@ -319,9 +320,9 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
     mellin_inverse_lines call inverts every entry, each as many real rows
     as g has: the divided line-0 spectrum Q, i t Q (the residual's X base),
     then the divided coincidence lines of one mellin_lines call, in line
-    order.  By the Nyquist rule of mellin.spectral_dx the X base keeps the
-    real part of the Nyquist bin of i t Q, so on an even grid the report's
-    residual differs from residual(solution, g, m), which drops it.
+    order.  The X base reads the one multiplier of d/dx,
+    LogGrid.i_frequencies, so the report's residual is the residual of its
+    solution.
     """
     m = p.m
     for a in lines:

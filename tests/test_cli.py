@@ -110,6 +110,37 @@ class TestMainExitCodes:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"suite = solve\nfamily = \xff\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["key", "flag"])
+    def test_output_directory_that_cannot_be_made_exit_2(self, tmp_path, capsys, monkeypatch, where):
+        # out.dir naming a file, or --out a path below one: refused before
+        # any suite runs, with one line and no traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if where == "key":
+            path, argv = write(tmp_path, f"suite = cocycle\nout.dir = {blocker}\n"), []
+        else:
+            path, argv = write(tmp_path, "suite = cocycle\n"), ["--out", str(blocker / "sub")]
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("the suite ran"))
+        assert main(["run", str(path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: out.dir: ") and captured.err.count("\n") == 1
+
+    def test_report_that_cannot_be_written_exit_2(self, tmp_path, capsys):
+        (tmp_path / "out" / "cocycle.csv").mkdir(parents=True)
+        path = write(tmp_path, f"suite = cocycle\nout.dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out.dir: ") and err.count("\n") == 1
+
     def test_small_solve_passes(self, tmp_path):
         path = write(
             tmp_path,
@@ -161,6 +192,8 @@ class TestMainExitCodes:
             ("suite = perturbation-sweep\ntwist.m = 1e6\n", "m=1e+06, m=1e+06"),
             # keys that changed no report, or set a value --strict sets
             *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
+            # refused while parsing, in the suites that read the key and in those that do not
+            *[(f"suite = {suite}\nfamily = bogus\n", "bad value for 'family'") for suite in cli.SUITES],
         ],
         ids=["solve-vanishing-function", "estimate-vanishing-function", "infinite-x-min",
              "nan-lambda1", "infinite-m", "nan-s",
@@ -170,7 +203,8 @@ class TestMainExitCodes:
              "shrinking-scan", "repeated-scan-window", "scan-window-at-x-min",
              "estimate-skips-every-input", "sweep-twists-one-float", "sweep-zero-delta",
              "sweep-twists-one-params",
-             *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS]],
+             *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS],
+             *[f"bogus-family-{suite}" for suite in cli.SUITES]],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, monkeypatch, text, message):
         # rejected while parsing, before any suite runs: no traceback
@@ -854,6 +888,7 @@ def _reference_reports(rows, cfg, out_dir: Path) -> None:
 
 
 def _assert_reports_match_reference(rows, cfg, tmp_path: Path) -> None:
+    (tmp_path / "new").mkdir()
     cli.write_reports(rows, {}, cfg, tmp_path / "new")
     _reference_reports(rows, cfg, tmp_path / "reference")
     for ext in ("csv", "json"):

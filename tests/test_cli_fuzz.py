@@ -51,7 +51,7 @@ def configs(draw) -> dict[str, str]:
         "twist.m": _number([1.0, 0.5, 1.5, 2.0, 3.0, 0.0, -1.0, 1e20, 1e100], 1e-3, 6.0),
         "rep.lambda1": _number([1.0, -1.0, 0.8, 0.0, 2.5], -3.0, 3.0),
         "regularity.s": _number([2.0, 3.0, 0.0], -1.0, 6.0),
-        "family": st.sampled_from(["default", "none"]),
+        "family": st.sampled_from(["default", "none", "bogus"]),
         "function": _FUNCTION,
         "lines": _number_list([0.0, -0.4, -0.5, -1.0, -1.5], -4.0, 1.0, 4),
         "t_grid": _number_list([0.0, 0.5, 1.0, 2.0], -1.0, 5.0, 4),

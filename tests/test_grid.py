@@ -78,10 +78,16 @@ class TestHeldWeights:
         assert twin.weight(a) is not w and np.array_equal(twin.weight(a), w)
 
     def test_i_frequencies(self):
-        grid = make_log_grid(64, -3.0, 3.0)
-        i_omega = grid.i_frequencies
-        assert np.array_equal(i_omega, 1j * grid.frequencies)
-        assert not i_omega.flags.writeable and grid.i_frequencies is i_omega
+        # i t_k in every bin but an even grid's Nyquist bin, whose mode
+        # (-1)^j has no derivative at the nodes
+        for n in (64, 65):
+            grid = make_log_grid(n, -3.0, 3.0)
+            i_omega = grid.i_frequencies
+            expected = 1j * grid.frequencies
+            if n == 64:
+                expected[-1] = 0
+            assert np.array_equal(i_omega, expected) and i_omega.shape == (n // 2 + 1,)
+            assert not i_omega.flags.writeable and grid.i_frequencies is i_omega
 
     def test_sampling_rates_computed_once_per_call(self, exps):
         grid = make_log_grid(4096, -12.0, 12.0)

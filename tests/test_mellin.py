@@ -79,7 +79,8 @@ class TestMellinLine:
             assert len(omega) == n // 2 + 1 and omega[0] == 0.0
             last = np.pi / grid.h * (1.0 if n % 2 == 0 else (n - 1) / n)
             assert omega[-1] == pytest.approx(last, rel=1e-14)
-            # spectral_dx reads the held frequencies and keeps every bit
+            # spectral_dx keeps every bit of the plain multiplier i t: irfft
+            # drops the imaginary i t_N R_N that i_frequencies' 0 replaces
             f = sample_terms(family_member("r2_exp"), grid)
             direct = np.fft.irfft(np.fft.rfft(f.values.real) * (1j * omega), n)
             assert np.array_equal(spectral_dx(f.values, grid), direct)
@@ -373,10 +374,9 @@ class TestDerivativeRule:
 
     @pytest.mark.parametrize("n", [6912, 6911])
     def test_line_zero_holds_to_rounding(self, n):
-        # mellin.cfg's window.  By the Nyquist rule only the real part of an
-        # even grid's Nyquist bin is compared: irfft drops i t_N R_N from
-        # X f, and the whole bin would read pi/h |R_N| / sup|R|, 1.1e-12 for
-        # r_exp
+        # mellin.cfg's window.  X f has no Nyquist mode on an even grid, and
+        # the rule's multiplier there is LogGrid.i_frequencies' 0: i t_N
+        # would make the bin read pi/h |R_N| / sup|R|, 1.1e-12 for r_exp
         grid = make_log_grid(n, -12.0, 28.0)
         for name, terms in FAMILY:
             assert derivative_rule_defect(sample_terms(terms, grid), 0.0) <= 1e-14, name

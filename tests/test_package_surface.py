@@ -23,7 +23,9 @@ own, and no package call hands one to a gate predicate, so every gate reads
 grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
 cocycle.COMPAT_TOL.  A seventh keeps one decay gate: no module but grid.py
 reads grid.profile, grid.Profile or Profile.decays, so every decay test is
-a call of grid.decay_admissible.
+a call of grid.decay_admissible.  An eighth keeps one Nyquist rule: no
+module but grid.py takes a value modulo 2, so only LogGrid.i_frequencies
+asks whether a grid is even and has a Nyquist bin.
 """
 
 import ast
@@ -273,3 +275,26 @@ def test_one_decay_gate():
         for use in _profile_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, f"a profile read outside grid.decay_admissible and the norms: {found}"
+
+
+def _parity_tests(tree: ast.AST) -> list[int]:
+    """Lines that take a value modulo 2, as a test of n_points' parity does."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    ]
+
+
+def test_one_nyquist_rule():
+    # an even grid's Nyquist bin is special-cased in LogGrid.i_frequencies alone
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "grid.py"
+        for line in _parity_tests(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, f"a parity test outside grid.py: {found}"

@@ -106,6 +106,19 @@ class TestProjectObstruction:
         again = project_obstruction(projected, p, bump)
         assert rel_err(again, projected) <= 1e-12
 
+    def test_real_projection_stays_real(self, wide_grid, p, obstructed, projected):
+        # D of real data is real, so the projection is g + c bump with a
+        # real c, formed in float64
+        bump = sample_terms(family_member("r2_exp2"), wide_grid)
+        d_g, d_bump = obstruction(obstructed, p), obstruction(bump, p)
+        assert isinstance(d_g, float) and isinstance(d_bump, float)
+        c = -d_g / d_bump
+        assert projected.values.dtype == np.float64
+        assert np.array_equal(projected.values, obstructed.values + c * bump.values)
+        # complex data keep a complex D
+        rotated = HalfLineFunction(wide_grid, 1j * obstructed.values)
+        assert obstruction(rotated, p) == pytest.approx(1j * d_g, rel=1e-15)
+
     def test_degenerate_bump(self, wide_grid, p, obstructed):
         zero = sample(lambda r: 0.0 * r, wide_grid)
         with pytest.raises((DegenerateBump, NotAdmissible)):
@@ -345,9 +358,9 @@ class TestResidual:
 
     def test_nyquist_bin_of_the_two_residuals(self, p):
         # data with most of their weight near the Nyquist bin of an even,
-        # under-resolved grid: the solve's X base keeps the real part of
-        # i t_N Q_N, so its residual vanishes there; X of the solution's
-        # samples drops the bin, which leaves t_N^2/(m^2 + t_N^2) of g's
+        # under-resolved grid.  The solve's X base and X of the solution's
+        # samples both read LogGrid.i_frequencies, which drops the bin, so
+        # both residuals hold t_N^2/(m^2 + t_N^2) of g's Nyquist bin
         grid = make_log_grid(64, -3.0, 3.0)
         g = HalfLineFunction(grid, np.exp(-grid.x**2) * (-1.0) ** np.arange(64))
         m, t_n = p.m, np.pi / grid.h
@@ -357,8 +370,18 @@ class TestResidual:
         shifted = HalfLineFunction(grid, g.values + np.fft.irfft(nyquist, 64))
         dropped = relative_difference(shifted, g)
         assert dropped > 0.5
-        assert report.residual <= 1e-15
-        assert residual(report.solution, g, m) == pytest.approx(dropped, rel=1e-13)
+        assert report.residual == residual(report.solution, g, m)
+        assert report.residual == pytest.approx(dropped, rel=1e-13)
+
+    def test_report_residual_is_its_solution_residual(self, p):
+        # h = r^{1+530i} e^{-r} oscillates near the Nyquist rate of the
+        # window, and g = (X + 1) h = (r - 530i) h.  Its Nyquist-bin content
+        # fails the residual bound, in the report as in the solution it holds
+        grid = make_log_grid(6144, -12.0, 24.0)
+        g = sample(lambda r: (r - 530j) * r ** (1 + 530j) * np.exp(-r), grid)
+        report = solve_mellin(g, p)
+        assert report.residual > 1e-6
+        assert report.residual == pytest.approx(residual(report.solution, g, p.m), rel=1e-12)
 
     def test_operands_on_different_grids_rejected(self):
         # same length, different windows: the samples must not be compared
