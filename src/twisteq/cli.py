@@ -188,6 +188,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"sweep.delta: the {len(params)} twists m +- delta/2 repeat in the report: "
                 + ", ".join(text.partition(";")[0] for text in params)
             )
+    # the suites that read cfg.cases() refuse a config without inputs
+    # before out.dir is made; cocycle and obstruction-scan do not read it
+    if cfg.suite in ("mellin-identities", "solve", "estimate-sweep", "perturbation-sweep"):
+        cfg.cases()
     # A suite whose rows carry no bound would pass while measuring nothing.
     if cfg.suite == "estimate-sweep":
         if not cfg.t_grid:

@@ -118,5 +118,5 @@ def common_solution(d: CocycleData) -> CommonSolutionReport:
         compatibility_defect=defect,
         obstruction=d_g2,
         base_norm_ratio=report.base_norm_ratio,
-        flags=flags + undefined + report.flags,
+        flags=flags + undefined,
     )

@@ -136,10 +136,8 @@ class HalfLineFunction:
     at most once: the half-spectrum, and, held in `_held` by a
     tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
     which only this module reads (norm, sup, weighted_norm and the one decay
-    gate, decay_admissible); |f| itself ("abs",) once f is weighed at some
-    a != 0; X f ("X",) of mellin.apply_X; the obstruction D(g) ("obstruction",
-    m) of solver.obstruction; and each Mellin solve ("solve", m, lines) of
-    solver.solve_mellin.
+    gate, decay_admissible); X f ("X",) of mellin.apply_X; and each Mellin
+    solve ("solve", m, lines) of solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -257,32 +255,16 @@ class Profile:
 
 
 def profile(f: HalfLineFunction, a: float) -> Profile:
-    """The profile of |f(r_j) r_j^{-a}| = |f| e^{a x}, held on f per a.
-
-    The first weighted profile (a != 0) holds |f| on f, so each further
-    weight costs one product; the unweighted profile reads |f| when it is
-    held and does not hold it otherwise.
-    """
+    """The profile of |f(r_j) r_j^{-a}| = |f| e^{a x}, held on f per a."""
     def compute():
-        if a == 0:
-            held = f._held.get(("abs",))
-            return Profile.of(np.abs(f.values) if held is None else held, f.grid.h)
-        # 0 * inf is NaN, which shows in the peak and fails every decay test
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            w = _magnitudes(f) * f.grid.weight(a)
+        w = np.abs(f.values)
+        if a != 0:
+            # 0 * inf is NaN, which shows in the peak and fails every decay test
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                w *= f.grid.weight(a)
         return Profile.of(w, f.grid.h)
 
     return _hold(f, ("profile", a), compute)
-
-
-def _magnitudes(f: HalfLineFunction) -> np.ndarray:
-    """|f|, held on f (read-only)."""
-    def compute():
-        w = np.abs(f.values)
-        w.flags.writeable = False
-        return w
-
-    return _hold(f, ("abs",), compute)
 
 
 def _energy(w: np.ndarray, h: float) -> float:

@@ -109,25 +109,18 @@ def obstruction(g: HalfLineFunction, p: ModelRepParams) -> float | complex:
     Defined only for data with regularity beyond m/lambda1: on both edges of
     the strip -m - DEFAULT_ADMISSIBILITY_MARGIN <= Re z <= 0, g must pass the
     decay test and have a finite weighted norm at the edge.  NotAdmissible
-    names the first failing edge.  The value is held on g per m, so a solve
-    that gates with it and the report that carries it compute it once.
+    names the first failing edge.
     """
     m = p.m
-
-    def compute():
-        for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
-            if not decay_admissible(g, -edge):
-                raise NotAdmissible(
-                    f"obstruction undefined: non-decaying weighted samples at edge {edge}"
-                )
-            if not math.isfinite(weighted_norm(g, -edge)):
-                raise NotAdmissible(
-                    f"obstruction undefined: weighted norm overflows at edge {edge}"
-                )
-        integrand = g.values * g.grid.weight(m)
-        return trapezoid(integrand, g.grid.h) / _SQRT2PI
-
-    return _hold(g, ("obstruction", m), compute)
+    for edge in (-m - DEFAULT_ADMISSIBILITY_MARGIN, 0.0):
+        if not decay_admissible(g, -edge):
+            raise NotAdmissible(
+                f"obstruction undefined: non-decaying weighted samples at edge {edge}"
+            )
+        if not math.isfinite(weighted_norm(g, -edge)):
+            raise NotAdmissible(f"obstruction undefined: weighted norm overflows at edge {edge}")
+    integrand = g.values * g.grid.weight(m)
+    return trapezoid(integrand, g.grid.h) / _SQRT2PI
 
 
 def reported_obstruction(

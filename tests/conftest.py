@@ -130,6 +130,31 @@ def gates(monkeypatch):
 
 
 @pytest.fixture
+def holds(monkeypatch):
+    """count(call) runs call and returns {kind: (hits, misses)} of the values
+    it asks grid._hold for, under every name the package binds _hold to; a
+    kind is the first entry of a held key."""
+    counts = {}
+    hold = grid_module._hold
+
+    def counted(owner, key, compute):
+        hits, misses = counts.get(key[0], (0, 0))
+        counts[key[0]] = (hits + 1, misses) if key in owner._held else (hits, misses + 1)
+        return hold(owner, key, compute)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "twisteq" and getattr(module, "_hold", None) is hold:
+            monkeypatch.setattr(module, "_hold", counted)
+
+    def count(call):
+        counts.clear()
+        call()
+        return dict(sorted(counts.items()))
+
+    return count
+
+
+@pytest.fixture
 def scalar_math(monkeypatch):
     """count(call) runs call and returns its np.isfinite, np.sqrt and
     np.finfo call count: numpy scalar math, which the package does in math."""

@@ -141,6 +141,21 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: out.dir: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_config_without_inputs(self, tmp_path, capsys, suite):
+        # family = none and no function: the suites that read the inputs
+        # refuse it while parsing, before out.dir is made; the others run
+        # (cocycle's rows on the default grid fail, exit 1)
+        out = tmp_path / "out"
+        path = write(tmp_path, f"suite = {suite}\nfamily = none\n")
+        code = main(["run", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if suite in ("cocycle", "obstruction-scan"):
+            assert code in (0, 1) and err == "" and out.is_dir()
+        else:
+            assert code == 2 and not out.exists()
+            assert err == "config error: no inputs: family = none and no function given\n"
+
     def test_small_solve_passes(self, tmp_path):
         path = write(
             tmp_path,
@@ -947,5 +962,21 @@ def test_decay_gate_census_of_the_shipped_configs(gates, tmp_path):
     # every decay test of one pass over the shipped configs is one call of
     # the one gate, so a tracer of decay_admissible sees each of them; the
     # line-0 solves evaluate no obstruction, so its strip edges are tested
-    # only where D is gated or reported
-    assert gates(lambda: _one_pass(tmp_path)) == (414, 414)
+    # only where D is gated or reported, at each evaluation (twice in each
+    # of solve.cfg's 5 projected cases: the pole gate and the report)
+    assert gates(lambda: _one_pass(tmp_path)) == (424, 424)
+
+
+def test_held_kind_census_of_the_shipped_configs(holds, tmp_path):
+    # (hits, misses) of each held kind over one pass of the shipped configs,
+    # so that a kind that stops paying shows.  No shipped config repeats a
+    # solve; the held solve pays in a sweep of one input at repeated twists
+    # (perfbench's shared-sweep)
+    assert holds(lambda: _one_pass(tmp_path)) == {
+        "X": (8, 8),
+        "fractional_weight": (138, 16),
+        "log_weight": (11, 5),
+        "profile": (703, 423),
+        "solve": (0, 82),
+        "weight": (168, 68),
+    }

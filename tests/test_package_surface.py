@@ -12,8 +12,8 @@ product with a grid's x outside LogGrid.weight, which holds them.  A third
 keeps one path for Mellin lines: MellinLine is built only by
 mellin.checked_line, which scans the spectrum for NaN/Inf, and by
 mellin_lines' a == 0 branch, whose held spectrum was scanned when it was
-computed.  A fourth keeps one get-or-compute for held values: no module but
-grid.py names `._held`; the others hold through grid._hold.  A fifth keeps
+computed.  A fourth keeps one get-or-compute for held values: no function
+but grid._hold names `._held`; the others hold through it.  A fifth keeps
 one forward and one inverse transform, both real-input: np.fft.rfft runs
 only in HalfLineFunction.spectrum, which holds it, in mellin_lines, off line
 0, and in spectral_dx; np.fft.irfft runs only in mellin_inverse_lines; and
@@ -144,12 +144,17 @@ def test_one_path_for_mellin_lines():
     assert not found, f"MellinLine built outside checked_line and mellin_lines' line 0: {found}"
 
 
-def _held_uses(tree: ast.AST) -> list[int]:
-    """Lines that name the attribute `_held`."""
+def _held_uses(tree: ast.AST, hold: bool) -> list[int]:
+    """Lines that name the attribute `_held`, outside the module-level
+    function _hold when hold is set."""
+    inside = set()
+    for node in tree.body if hold else ():
+        if isinstance(node, ast.FunctionDef) and node.name == "_hold":
+            inside.update(map(id, ast.walk(node)))
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_held"
+        if isinstance(node, ast.Attribute) and node.attr == "_held" and id(node) not in inside
     ]
 
 
@@ -158,10 +163,9 @@ def test_one_get_or_compute_for_held_values():
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "grid.py"
-        for line in _held_uses(ast.parse(path.read_text(), str(path)))
+        for line in _held_uses(ast.parse(path.read_text(), str(path)), path.name == "grid.py")
     ]
-    assert not found, f"._held named outside grid.py: {found}"
+    assert not found, f"._held named outside grid._hold: {found}"
 
 
 def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:

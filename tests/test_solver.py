@@ -285,8 +285,8 @@ class TestSolveMellin:
 
 
 class TestObstructionWork:
-    """D(g) is evaluated only where it is gated or reported, and held on g
-    per m: a gating solve and the report that carries D compute it once."""
+    """D(g) is evaluated only where it is gated or reported, and each
+    evaluation runs its strip gates and its quadrature: D is not held."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -312,19 +312,17 @@ class TestObstructionWork:
         solve_mellin(g, p, lines=(0.0,), t_list=(0.0, 0.5))
         estimate_sweep(g, ModelRepParams(sigma=1, lambda1=-1.0, m=1.5), 1.0, (0.0, 0.5))
         assert counts == {"calls": 0, "quadratures": 0}
-        assert not [key for key in g._held if key[0] == "obstruction"]
 
-    def test_gate_and_report_compute_d_once(self, counts, wide_grid):
+    def test_gate_and_report_each_compute_d(self, counts, wide_grid):
         g = sample_terms(family_member("r2_exp"), wide_grid)
         p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
         solve_mellin(g, p, lines=(0.0, -0.4))
         assert counts == {"calls": 1, "quadratures": 1}
         d, flags = reported_obstruction(g, p)
-        assert counts == {"calls": 2, "quadratures": 1}
+        assert counts == {"calls": 2, "quadratures": 2}
         assert flags == () and d == pytest.approx(INV_SQRT2PI, rel=1e-7)
-        # another twist is another D
-        reported_obstruction(g, ModelRepParams(sigma=1, lambda1=1.0, m=1.5))
-        assert counts == {"calls": 3, "quadratures": 2}
+        # every evaluation gives the same bits
+        assert obstruction(g, p) == d
 
     def test_undefined_obstruction_reported_with_its_flag(self, grid):
         g = sample_terms(family_member("r_exp"), grid)  # k = m = 1
@@ -594,18 +592,19 @@ class TestWorkPerSolve:
         assert abses(lambda: decay_admissible(g, 0.4)) == 0
         assert abses(lambda: weighted_norm(g, p.m + DEFAULT_ADMISSIBILITY_MARGIN)) == 0
 
-    def test_weighted_profiles_share_one_magnitude_pass(self, abses, grid):
-        # the first weighted profile holds |g|; each later weight is one
-        # product, and the unweighted profile reads the held |g| as well
+    def test_one_magnitude_pass_per_profile(self, abses, grid):
+        # each weight's profile is one |g| pass and one product, held;
+        # a weight already profiled runs none
         g = sample_terms(family_member("r2_exp"), grid)
-        assert abses(lambda: [weighted_norm(g, a) for a in (0.5, -0.4, 1.05)]) == 1
-        assert abses(lambda: g.norm) == 0
+        assert abses(lambda: [weighted_norm(g, a) for a in (0.5, -0.4, 1.05)]) == 3
+        assert abses(lambda: (weighted_norm(g, 0.5), g.norm)) == 1
 
     def test_unweighted_profile_holds_no_magnitudes(self, abses, grid):
-        # a function only ever normed, as a held solution, keeps no |f| array
+        # a function only ever normed, as a held solution, holds its one
+        # profile and no array
         g = sample_terms(family_member("r2_exp"), grid)
         assert abses(lambda: (g.norm, g.sup)) == 1
-        assert ("abs",) not in g._held
+        assert list(g._held) == [("profile", 0.0)]
 
 
 class TestFixedCost:
@@ -676,12 +675,12 @@ def test_contracting_config_exponential_count(exps, tmp_path):
 
 
 def test_contracting_config_abs_count(abses, tmp_path):
-    # per grid (2) and input (8), 9 |.| passes: |g| once, held by its first
-    # weighted profile (a = -2, the regularity gate's line Re z = 2) and read
-    # by its profile at 0, the solution's profile at 0 and the residual, and
-    # the fractional weights of the solution and of g at t = 0.5, 1, 2
+    # per grid (2) and input (8), 10 |.| passes: one per profile, g's at
+    # a = -2 (the regularity gate's line Re z = 2) and at 0, the solution's
+    # at 0 and the fractional weights of the solution and of g at t = 0.5,
+    # 1, 2, and one in the residual
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
-    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 144
+    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 160
 
 
 def _equal(a, b) -> bool:
