@@ -23,17 +23,20 @@ are the conjugates of the bins t > 0.  The unitary transform multiplies the
 recombined spectrum by (h/sqrt(2 pi)) e^(-i t x_min); the inverse undoes
 exactly that factor.  Divide-then-invert never needs it, so no line applies
 it.  Every forward transform of a line runs through mellin_lines and every
-inverse one, d/dx included, through mellin_inverse_lines.
+inverse one, d/dx included, through mellin_inverse_lines.  The residual's
+defect norm needs no inverse: discrete Parseval reads it off the defect's
+half-spectrum (_flow_defect_norm).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, NotAdmissible
+from .errors import GridMismatch, InvalidGrid, NonFiniteSample, NotAdmissible
 from .grid import (
     HalfLineFunction,
     LogGrid,
@@ -201,6 +204,53 @@ def _dx(spectrum: np.ndarray, grid: LogGrid) -> np.ndarray:
     return values
 
 
+def _flow_defect_norm(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
+    """||(X + m) f - g||, the trapezoid L2 norm in x of the defect at the
+    nodes, from the defect's half-spectra R = (m + i t) F - G alone.
+
+    F is one rfft of f's real rows, which is not held, and G is g's held
+    spectrum; i t is grid.i_frequencies, so R is the half-spectrum of
+    spectral_dx(f) + m f - g, whose DC and Nyquist bins are real.  By
+    discrete Parseval the nodes' sum of squares is (1/n) sum_k w_k |R_k|^2
+    over the rows, with w = grid.bin_weights; the trapezoid then takes off
+    half of each end node's square, where row by row the first node holds
+    (1/n) sum_k w_k Re R_k and the last (1/n) sum_k w_k Re(R_k
+    e^{-2 pi i k/n}), with the phase grid.end_phase.  So no inverse
+    transform runs.
+
+    An R with NaN or Inf, which a transform or a twist too large for the
+    samples leaves, raises NonFiniteSample; an R whose squares overflow
+    gives +Inf.
+    """
+    grid = f.grid
+    # NaN or Inf left here shows in the energy, and is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.fft.rfft(_real_rows(f.values))
+        defect *= m + grid.i_frequencies
+        try:
+            data = g.spectrum
+        except InvalidGrid:
+            raise NonFiniteSample("values contain NaN or Inf") from None
+        defect, data = _same_rows(defect, data)
+        defect -= data
+        # numpy's own sums, not BLAS dot products, whose rounding may
+        # change with the BLAS thread count; w_k |R_k|^2 is w_k Re R_k Re R_k
+        # + w_k Im R_k Im R_k
+        weighted = defect * grid.bin_weights
+        power = (defect.view(np.float64) * weighted.view(np.float64)).sum()
+        first = weighted.sum(axis=-1).real
+        weighted *= grid.end_phase
+        last = weighted.sum(axis=-1).real
+        n = grid.n_points
+        ends = (first * first).sum() + (last * last).sum()
+        energy = (power - 0.5 * ends / n) * (grid.h / n)
+    if math.isfinite(energy):
+        return math.sqrt(energy)
+    if not all_finite(defect):
+        raise NonFiniteSample("values contain NaN or Inf")
+    return math.inf
+
+
 def apply_X(f: HalfLineFunction) -> HalfLineFunction:
     """X f = -r d/dr f, computed as +d/dx of f's spectrum and held on f."""
     return _hold(f, ("X",), lambda: HalfLineFunction(f.grid, _dx(f.spectrum, f.grid)))
@@ -236,8 +286,9 @@ def shift_law_defect(f: HalfLineFunction, a: float, b: float) -> float:
 
 def _same_rows(*spectra: np.ndarray) -> list[np.ndarray]:
     """The spectra with as many rows each: a function whose imaginary part is
-    exactly 0 has no imaginary row, which is a zero one (f r^{-b} loses it
-    where r^{-b} underflows a tiny imaginary part)."""
+    exactly 0 has no imaginary row, which is a zero one (real f against
+    complex g in a residual, or f r^{-b}, which loses it where r^{-b}
+    underflows a tiny imaginary part)."""
     rows = max(map(len, spectra))
     return [s if len(s) == rows else np.concatenate((s, np.zeros_like(s))) for s in spectra]
 

@@ -43,9 +43,20 @@ class ModelRepParams:
 
 
 def _log_weight(grid: LogGrid, lambda1: float) -> np.ndarray:
-    """log(1 + r^(-2*lambda1)) on the grid, held on it per lambda1 (read-only)."""
+    """log(1 + r^(-2*lambda1)) on the grid, held on it per lambda1 (read-only).
+
+    With y = 2 lambda1 x it is the softplus max(y, 0) + log1p(e^{-|y|}),
+    the form of np.logaddexp(0, y), in whole-array exp and log1p passes;
+    e^{-|y|} cannot overflow, and where it underflows the sum is max(y, 0).
+    """
     def compute():
-        log_sq = np.logaddexp(0.0, 2.0 * lambda1 * grid.x)
+        y = 2.0 * lambda1 * grid.x
+        log_sq = np.negative(y)
+        np.minimum(y, log_sq, out=log_sq)  # -|y|
+        with np.errstate(under="ignore"):
+            np.exp(log_sq, out=log_sq)
+        np.log1p(log_sq, out=log_sq)
+        log_sq += np.maximum(y, 0.0, out=y)
         log_sq.flags.writeable = False
         return log_sq
 

@@ -42,12 +42,12 @@ from .grid import (
 )
 from .mellin import (
     MellinLine,
+    _flow_defect_norm,
     checked_line,
     line_admissible,
     mellin_inverse_lines,
     mellin_line,
     mellin_lines,
-    spectral_dx,
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
 
@@ -220,18 +220,25 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """Relative defect ||(X+m)f - g|| / ||g||, with X applied spectrally to
-    a half-spectrum of f that is not held, by mellin.spectral_dx."""
+    """Relative defect ||(X+m)f - g|| / ||g|| of the samples of f, the
+    trapezoid norm in x of the defect at the nodes, where X is d/dx by the
+    multiplier grid.i_frequencies (as in mellin.spectral_dx).
+
+    The norm is taken from the defect's half-spectrum by discrete Parseval
+    (mellin._flow_defect_norm): one forward transform of f, which is not
+    held, and g's held spectrum, and no inverse.  It agrees with the norm
+    of spectral_dx(f) + m f - g at the nodes up to rounding.  A defect with
+    NaN or Inf raises NonFiniteSample.
+    """
     require_same_grid(f, g)
-    return _defect(spectral_dx(f.values, f.grid), f, g, m)
+    return relative_to(_flow_defect_norm(f, g, m), g)
 
 
 def _defect(xf: np.ndarray, f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
-    """||(X+m)f - g|| / ||g||, given the scratch array xf = X f.
+    """||(X+m)f - g|| / ||g||, given the scratch array xf = X f at the nodes.
 
-    X f + m f - g is accumulated in xf, in the order of
-    spectral_dx(f) + m f - g; a real xf is first promoted to complex when
-    f or g is complex.
+    X f + m f - g is accumulated in xf, which is first promoted to complex
+    when f or g is complex.
     """
     defect = xf.astype(np.result_type(xf, f.values, g.values), copy=False)
     # a twist too large for f overflows here: the NaN or Inf it leaves is

@@ -89,6 +89,21 @@ class TestHeldWeights:
             assert np.array_equal(i_omega, expected) and i_omega.shape == (n // 2 + 1,)
             assert not i_omega.flags.writeable and grid.i_frequencies is i_omega
 
+    @pytest.mark.parametrize("n", [16, 17, 255, 256, 4095, 19200])
+    def test_bin_weights_and_end_phase(self, n):
+        # the half-spectrum's weights count the n bins of the full spectrum;
+        # the end phase, from its coarse and fine tables, is within a few ulp
+        # of e^{-2 pi i k/n}, bins past a whole number of fine tables included
+        grid = make_log_grid(n, -3.0, 3.0)
+        weights, phase = grid.bin_weights, grid.end_phase
+        assert weights.sum() == n and weights[0] == 1.0 and set(weights[1:-1]) <= {2.0}
+        assert weights[-1] == (1.0 if n % 2 == 0 else 2.0)
+        k = np.arange(n // 2 + 1)
+        assert phase.shape == k.shape
+        assert np.abs(phase - np.exp(-2j * np.pi * k / n)).max() <= 8 * np.finfo(float).eps
+        assert not weights.flags.writeable and not phase.flags.writeable
+        assert grid.end_phase is phase
+
     def test_sampling_rates_computed_once_per_call(self, exps):
         grid = make_log_grid(4096, -12.0, 12.0)
         grid.r

@@ -16,15 +16,16 @@ computed.  A fourth keeps one get-or-compute for held values: no function
 but grid._hold names `._held`; the others hold through it.  A fifth keeps
 one forward and one inverse transform, both real-input: np.fft.rfft runs
 only in HalfLineFunction.spectrum, which holds it, in mellin_lines, off line
-0, and in spectral_dx; np.fft.irfft runs only in mellin_inverse_lines; and
-the complex np.fft.fft and np.fft.ifft run nowhere.  A sixth
+0, in spectral_dx and in mellin._flow_defect_norm, the residual's one
+transform; np.fft.irfft runs only in mellin_inverse_lines; and the complex
+np.fft.fft and np.fft.ifft run nowhere.  A sixth
 keeps the gates' tolerances fixed: no function takes a tolerance of its
 own, and no package call hands one to a gate predicate, so every gate reads
 grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
 cocycle.COMPAT_TOL.  A seventh keeps one decay gate: no module but grid.py
 reads grid.profile, grid.Profile or Profile.decays, so every decay test is
 a call of grid.decay_admissible.  An eighth keeps one Nyquist rule: no
-module but grid.py takes a value modulo 2, so only LogGrid.i_frequencies
+module but grid.py takes a value modulo 2, so only LogGrid.bin_weights
 asks whether a grid is even and has a Nyquist bin.
 """
 
@@ -200,7 +201,7 @@ def _fft_calls_outside(call: str, sites: tuple[str, ...]) -> list[str]:
 def test_one_path_for_forward_transforms():
     # a function's spectrum is read from where it is held, not recomputed,
     # and every forward transform is of real rows
-    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx")
+    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx", "_flow_defect_norm")
     found = _fft_calls_outside("np.fft.rfft", sites)
     assert not found, f"np.fft.rfft outside HalfLineFunction.spectrum and mellin: {found}"
     found = _fft_calls_outside("np.fft.fft", ())
@@ -294,7 +295,7 @@ def _parity_tests(tree: ast.AST) -> list[int]:
 
 
 def test_one_nyquist_rule():
-    # an even grid's Nyquist bin is special-cased in LogGrid.i_frequencies alone
+    # an even grid's Nyquist bin is special-cased in LogGrid.bin_weights alone
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))

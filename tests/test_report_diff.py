@@ -1,7 +1,8 @@
-"""tools/report_diff.py names the rows of a differing CSV whose verdict moved,
-and per quantity how many values moved and by how much."""
+"""tools/report_diff.py names the rows of a differing CSV or JSON report
+whose verdict moved, and per quantity how many values moved and by how much."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
@@ -85,5 +86,49 @@ def test_value_moves_per_quantity():
         "residual: 1 of 2 rows moved, largest relative move 0.5",
         "weighted_norm: 1 of 2 rows moved, largest relative move 0.1",
         "obstruction_abs: 1 of 1 rows moved, largest relative move inf",
+    ]
+    assert report_diff.value_moves(parent, parent) == []
+
+
+def _json_report(*rows: tuple) -> bytes:
+    """A JSON report as cli.write_reports lays it out, with rows of
+    (case_id, function, quantity, params, value, passed, flags)."""
+    payload = {
+        "suite": "estimate-sweep",
+        "grid": {"n_points": 4096, "x_min": -12.0, "x_max": 12.0},
+        "rows": [
+            {"suite": "estimate-sweep", "case_id": case, "function": function,
+             "quantity": quantity, "params": params, "value": value, "bound": None,
+             "direction": "<=", "passed": passed, "flags": flags}
+            for case, function, quantity, params, value, passed, flags in rows
+        ],
+    }
+    return json.dumps(payload, indent=2).encode() + b"\n"
+
+
+def test_json_value_moves_that_the_csv_rounds_away():
+    # a 1-ulp move prints the same 12 digits in the CSV, but shows in the
+    # JSON, whose rows match as the CSV's do (by all but the case number);
+    # null, a NaN or Inf value, is not a number
+    parent = _json_report(
+        (0, "r3_exp", "estimate_ratio", "t=0", 0.3137472984292689, True, ""),
+        (1, "r3_exp", "estimate_ratio", "t=1", 1.0051984496801132, True, ""),
+        (2, "r3_exp", "ratio_refinement_spread", "t=1", 0.25, True, ""),
+        (3, "mix", "weighted_norm", "t=2", None, True, ""),
+    )
+    change = _json_report(
+        (4, "r3_exp", "estimate_ratio", "t=0", 0.31374729842926885, True, ""),
+        (5, "r3_exp", "estimate_ratio", "t=1", 1.0051984496801132, True, ""),
+        (6, "r3_exp", "ratio_refinement_spread", "t=1", 0.25, True, ""),
+        (7, "mix", "weighted_norm", "t=2", 3.5, False, "non-finite"),
+    )
+    assert f"{0.3137472984292689:.12g}" == f"{0.31374729842926885:.12g}"
+    assert report_diff.verdict_changes(parent, change) == [
+        "2 of 4 rows' value moved",
+        "estimate-sweep,mix,weighted_norm,t=2: passed,flags ('true', '') -> ('false', 'non-finite')",
+    ]
+    assert report_diff.value_moves(parent, change) == [
+        "estimate_ratio: 1 of 2 rows moved, largest relative move 1.8e-16",
+        "weighted_norm: 1 of 1 rows moved, largest relative move inf",
     ]
     assert report_diff.value_moves(parent, parent) == []

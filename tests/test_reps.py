@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from twisteq.grid import (
     weighted_norm,
 )
 from twisteq.mellin import line_admissible
+from twisteq import reps
 from twisteq.reps import (
     ModelRepParams,
     apply_X,
@@ -226,7 +228,7 @@ class TestFractionalNorm:
         for f in (g, solution):
             for lam in (-1.0, 0.8, 1.2):
                 p = ModelRepParams(sigma=1, lambda1=lam, m=1.0)
-                log_sq = np.logaddexp(0.0, 2.0 * lam * grid.x)
+                log_sq = reps._log_weight(grid, lam)
                 for t in (0.0, 0.5, 1.25, 2.9):
                     values = f.values * np.exp((t / 2.0) * log_sq)
                     wf = HalfLineFunction(grid, np.where(f.values == 0, 0.0, values))
@@ -236,14 +238,15 @@ class TestFractionalNorm:
                     assert regularity_norm(f, t, p) == value + f.norm, (name, lam, t)
 
     def test_log_weight_held_per_grid_and_lambda1(self, monkeypatch):
+        # each log-weight computed runs one np.log1p pass
         calls = []
-        original = np.logaddexp
+        original = np.log1p
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(np, "logaddexp", counted)
+        monkeypatch.setattr(np, "log1p", counted)
         grid = make_log_grid(4096, -12.0, 12.0)
         f = sample_terms(family_member("r2_exp"), grid)
         g = sample_terms(family_member("r3_exp"), grid)
@@ -269,15 +272,39 @@ class TestFractionalNorm:
         f = sample_terms(family_member("r2_exp"), grid)
         g = sample_terms(family_member("r3_exp"), grid)
         p = ModelRepParams(sigma=1, lambda1=0.8, m=1.0)
-        assert exps(lambda: fractional_weight(f, 0.5, p)) == 1
+        # the first weight at lambda1 computes the log-weight's e^{-|y|} too
+        assert exps(lambda: fractional_weight(f, 0.5, p)) == 2
         assert exps(lambda: fractional_weight(g, 0.5, p)) == 0
         assert exps(lambda: fractional_norm(g, 0.5, p)) == 0
         assert exps(lambda: fractional_weight(f, 1.0, p)) == 1
         weight, finite = grid._held[("fractional_weight", 0.8, 0.5)]
         assert finite and not weight.flags.writeable
         with np.errstate(over="ignore"):
-            expected = np.exp(0.25 * np.logaddexp(0.0, 1.6 * grid.x))
+            expected = np.exp(0.25 * reps._log_weight(grid, 0.8))
         assert np.array_equal(weight, expected)
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 0.37, -2.3])
+    def test_log_weight_within_two_ulp_of_mpmath(self, lam):
+        # log(1 + e^y) at y = 2 lambda1 x over |y| <= 800, where e^y
+        # overflows and e^{-|y|} underflows, against 30 digits
+        grid = make_log_grid(4001, -400.0 / abs(lam), 400.0 / abs(lam))
+        y = 2.0 * lam * grid.x
+        assert np.abs(y).max() == pytest.approx(800.0)
+        with mpmath.workdps(30):
+            exact = np.array([float(mpmath.log1p(mpmath.exp(mpmath.mpf(v)))) for v in y])
+        ulps = np.abs(reps._log_weight(grid, lam) - exact) / np.spacing(np.abs(exact))
+        assert ulps.max() <= 2.0
+
+    def test_log_weight_where_the_correction_underflows(self):
+        # e^{-|y|} underflows to 0 past |y| = 745.2: the log-weight is
+        # max(y, 0) exactly, 0 on one side and y itself on the other
+        grid = make_log_grid(1001, -500.0, 500.0)
+        y = 2.0 * grid.x
+        log_sq = reps._log_weight(grid, 1.0)
+        far = np.abs(y) > 746.0
+        assert far.sum() > 200
+        assert np.array_equal(log_sq[far], np.maximum(y[far], 0.0))
+        assert np.isfinite(log_sq).all() and log_sq.min() == 0.0
 
     def test_overflowing_weight(self, grid, p):
         # (1 + r^-2)^40 overflows as r -> 0 (x -> 12), where f vanishes
@@ -298,6 +325,13 @@ class TestFractionalNorm:
         f = HalfLineFunction(grid, values)
         assert fractional_norm(f, 80.0, p) == (float("inf"), False)
         assert regularity_norm(f, 80.0, p) == float("inf")
+
+    def test_underflowing_weighted_norm_is_not_measured(self, grid, p):
+        # weighted samples of at most 1e-170 * e^6: every square underflows,
+        # so the norm reads 0 on nonzero samples and is not measured
+        f = HalfLineFunction(grid, np.full(grid.n_points, 1e-170))
+        value, admissible = fractional_norm(f, 0.5, p)
+        assert np.isnan(value) and not admissible
 
 
 class TestSobolevNorm:

@@ -10,7 +10,8 @@ end-to-end metric of `BENCHMARK.json` the summary gives both sides' median,
 quartiles and runs, and how many pairs the change won (ties count for
 neither side).  Traced records (`-trace1`), when present, add their
 per-layer metrics.  The environment block is taken from the change's
-records, and the script refuses records whose environments differ.
+records, and the script refuses records whose environments differ, and a
+workload with fewer than two pairs, whose quartiles are not defined.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ def summarise(label: str, parent: Path, change: Path) -> dict:
     workloads = {}
     for workload in dict.fromkeys(w for w, _ in pairs):
         seeds = [seed for w, seed in pairs if w == workload]
+        if len(seeds) < 2:
+            raise SystemExit(
+                f"workload {workload!r} has {len(seeds)} paired seed; its quartiles need 2"
+            )
         entry = {"seeds": seeds, "pairs": len(seeds)}
         for metric in spec["end_to_end"]:
             name = metric["name"]

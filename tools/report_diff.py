@@ -8,11 +8,12 @@ in `configs/*.cfg` through `python -W error -m twisteq run <config> --out
 config that only one checkout has is printed as `only in parent` or `only
 in change` and counts as a difference.  The exit code, stdout, stderr and
 every report file are compared byte for byte; for each that differs the
-first differing line is printed, and for a CSV report also how many rows'
-value moved, every row whose verdict (passed or flags) changed and, per
-quantity with a moved value, how many of its rows moved and the largest
-relative move.  Rows are matched by suite, function, quantity and params,
-not by case number.
+first differing line is printed, and for a CSV or JSON report also how
+many rows' value moved, every row whose verdict (passed or flags) changed
+and, per quantity with a moved value, how many of its rows moved and the
+largest relative move.  The CSV prints 12 significant digits and the JSON
+every digit, so a move that the CSV rounds away shows in the JSON.  Rows
+are matched by suite, function, quantity and params, not by case number.
 The exit status is 1 on any difference and 0 otherwise.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -57,13 +59,26 @@ def _first_difference(parent: bytes | None, change: bytes | None) -> str:
     return f"line {lineno}: one side ends here ({len(old)} vs {len(new)} lines)"
 
 
+def _records(report: bytes) -> list[dict[str, str]]:
+    """The rows of a CSV report, or of a JSON report (which starts with
+    "{"), each field as text: a JSON field that is not a string as its JSON
+    text, so that a value prints every digit and NaN or Inf (null) is not
+    a number."""
+    if report.lstrip().startswith(b"{"):
+        return [
+            {name: v if isinstance(v, str) else json.dumps(v) for name, v in row.items()}
+            for row in json.loads(report)["rows"]
+        ]
+    return list(csv.DictReader(io.StringIO(report.decode())))
+
+
 def _rows(report: bytes) -> dict[tuple, dict[str, str]]:
-    """CSV rows in file order, by (suite, function, quantity, params) and the
-    count of earlier rows with the same four fields, so that renumbered cases
-    still match."""
+    """Report rows in file order, by (suite, function, quantity, params) and
+    the count of earlier rows with the same four fields, so that renumbered
+    cases still match."""
     rows: dict[tuple, dict[str, str]] = {}
     seen: Counter[tuple] = Counter()
-    for row in csv.DictReader(io.StringIO(report.decode())):
+    for row in _records(report):
         key = tuple(row[name] for name in ("suite", "function", "quantity", "params"))
         rows[key + (seen[key],)] = row
         seen[key] += 1
@@ -147,7 +162,7 @@ def compare(parent: Path, change: Path) -> int:
             print(f"{config}: {len(names) - len(diffs)}/{len(names)} outputs identical")
             for name in diffs:
                 print(f"  {name}: {_first_difference(old.get(name), new.get(name))}")
-                if name.endswith(".csv") and name in old and name in new:
+                if name.endswith((".csv", ".json")) and name in old and name in new:
                     for line in verdict_changes(old[name], new[name]):
                         print(f"    {line}")
                     for line in value_moves(old[name], new[name]):
