@@ -172,6 +172,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid: {exc}") from exc
     except MissingParams as exc:
         raise ConfigError(f"rep: {exc}") from exc
+    # estimate-sweep refines every grid to twice its points
+    points = cfg.n_points * (2 if cfg.suite == "estimate-sweep" else 1)
+    _buildable("grid.n_points", lambda: np.empty(points))
     if cfg.suite == "perturbation-sweep":
         if cfg.sweep_delta < 0 or cfg.sweep_delta >= cfg.m / 2.0:
             raise ConfigError(
@@ -182,7 +185,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("sweep.steps: must be >= 1")
         # twists that one float or one params text stands for are rows that
         # a report cannot tell apart
-        params = [text for _, text in _sweep_twists(cfg)]
+        params = [text for _, text in _buildable("sweep.steps", lambda: _sweep_twists(cfg))]
         if len(set(params)) < len(params):
             raise ConfigError(
                 f"sweep.delta: the {len(params)} twists m +- delta/2 repeat in the report: "
@@ -210,6 +213,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
                 f"scan.x_max: windows must increase strictly from above grid.x_min = "
                 f"{cfg.x_min:g}, got {cfg.scan_x_max}"
             )
+        _buildable("scan.x_max", lambda: list(map(np.empty, _scan_points(cfg))))
+
+
+def _buildable(key: str, build: Callable[[], Any]) -> Any:
+    """build(), where numpy's refusal of an array too large is a ConfigError
+    naming key, raised before out.dir is made and not as a traceback."""
+    try:
+        return build()
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _sweep_twists(cfg: ExperimentConfig) -> list[tuple[float, str]]:
@@ -222,6 +235,12 @@ def _sweep_twists(cfg: ExperimentConfig) -> list[tuple[float, str]]:
         else np.array([0.0])
     )
     return [(float(m), f"m={m:.6g};lambda1={cfg.lambda1:.6g}") for m in cfg.m + offsets]
+
+
+def _scan_points(cfg: ExperimentConfig) -> list[int]:
+    """obstruction-scan's grid size per window, at the configured spacing."""
+    h = cfg.grid().h
+    return [int(round((x_max - cfg.x_min) / h)) + 1 for x_max in cfg.scan_x_max]
 
 
 def _below_regularity(cfg: ExperimentConfig, terms: Terms) -> bool:
@@ -415,7 +434,6 @@ def _estimate_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
 
 def _scan_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
     terms = cfg.function if cfg.function is not None else family_member("r2_exp")
-    h_target = cfg.grid().h
     bump_terms = make_terms([(1.0, min_power(terms), 2.0)])
     p = cfg.rep()
     params_base = f"m={cfg.m:g};x_min={cfg.x_min:g}"
@@ -423,8 +441,7 @@ def _scan_suite(cfg: ExperimentConfig, plot: PlotData) -> Cases:
 
     def scan(project: bool) -> list[Check]:
         energies = []
-        for x_max in cfg.scan_x_max:
-            n = int(round((x_max - cfg.x_min) / h_target)) + 1
+        for x_max, n in zip(cfg.scan_x_max, _scan_points(cfg)):
             grid = make_log_grid(n, cfg.x_min, x_max)
             g = sample_terms(terms, grid)
             if project:

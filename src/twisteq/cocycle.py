@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IncompatibleCocycle, ObstructionNonzero
 from .grid import HalfLineFunction, _difference_norm, _ratio, relative_to, require_same_grid
-from .mellin import _dx
+from .mellin import _dx, _line_zero
 from .reps import ModelRepParams
 from .solver import magnitude, obstructed, reported_obstruction, residual, solve_mellin
 
@@ -57,11 +57,11 @@ class CocycleData:
 
 def verify_cocycle(d: CocycleData) -> float:
     """Compatibility defect ||(X+m) g1 - (iv+m1) g2|| / max(||g1||, ||g2||) by
-    grid._ratio's rule, from g1's held spectrum.  (X+m) g1 is real for real
+    grid._ratio's rule, from g1's held line 0.  (X+m) g1 is real for real
     g1 and (iv+m1) g2 never is, so the difference is taken in the buffer of
     (iv+m1) g2."""
     g1, g2 = d.g1, d.g2
-    flow = _dx(g1.spectrum, g1.grid)
+    flow = _dx(_line_zero(g1).spectrum, g1.grid)
     flow += d.m * g1.values
     diff = d.character * g2.values
     np.subtract(flow, diff, out=diff)

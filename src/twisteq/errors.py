@@ -10,7 +10,7 @@ class InvalidGrid(TwisteqError):
 
 
 class NonFiniteSample(TwisteqError):
-    """A sampled expression produced NaN or Inf on the grid."""
+    """Samples, or a transform or defect of finite samples, hold NaN or Inf."""
 
 
 class GridMismatch(TwisteqError):

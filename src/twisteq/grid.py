@@ -163,12 +163,11 @@ class HalfLineFunction:
     either dtype; X, the weights r^{-a} and the division by m + z are real
     operators, so real data stays float64 through every solve.
 
-    As the copy is private, what depends on the samples alone is computed
-    at most once: the half-spectrum, and, held in `_held` by a
-    tagged key, the profile ("profile", a) of |f| e^{a x} at each weight a,
-    which only this module reads (norm, sup, weighted_norm and the one decay
-    gate, decay_admissible); X f ("X",) of mellin.apply_X; and each Mellin
-    solve ("solve", m, lines) of solver.solve_mellin.
+    As the copy is private, what depends on the samples alone is held in
+    `_held` through _hold, by a tagged key: the profile ("profile", a) of
+    |f| e^{a x} per weight a, which only this module's norms and decay gate
+    read; the line Re z = 0 ("line0",) of mellin.mellin_line; X f ("X",) of
+    mellin.apply_X; and each solve ("solve", m, lines) of solver.solve_mellin.
     """
 
     grid: LogGrid
@@ -199,37 +198,6 @@ class HalfLineFunction:
     def sup(self) -> float:
         """max |f(r_j)|."""
         return profile(self, 0.0).peak
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Read-only half-spectrum of the samples: the line-0 spectrum of
-        every solve of f.
-
-        It is the (rows, n//2+1) np.fft.rfft of _real_rows(values): one row
-        for float64 samples, two for complex128 ones.
-        Checked for NaN/Inf here, once, so the line-0 lines that share it
-        need no scan of their own.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            spectrum = np.fft.rfft(_real_rows(self.values))
-        if not all_finite(spectrum):
-            raise InvalidGrid("Mellin line values contain NaN or Inf")
-        spectrum.flags.writeable = False
-        return spectrum
-
-
-def _real_rows(values: np.ndarray) -> np.ndarray:
-    """The real rows that the transforms of samples act on, as a (rows, n)
-    float array.  Real samples are their own one row, a view of them;
-    complex samples give a C-ordered copy of the real part with the
-    imaginary part below it.  np.fft.rfft of either is C-ordered.
-
-    The transforms are real operators, so the transform of the samples is
-    the row transforms recombined as row 0 + i row 1.
-    """
-    if not np.iscomplexobj(values):
-        return values[np.newaxis]
-    return np.stack((values.real, values.imag))
 
 
 def all_finite(values: np.ndarray) -> bool:

@@ -9,23 +9,24 @@ On the grid this Fourier transform is realized by the DFT with frequencies
 t_k = 2*pi*k/(n*h); forward and inverse lines are then exactly mutually
 inverse and the discrete Parseval identity holds to rounding error.
 
-Every transform is a real-input FFT.  The samples are split into real
-rows (grid._real_rows): float64 samples are their own one row, complex128
-ones give their real and imaginary parts.  The flow X = -r d/dr, the
-weights r^{-a} and the division by m + z are real operators, so each row
-is transformed, divided and inverted on its own.  Real data stay real:
-the inverse of one row is the float64 row itself, and two inverse rows are
-recombined as row 0 + i row 1.
+Every transform is a real-input FFT, run in this module.  The samples are
+split into real rows (_real_rows): float64 samples are their own one row,
+complex128 ones give their real and imaginary parts.  The flow X = -r
+d/dr, the weights r^{-a} and the division by m + z are real operators, so
+each row is transformed, divided and inverted on its own.  Real data stay
+real: the inverse of one row is the float64 row itself, and two inverse
+rows are recombined as row 0 + i row 1.
 
 A line is held as the (rows, n//2+1) np.fft.rfft half-spectrum of the
 weighted rows f e^(-a x), in rfft bin order; the bins t < 0 of a real row
 are the conjugates of the bins t > 0.  The unitary transform multiplies the
 recombined spectrum by (h/sqrt(2 pi)) e^(-i t x_min); the inverse undoes
 exactly that factor.  Divide-then-invert never needs it, so no line applies
-it.  Every forward transform of a line runs through mellin_lines and every
-inverse one, d/dx included, through mellin_inverse_lines.  The residual's
-defect norm needs no inverse: discrete Parseval reads it off the defect's
-half-spectrum (_flow_defect_norm).
+it.  Every forward transform of a line runs through mellin_lines, whose
+line 0 is held on the function (_line_zero), and every inverse one, d/dx
+included, through mellin_inverse_lines; checked_line makes every line.
+The residual's defect norm needs no inverse: discrete Parseval reads it
+off the defect's half-spectrum (_flow_defect_norm).
 """
 
 from __future__ import annotations
@@ -36,17 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InvalidGrid, NonFiniteSample, NotAdmissible
-from .grid import (
-    HalfLineFunction,
-    LogGrid,
-    _energy,
-    _hold,
-    _ratio,
-    _real_rows,
-    all_finite,
-    decay_admissible,
-)
+from .errors import GridMismatch, NonFiniteSample, NotAdmissible
+from .grid import HalfLineFunction, LogGrid, _energy, _hold, _ratio, all_finite, decay_admissible
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +47,8 @@ class MellinLine:
 
     `spectrum` holds the rfft half-spectra of the real rows of f e^{-a x} on
     `grid`, one row each, in rfft bin order (bin k at frequency
-    grid.frequencies[k]).  Lines are made by mellin_lines and checked_line,
-    which see that the spectrum holds no NaN/Inf.
+    grid.frequencies[k]).  Lines are made by checked_line alone, which sees
+    that the spectrum holds no NaN/Inf.
     """
 
     a: float
@@ -65,10 +57,33 @@ class MellinLine:
 
 
 def checked_line(a: float, grid: LogGrid, spectrum: np.ndarray) -> MellinLine:
-    """The line Re z = a with `spectrum`, which is scanned for NaN/Inf."""
+    """The line Re z = a with `spectrum`, the one scan of a line for NaN/Inf:
+    finite samples whose transform overflows raise NonFiniteSample."""
     if not all_finite(spectrum):
-        raise InvalidGrid("Mellin line values contain NaN or Inf")
+        raise NonFiniteSample("Mellin line values contain NaN or Inf")
     return MellinLine(a, grid, spectrum)
+
+
+def _real_rows(values: np.ndarray) -> np.ndarray:
+    """The real rows that the transforms of samples act on, as a (rows, n)
+    float array: real samples are their own one row, a view of them, and
+    complex ones a C-ordered copy of the real part above the imaginary part.
+    The transform of the samples is that of the rows as row 0 + i row 1."""
+    if not np.iscomplexobj(values):
+        return values[np.newaxis]
+    return np.stack((values.real, values.imag))
+
+
+def _line_zero(f: HalfLineFunction) -> MellinLine:
+    """f's line Re z = 0, held on f: the read-only rfft of its real rows,
+    scanned once, when it is computed."""
+    def compute():
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by checked_line
+            spectrum = np.fft.rfft(_real_rows(f.values))
+        spectrum.flags.writeable = False
+        return checked_line(0.0, f.grid, spectrum)
+
+    return _hold(f, ("line0",), compute)
 
 
 def line_admissible(f: HalfLineFunction, a: float) -> bool:
@@ -82,13 +97,13 @@ def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[Mellin
     The recombined rows give values[k] = (h/sqrt(2 pi)) * sum_j f_j
     e^{-a x_j} e^{-i t_k x_j}, the rectangle-rule Fourier transform of the
     weighted samples.  Admissibility is not tested: the discrete transform
-    is always defined and exactly invertible.  The line a = 0 is f's held,
-    read-only spectrum, which was checked for NaN/Inf when it was computed.
-    The other lines' weighted real rows are written into one (k, n) array,
-    whose one np.fft.rfft call gives each row the bits of its own (n,)
-    transform; each line's spectrum is its block of rows of the result.
+    is always defined and exactly invertible.  The line a = 0 is f's held
+    line (_line_zero), the same object on every call while it is held.  The
+    other lines' weighted real rows are written into one (k, n) array, whose
+    one np.fft.rfft call gives each row the bits of its own (n,) transform;
+    each line's spectrum is its block of rows of the result.
     The lines are checked in pair order, each for an overflowing weight
-    (NotAdmissible) and then for a NaN/Inf spectrum (InvalidGrid), so the
+    (NotAdmissible) and then for a NaN/Inf spectrum (NonFiniteSample), so the
     error raised is the first that one-line-at-a-time transforms would raise.
     """
     off = [(f, a) for f, a in pairs if a != 0]
@@ -108,7 +123,7 @@ def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[Mellin
     lines = []
     for f, a in pairs:
         if a == 0:
-            lines.append(MellinLine(0.0, f.grid, f.spectrum))
+            lines.append(_line_zero(f))
             continue
         weight_finite, spectrum = next(blocks)
         if not weight_finite:
@@ -208,15 +223,15 @@ def _flow_defect_norm(f: HalfLineFunction, g: HalfLineFunction, m: float) -> flo
     """||(X + m) f - g||, the trapezoid L2 norm in x of the defect at the
     nodes, from the defect's half-spectra R = (m + i t) F - G alone.
 
-    F is one rfft of f's real rows, which is not held, and G is g's held
-    spectrum; i t is grid.i_frequencies, so R is the half-spectrum of
-    spectral_dx(f) + m f - g, whose DC and Nyquist bins are real.  By
-    discrete Parseval the nodes' sum of squares is (1/n) sum_k w_k |R_k|^2
-    over the rows, with w = grid.bin_weights; the trapezoid then takes off
-    half of each end node's square, where row by row the first node holds
-    (1/n) sum_k w_k Re R_k and the last (1/n) sum_k w_k Re(R_k
-    e^{-2 pi i k/n}), with the phase grid.end_phase.  So no inverse
-    transform runs.
+    F is one rfft of f's real rows, which is not held, and G the spectrum
+    of g's held line 0; i t is grid.i_frequencies, so R is the
+    half-spectrum of spectral_dx(f) + m f - g, whose DC and Nyquist bins
+    are real.  By discrete Parseval the nodes' sum of squares is (1/n)
+    sum_k w_k |R_k|^2 over the rows, with w = grid.bin_weights; the
+    trapezoid then takes off half of each end node's square, where row by
+    row the first node holds (1/n) sum_k w_k Re R_k and the last (1/n)
+    sum_k w_k Re(R_k e^{-2 pi i k/n}), with the phase grid.end_phase.  So
+    no inverse transform runs.
 
     An R with NaN or Inf, which a transform or a twist too large for the
     samples leaves, raises NonFiniteSample; an R whose squares overflow
@@ -227,11 +242,7 @@ def _flow_defect_norm(f: HalfLineFunction, g: HalfLineFunction, m: float) -> flo
     with np.errstate(over="ignore", invalid="ignore"):
         defect = np.fft.rfft(_real_rows(f.values))
         defect *= m + grid.i_frequencies
-        try:
-            data = g.spectrum
-        except InvalidGrid:
-            raise NonFiniteSample("values contain NaN or Inf") from None
-        defect, data = _same_rows(defect, data)
+        defect, data = _same_rows(defect, _line_zero(g).spectrum)
         defect -= data
         # numpy's own sums, not BLAS dot products, whose rounding may
         # change with the BLAS thread count; w_k |R_k|^2 is w_k Re R_k Re R_k
@@ -252,8 +263,8 @@ def _flow_defect_norm(f: HalfLineFunction, g: HalfLineFunction, m: float) -> flo
 
 
 def apply_X(f: HalfLineFunction) -> HalfLineFunction:
-    """X f = -r d/dr f, computed as +d/dx of f's spectrum and held on f."""
-    return _hold(f, ("X",), lambda: HalfLineFunction(f.grid, _dx(f.spectrum, f.grid)))
+    """X f = -r d/dr f, computed as +d/dx of f's held line 0 and held on f."""
+    return _hold(f, ("X",), lambda: HalfLineFunction(f.grid, _dx(_line_zero(f).spectrum, f.grid)))
 
 
 def derivative_rule_defect(f: HalfLineFunction, a: float) -> float:

@@ -226,7 +226,7 @@ def residual(f: HalfLineFunction, g: HalfLineFunction, m: float) -> float:
 
     The norm is taken from the defect's half-spectrum by discrete Parseval
     (mellin._flow_defect_norm): one forward transform of f, which is not
-    held, and g's held spectrum, and no inverse.  It agrees with the norm
+    held, and g's held line 0, and no inverse.  It agrees with the norm
     of spectral_dx(f) + m f - g at the nodes up to rounding.  A defect with
     NaN or Inf raises NonFiniteSample.
     """

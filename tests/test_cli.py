@@ -205,6 +205,15 @@ class TestMainExitCodes:
             ("suite = perturbation-sweep\ntwist.m = 1e308\n", "twists m +- delta/2 repeat"),
             ("suite = perturbation-sweep\nsweep.delta = 0\n", "twists m +- delta/2 repeat"),
             ("suite = perturbation-sweep\ntwist.m = 1e6\n", "m=1e+06, m=1e+06"),
+            # grids and sweeps too large for numpy, which refuses them
+            # without allocating: 10^30 points exceed numpy's size limit,
+            # 2^59 float64 points (4 EiB) any address space
+            (f"grid.n_points = {10**30}\n", "config error: grid.n_points: "),
+            (f"grid.n_points = {2**59}\n", "config error: grid.n_points: "),
+            (f"suite = estimate-sweep\nrep.lambda1 = 0.8\ngrid.n_points = {2**58}\n",
+             "config error: grid.n_points: "),
+            ("suite = obstruction-scan\nscan.x_max = 8, 12, 1e300\n", "config error: scan.x_max: "),
+            (f"suite = perturbation-sweep\nsweep.steps = {10**30}\n", "config error: sweep.steps: "),
             # keys that changed no report, or set a value --strict sets
             *[(f"{key} = {value}\n", f"unknown key {key!r}") for key, value in REMOVED_KEYS],
             # refused while parsing, in the suites that read the key and in those that do not
@@ -217,7 +226,9 @@ class TestMainExitCodes:
              "infinite-rate", "empty-t-grid", "empty-scan", "single-window-scan",
              "shrinking-scan", "repeated-scan-window", "scan-window-at-x-min",
              "estimate-skips-every-input", "sweep-twists-one-float", "sweep-zero-delta",
-             "sweep-twists-one-params",
+             "sweep-twists-one-params", "grid-beyond-numpy", "grid-beyond-memory",
+             "estimate-refined-grid-beyond-memory", "scan-window-beyond-numpy",
+             "sweep-beyond-numpy",
              *[f"unknown-key-{key}" for key, _ in REMOVED_KEYS],
              *[f"bogus-family-{suite}" for suite in cli.SUITES]],
     )
@@ -973,9 +984,11 @@ def test_held_kind_census_of_the_shipped_configs(holds, tmp_path):
     # (hits, misses) of each held kind over one pass of the shipped configs,
     # so that a kind that stops paying shows.  No shipped config repeats a
     # solve; the held solve pays in a sweep of one input at repeated twists
-    # (perfbench's shared-sweep)
+    # (perfbench's shared-sweep).  A function's line 0 is read by its
+    # solves, its residuals as g and its line laws
     assert holds(lambda: _one_pass(tmp_path)) == {
         "X": (8, 8),
+        "line0": (72, 70),
         "fractional_weight": (138, 16),
         "log_weight": (11, 5),
         "profile": (703, 423),

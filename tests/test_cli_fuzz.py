@@ -125,6 +125,16 @@ def _files(root: Path) -> dict[str, bytes]:
              "rep.lambda1": "-1", "regularity.s": "0", "t_grid": "0, 2"},
     strict=False,
 )
+# Grids and sweeps that numpy refuses to build, without allocating them:
+# 10^30 points exceed its size limit, 2^59 float64 points any address space.
+@example(entries={"suite": "solve", "grid.n_points": str(10**30)}, strict=False)
+@example(entries={"suite": "cocycle", "grid.n_points": str(2**59)}, strict=False)
+@example(
+    entries={"suite": "estimate-sweep", "grid.n_points": str(2**58), "rep.lambda1": "0.8"},
+    strict=False,
+)
+@example(entries={"suite": "obstruction-scan", "scan.x_max": "8, 12, 1e300"}, strict=False)
+@example(entries={"suite": "perturbation-sweep", "sweep.steps": str(10**30)}, strict=False)
 # No inputs, refused while parsing in the suites that read them.
 @example(entries={"suite": "solve", "family": "none"}, strict=False)
 @settings(max_examples=100)

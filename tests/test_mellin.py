@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from twisteq import grid as grid_module
 from twisteq import mellin as mellin_module
-from twisteq.errors import GridMismatch, InvalidGrid, NonFiniteSample, NotAdmissible, PoleOnLine
+from twisteq.errors import GridMismatch, NonFiniteSample, NotAdmissible, PoleOnLine
 from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import HalfLineFunction, lin_comb, make_log_grid, sample, trapezoid
 from twisteq.mellin import (
@@ -22,7 +22,13 @@ from twisteq.mellin import (
     spectral_dx,
 )
 from twisteq.reps import ModelRepParams, apply_X
-from twisteq.solver import DEFAULT_ADMISSIBILITY_MARGIN, divide_line, obstruction
+from twisteq.solver import (
+    DEFAULT_ADMISSIBILITY_MARGIN,
+    divide_line,
+    obstruction,
+    residual,
+    solve_mellin,
+)
 
 from oracles import line_values, mellin_exact, rel_err, t_samples
 from rep_algebra import gaussian_log
@@ -144,10 +150,10 @@ class TestLineRepresentation:
     @pytest.mark.parametrize("part", ["real", "imag"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     def test_non_finite_spectrum_rejected(self, grid, bad, part, index):
-        # the one scan that mellin_line off line 0 and divide_line go through
+        # the one scan that every line goes through, where it is made
         spectrum = mellin_line(gaussian_log(grid), 0.0).spectrum.copy()
         getattr(spectrum, part)[0, index] = bad
-        with pytest.raises(InvalidGrid, match="NaN or Inf"):
+        with pytest.raises(NonFiniteSample, match="NaN or Inf"):
             checked_line(0.0, grid, spectrum)
 
     def test_line_zero_is_the_plain_transform(self, grid):
@@ -170,7 +176,7 @@ class TestLineRepresentation:
         assert np.array_equal(back.values.imag, np.fft.irfft(rows[1], n))
 
     def test_line_zero_is_not_rescanned(self, monkeypatch, grid):
-        # the held spectrum is checked once, when it is computed
+        # the held line is checked once, when it is computed
         scans = []
         original = mellin_module.all_finite
 
@@ -180,26 +186,32 @@ class TestLineRepresentation:
 
         monkeypatch.setattr(mellin_module, "all_finite", counted)
         f = sample_terms(family_member("r2_exp"), grid)
-        f.spectrum
+        line = mellin_line(f, 0.0)
         mellin_line(f, 0.0)
-        mellin_line(f, 0.0)
-        assert scans == []
+        mellin_lines([(f, 0.0), (f, 0.0)])
+        assert len(scans) == 1 and scans[0] is line.spectrum
 
     def test_non_finite_held_spectrum_rejected(self):
+        # a line that raises is not held: the next call raises again
         grid = make_log_grid(64, -3.0, 3.0)
         f = HalfLineFunction(grid, np.full(64, 1e308))  # the sum overflows
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGrid):
-            f.spectrum
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidGrid):
-            mellin_line(f, 0.0)
+        for _ in range(2):
+            with pytest.raises(NonFiniteSample, match="NaN or Inf"):
+                mellin_line(f, 0.0)
+        assert ("line0",) not in f._held
 
     def test_line_zero_is_the_held_spectrum(self, grid):
-        # every line-0 transform of f shares f's one read-only spectrum
-        f = sample_terms(family_member("r2_exp"), grid)
-        first, second = mellin_line(f, 0.0), mellin_line(f, 0.0)
-        assert first.spectrum is f.spectrum and second.spectrum is f.spectrum
-        with pytest.raises(ValueError):
-            f.spectrum[0] = 0.0
+        # every line-0 transform of f is f's one held line, whose read-only
+        # spectrum has the bits of the rfft of f's real rows
+        for terms, rows in ((family_member("r2_exp"), 1), (COMPLEX_TERMS, 2)):
+            f = sample_terms(terms, grid)
+            line = mellin_line(f, 0.0)
+            assert mellin_line(f, 0.0) is line and mellin_lines([(f, 0.0)])[0] is line
+            assert line.a == 0.0 and line.grid == grid
+            parts = (f.values.real, f.values.imag)[:rows]
+            assert np.array_equal(line.spectrum, np.fft.rfft(np.array(parts)))
+            with pytest.raises(ValueError):
+                line.spectrum[0] = 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_divide_on_pole_line_rejected(self, grid):
@@ -231,7 +243,7 @@ class TestPairedLines:
         grid = make_log_grid(n, -12.0, 24.0)
         f = sample_terms(family_member("r2_exp"), grid)
         h = sample_terms(COMPLEX_TERMS, grid)
-        h.spectrum
+        mellin_line(h, 0.0)
         pairs = [(f, -0.4), (h, 0.0), (h, 0.3), (f, -0.8)]
         # f has one real row, h two
         assert ffts(lambda: mellin_lines(pairs)) == (4, 0) and ffts.calls == (1, 0)
@@ -241,7 +253,7 @@ class TestPairedLines:
             parts = (g.values.real, g.values.imag)[: len(line.spectrum)]
             rows = [np.fft.rfft(part * grid.weight(-a)) for part in parts]
             assert np.array_equal(line.spectrum, rows)
-        assert lines[1].spectrum is h.spectrum
+        assert lines[1] is mellin_line(h, 0.0)
         # f's entries take a zero imaginary row, so that all stack
         spectra = np.zeros((len(lines), 2, n // 2 + 1), np.complex128)
         for entry, line in zip(spectra, lines):
@@ -257,7 +269,7 @@ class TestPairedLines:
 
     def test_lines_at_zero_alone_run_no_fft(self, ffts, grid):
         f = sample_terms(family_member("r2_exp"), grid)
-        f.spectrum
+        mellin_line(f, 0.0)
         assert ffts(lambda: mellin_lines([(f, 0.0), (f, 0.0)])) == (0, 0)
         assert mellin_lines([]) == []
 
@@ -265,8 +277,8 @@ class TestPairedLines:
         "order, error",
         [
             (("ok", "overflow", "sum"), NotAdmissible),
-            (("ok", "sum", "overflow"), InvalidGrid),
-            (("held-sum", "overflow"), InvalidGrid),
+            (("ok", "sum", "overflow"), NonFiniteSample),
+            (("held-sum", "overflow"), NonFiniteSample),
             (("overflow", "held-sum"), NotAdmissible),
         ],
         ids=["weight-first", "spectrum-first", "line-0-first", "line-0-second"],
@@ -388,7 +400,7 @@ class TestDerivativeRule:
 
     def test_derivatives_read_the_held_spectrum(self, ffts, grid):
         f = sample_terms(family_member("r2_exp"), grid)
-        assert ffts(lambda: f.spectrum) == (1, 0)
+        assert ffts(lambda: mellin_line(f, 0.0)) == (1, 0)
         # d/dx is one inverse transform; the line-0 rule adds the derivative's
         # forward one
         assert ffts(lambda: derivative_rule_defect(f, 0.0)) == (1, 1)
@@ -436,8 +448,44 @@ class TestShiftLaw:
         values = sample_terms(family_member("r2_exp"), grid).values.astype(complex)
         values[3 * grid.n_points // 4] += 5e-324j
         f = HalfLineFunction(grid, values)
-        assert len(f.spectrum) == 2
+        assert len(mellin_line(f, 0.0).spectrum) == 2
         assert shift_law_defect(f, 0.0, -1.0) <= 1e-10
+
+
+def _overflowing_transform() -> HalfLineFunction:
+    """Finite samples that decay at both ends and whose sum overflows: so
+    does their transform on every line near 0."""
+    values = np.zeros(64)
+    values[30:32] = 1e308
+    return HalfLineFunction(make_log_grid(64, -3.0, 3.0), values)
+
+
+class TestOverflowingTransform:
+    """Finite samples whose transform overflows are one input fault,
+    NonFiniteSample, at every entry point that transforms them."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: mellin_line(f, 0.0),
+            lambda f: mellin_line(f, 1e-6),
+            lambda f: solve_mellin(f, ModelRepParams(1, 1.0, 1.0)),
+            lambda f: solve_mellin(f, ModelRepParams(1, 1.0, 1.0), lines=(0.0, -0.4)),
+            lambda f: residual(f, f, 1.0),
+            parseval_defect,
+            lambda f: derivative_rule_defect(f, 0.0),
+            lambda f: shift_law_defect(f, 0.0, 0.3),
+            apply_X,
+        ],
+        ids=[
+            "line-0", "line-1e-6", "solve", "solve-two-lines", "residual", "parseval",
+            "derivative-rule", "shift-law", "apply-X",
+        ],
+    )
+    def test_non_finite_sample(self, call):
+        f = _overflowing_transform()
+        with pytest.raises(NonFiniteSample, match="NaN or Inf"):
+            call(f)
 
 
 class TestStripAdmissible:

@@ -10,15 +10,15 @@ the benchmark under perfbench/, whose tracer also names functions by
 A second walk keeps one path for the grid weights e^{a x}: no np.exp of a
 product with a grid's x outside LogGrid.weight, which holds them.  A third
 keeps one path for Mellin lines: MellinLine is built only by
-mellin.checked_line, which scans the spectrum for NaN/Inf, and by
-mellin_lines' a == 0 branch, whose held spectrum was scanned when it was
-computed.  A fourth keeps one get-or-compute for held values: no function
-but grid._hold names `._held`; the others hold through it.  A fifth keeps
-one forward and one inverse transform, both real-input: np.fft.rfft runs
-only in HalfLineFunction.spectrum, which holds it, in mellin_lines, off line
-0, in spectral_dx and in mellin._flow_defect_norm, the residual's one
-transform; np.fft.irfft runs only in mellin_inverse_lines; and the complex
-np.fft.fft and np.fft.ifft run nowhere.  A sixth
+mellin.checked_line, which scans the spectrum for NaN/Inf, the held line 0
+of a function included.  A fourth keeps one get-or-compute for held
+values: no function but grid._hold names `._held`; the others hold through
+it.  A fifth keeps one forward and one inverse transform, both real-input,
+in mellin.py: np.fft.rfft runs only in mellin._line_zero, the held line 0,
+in mellin_lines, off line 0, in spectral_dx and in mellin._flow_defect_norm,
+the residual's one transform; np.fft.irfft runs only in
+mellin_inverse_lines; and the complex np.fft.fft and np.fft.ifft run
+nowhere.  A sixth
 keeps the gates' tolerances fixed: no function takes a tolerance of its
 own, and no package call hands one to a gate predicate, so every gate reads
 grid.DECAY_TOL, solver.OBSTRUCTION_TOL, solver.EPS_POLE and
@@ -115,17 +115,11 @@ def test_one_path_for_grid_weights():
 
 
 def _line_constructions(tree: ast.AST) -> list[int]:
-    """Lines of MellinLine(...) calls outside checked_line and the a == 0
-    branch of mellin_lines."""
+    """Lines of MellinLine(...) calls outside checked_line."""
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "checked_line":
             allowed.update(map(id, ast.walk(node)))
-        elif isinstance(node, ast.FunctionDef) and node.name == "mellin_lines":
-            for branch in ast.walk(node):
-                if isinstance(branch, ast.If) and ast.unparse(branch.test) == "a == 0":
-                    for stmt in branch.body:
-                        allowed.update(map(id, ast.walk(stmt)))
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -142,7 +136,7 @@ def test_one_path_for_mellin_lines():
         for path in sorted(PACKAGE.glob("*.py"))
         for line in _line_constructions(ast.parse(path.read_text(), str(path)))
     ]
-    assert not found, f"MellinLine built outside checked_line and mellin_lines' line 0: {found}"
+    assert not found, f"MellinLine built outside checked_line: {found}"
 
 
 def _held_uses(tree: ast.AST, hold: bool) -> list[int]:
@@ -171,14 +165,10 @@ def test_one_get_or_compute_for_held_values():
 
 def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:
     """Lines of `call` (an np.fft function) outside the functions named in
-    sites, where "HalfLineFunction.spectrum" names the method."""
+    sites."""
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "HalfLineFunction":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and f"{node.name}.{item.name}" in sites:
-                    allowed.update(map(id, ast.walk(item)))
-        elif isinstance(node, ast.FunctionDef) and node.name in sites:
+        if isinstance(node, ast.FunctionDef) and node.name in sites:
             allowed.update(map(id, ast.walk(node)))
     return [
         node.lineno
@@ -190,20 +180,23 @@ def _fft_calls(tree: ast.AST, call: str, sites: tuple[str, ...]) -> list[int]:
 
 
 def _fft_calls_outside(call: str, sites: tuple[str, ...]) -> list[str]:
-    """Every call of `call` in the package outside sites, as "<file>:<line>"."""
+    """Every call of `call` in the package outside sites, functions of
+    mellin.py, as "<file>:<line>"."""
     return [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for line in _fft_calls(ast.parse(path.read_text(), str(path)), call, sites)
+        for line in _fft_calls(
+            ast.parse(path.read_text(), str(path)), call, sites if path.name == "mellin.py" else ()
+        )
     ]
 
 
 def test_one_path_for_forward_transforms():
-    # a function's spectrum is read from where it is held, not recomputed,
-    # and every forward transform is of real rows
-    sites = ("HalfLineFunction.spectrum", "mellin_lines", "spectral_dx", "_flow_defect_norm")
+    # a function's line 0 is read from where it is held, not recomputed,
+    # and every forward transform is of real rows, in mellin.py
+    sites = ("_line_zero", "mellin_lines", "spectral_dx", "_flow_defect_norm")
     found = _fft_calls_outside("np.fft.rfft", sites)
-    assert not found, f"np.fft.rfft outside HalfLineFunction.spectrum and mellin: {found}"
+    assert not found, f"np.fft.rfft outside {sites} of mellin.py: {found}"
     found = _fft_calls_outside("np.fft.fft", ())
     assert not found, f"complex np.fft.fft in the package: {found}"
 

@@ -1,5 +1,6 @@
 """tools/report_diff.py names the rows of a differing CSV or JSON report
-whose verdict moved, and per quantity how many values moved and by how much."""
+whose verdict moved, and per quantity how many values moved and by how
+much, relative and absolute."""
 
 import importlib.util
 import json
@@ -63,8 +64,9 @@ def test_config_on_one_side_is_a_difference(tmp_path, capsys):
 
 
 def test_value_moves_per_quantity():
-    # per quantity with a moved value: moved rows of the shared rows, and
-    # the largest |new - old| / |old|, +Inf from 0 or a non-finite value
+    # per quantity with a moved value: moved rows of the shared rows, the
+    # largest |new - old| / |old|, +Inf from 0 or a non-finite value, and
+    # the largest |new - old|, +Inf from a non-finite value
     parent = HEADER + (
         b"solve,0,r_exp,residual,m=1,1e-12,1e-06,<=,pass,\n"
         b"solve,0,r_exp,weighted_norm,t=0,0.5,,<=,pass,\n"
@@ -83,9 +85,10 @@ def test_value_moves_per_quantity():
         b"solve,2,new,residual,m=1,3e-07,1e-06,<=,pass,\n"
     )
     assert report_diff.value_moves(parent, change) == [
-        "residual: 1 of 2 rows moved, largest relative move 0.5",
-        "weighted_norm: 1 of 2 rows moved, largest relative move 0.1",
-        "obstruction_abs: 1 of 1 rows moved, largest relative move inf",
+        "residual: 1 of 2 rows moved, largest relative move 0.5, largest absolute move 5e-13",
+        "weighted_norm: 1 of 2 rows moved, largest relative move 0.1, largest absolute move 0.07",
+        "obstruction_abs: 1 of 1 rows moved, largest relative move inf, "
+        "largest absolute move 1e-17",
     ]
     assert report_diff.value_moves(parent, parent) == []
 
@@ -128,7 +131,30 @@ def test_json_value_moves_that_the_csv_rounds_away():
         "estimate-sweep,mix,weighted_norm,t=2: passed,flags ('true', '') -> ('false', 'non-finite')",
     ]
     assert report_diff.value_moves(parent, change) == [
-        "estimate_ratio: 1 of 2 rows moved, largest relative move 1.8e-16",
-        "weighted_norm: 1 of 1 rows moved, largest relative move inf",
+        "estimate_ratio: 1 of 2 rows moved, largest relative move 1.8e-16, "
+        "largest absolute move 5.6e-17",
+        "weighted_norm: 1 of 1 rows moved, largest relative move inf, largest absolute move inf",
     ]
     assert report_diff.value_moves(parent, parent) == []
+
+
+def test_move_at_rounding_level_reads_as_such():
+    # a value at rounding level that doubles moves by 1 relative, which the
+    # absolute move shows to be 1e-16; the two maxima may come from
+    # different rows
+    parent = HEADER + (
+        b"solve,0,r_exp,coincidence_defect,m=1,1e-16,1e-06,<=,pass,\n"
+        b"solve,1,mix,coincidence_defect,m=1,3e-09,1e-06,<=,pass,\n"
+    )
+    change = HEADER + (
+        b"solve,0,r_exp,coincidence_defect,m=1,2e-16,1e-06,<=,pass,\n"
+        b"solve,1,mix,coincidence_defect,m=1,3.3e-09,1e-06,<=,pass,\n"
+    )
+    assert report_diff.value_moves(parent, change) == [
+        "coincidence_defect: 2 of 2 rows moved, largest relative move 1, "
+        "largest absolute move 3e-10",
+    ]
+    assert report_diff.value_moves(parent, change[: change.index(b"solve,1")]) == [
+        "coincidence_defect: 1 of 1 rows moved, largest relative move 1, "
+        "largest absolute move 1e-16",
+    ]

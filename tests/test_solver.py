@@ -24,6 +24,7 @@ from twisteq.grid import (
     vanishes,
     weighted_norm,
 )
+from twisteq.mellin import mellin_line
 from twisteq.reps import ModelRepParams, apply_X, fractional_weight
 from twisteq.solver import (
     DEFAULT_ADMISSIBILITY_MARGIN,
@@ -444,8 +445,8 @@ class TestResidual:
         g = sample_terms(flow_rhs(family_member("r2_exp"), 1.0), grid)
         fresh = residual(f, g, 1.0)
         assert ffts(lambda: residual(f, g, 1.0)) == (1, 0)
-        assert "spectrum" not in f.__dict__
-        f.spectrum
+        assert ("line0",) not in f._held
+        mellin_line(f, 0.0)
         assert residual(f, g, 1.0) == fresh
 
     def test_overflowing_transform_is_a_non_finite_sample(self):
@@ -596,18 +597,26 @@ class TestWorkPerSolve:
         assert exps(lambda: solve_mellin(g2, p, lines=lines)) == 0
 
     def test_many_twists_stay_within_the_cap(self, ffts):
-        # with a coincidence line, each twist holds a solve, D and a strip
+        # with a coincidence line, each twist holds a solve and a strip
         # edge's profile on g and D's two strip weights on the grid; past
-        # MAX_HELD the first one held goes
+        # MAX_HELD the first one held goes, g's line 0 among them, which the
+        # next solve computes again, with the same bits
         grid = make_log_grid(1024, -12.0, 12.0)
         g = sample_terms(family_member("r2_exp"), grid)
         lines = (0.0, -0.4)
         twists = [float(m) for m in np.linspace(0.6, 1.4, 200)]
+        held_lines = []
         for m in twists:
             solve_mellin(g, ModelRepParams(sigma=1, lambda1=1.0, m=m), lines=lines)
             assert len(g._held) <= MAX_HELD and len(grid._held) <= MAX_HELD
+            line = g._held.get(("line0",))
+            if line is not None and not any(line is seen for seen in held_lines):
+                held_lines.append(line)
         assert len(g._held) == len(grid._held) == MAX_HELD
         assert ("solve", twists[0], lines) not in g._held
+        assert len(held_lines) > 1
+        for line in held_lines[1:]:
+            assert np.array_equal(line.spectrum, held_lines[0].spectrum)
         last = ModelRepParams(sigma=1, lambda1=1.0, m=twists[-1])
         assert ffts(lambda: solve_mellin(g, last, lines=lines)) == (0, 0)
 

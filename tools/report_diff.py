@@ -11,9 +11,11 @@ every report file are compared byte for byte; for each that differs the
 first differing line is printed, and for a CSV or JSON report also how
 many rows' value moved, every row whose verdict (passed or flags) changed
 and, per quantity with a moved value, how many of its rows moved and the
-largest relative move.  The CSV prints 12 significant digits and the JSON
-every digit, so a move that the CSV rounds away shows in the JSON.  Rows
-are matched by suite, function, quantity and params, not by case number.
+largest relative and absolute moves, so that a large relative move of a
+value at rounding level reads as such.  The CSV prints 12 significant
+digits and the JSON every digit, so a move that the CSV rounds away shows
+in the JSON.  Rows are matched by suite, function, quantity and params,
+not by case number.
 The exit status is 1 on any difference and 0 otherwise.
 """
 
@@ -103,22 +105,23 @@ def verdict_changes(parent: bytes, change: bytes) -> list[str]:
     return lines
 
 
-def _relative_move(old: str, new: str) -> float:
-    """|new - old| / |old|, or +Inf when either value is not a finite number
-    or old is 0."""
+def _moves(old: str, new: str) -> tuple[float, float]:
+    """(|new - old| / |old|, |new - old|): both +Inf when either value is not
+    a finite number, and the relative move +Inf when old is 0."""
     try:
         a, b = float(old), float(new)
     except ValueError:
-        return math.inf
-    if not (math.isfinite(a) and math.isfinite(b)) or a == 0:
-        return math.inf
-    return abs(b - a) / abs(a)
+        return math.inf, math.inf
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    move = abs(b - a)
+    return (move / abs(a) if a != 0 else math.inf), move
 
 
 def value_moves(parent: bytes, change: bytes) -> list[str]:
     """For each quantity, in file order, with a row whose value moved: how
     many of the rows that both sides have moved, and the largest relative
-    move among them."""
+    and the largest absolute move among them."""
     old, new = _rows(parent), _rows(change)
     shared: dict[str, list[tuple]] = {}
     for key in old:
@@ -127,14 +130,15 @@ def value_moves(parent: bytes, change: bytes) -> list[str]:
     lines = []
     for quantity, keys in shared.items():
         moves = [
-            _relative_move(old[key]["value"], new[key]["value"])
+            _moves(old[key]["value"], new[key]["value"])
             for key in keys
             if old[key]["value"] != new[key]["value"]
         ]
         if moves:
+            relative, absolute = map(max, zip(*moves))
             lines.append(
                 f"{quantity}: {len(moves)} of {len(keys)} rows moved, "
-                f"largest relative move {max(moves):.2g}"
+                f"largest relative move {relative:.2g}, largest absolute move {absolute:.2g}"
             )
     return lines
 
