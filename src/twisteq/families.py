@@ -41,21 +41,22 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
 
     Raises InvalidGrid when terms with a nonzero coefficient sample to zero
     at every node: the window misses the function, and every measurement on
-    it would be one of the zero function.  Each distinct power r^k and rate
-    e^(-c r) is computed once per call, and none is kept after it.
+    it would be one of the zero function.
 
-    Each term is coef * (r^k e^(-c r)): the shape, 0 wherever e^(-c r)
-    underflows to 0 (so inf * 0 is never formed, even where r is inf), is
-    scaled by the coefficient.  Real and imaginary parts are summed in real
-    arithmetic from +0, which gives the bits of the complex sum; a zero
-    part adds nothing and is skipped.  When every coefficient is real only
-    the real part is formed, and the samples are float64.
+    Each term is coef * (r^k e^(-c r)).  The shapes r^k e^(-c r) are formed
+    once per call for each distinct (k, c) of a nonzero term (_shapes), and
+    each term is one product of its shape with a part of its coefficient,
+    in one scratch array that every term reuses.  Real and imaginary parts
+    are summed in real arithmetic from +0, in term order, which gives the
+    bits of the complex sum; a zero part adds nothing and is skipped.  When
+    every coefficient is real only the real part is formed, and the samples
+    are float64.  A call holds the rates, the shapes, the scratch array and
+    the accumulators, and keeps none of them.
     """
     sides = ("real", "imag") if any(t.coef.imag for t in terms) else ("real",)
 
     def expr(r):
-        powers = {k: r**k for k in {t.k for t in terms}}
-        decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
+        shapes = _shapes([(k, c) for coef, k, c in terms if coef], r)
         term = np.empty_like(r)
         parts = []
         for side in sides:
@@ -63,10 +64,7 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
             for coef, k, c in terms:
                 part = getattr(coef, side)
                 if part:
-                    term.fill(0.0)
-                    np.multiply(powers[k], decays[c], out=term, where=decays[c] > 0)
-                    term *= part
-                    acc += term
+                    acc += np.multiply(shapes[k, c], part, out=term)
             parts.append(acc)
         if len(parts) == 1:
             return parts[0]
@@ -80,6 +78,34 @@ def sample_terms(terms: Terms, grid: LogGrid) -> HalfLineFunction:
             f"the terms vanish at every node of [{grid.x_min:g}, {grid.x_max:g}]"
         )
     return f
+
+
+def _shapes(pairs: list[tuple[int, float]], r: np.ndarray) -> dict[tuple[int, float], np.ndarray]:
+    """r^k e^(-c r) on the nodes r for each distinct (k, c) of pairs.
+
+    Each rate e^(-c r) and each power r^k is computed once.  As r falls
+    along the grid, e^(-c r) rises, so the nodes where it underflows to 0
+    are a prefix, found by one search per rate; a shape is the plain
+    product r^k e^(-c r), set to 0 on that prefix, so inf * 0 (where r^k
+    overflows) never reaches it.  A power's last shape is formed in the
+    power's own array.
+    """
+    rates = {}
+    for c in dict.fromkeys(c for _, c in pairs):
+        decay = np.exp(-c * r)
+        rates[c] = decay, np.searchsorted(decay, 0.0, side="right")
+    by_power = {}
+    for k, c in dict.fromkeys(pairs):
+        by_power.setdefault(k, []).append(c)
+    shapes = {}
+    for k, cs in by_power.items():
+        power = r**k
+        for c in cs:
+            decay, underflow = rates[c]
+            shape = np.multiply(power, decay, out=power if c == cs[-1] else None)
+            shape[:underflow] = 0.0
+            shapes[k, c] = shape
+    return shapes
 
 
 def scale_terms(alpha: complex, terms: Terms) -> Terms:

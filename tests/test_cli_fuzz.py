@@ -125,6 +125,12 @@ def _files(root: Path) -> dict[str, bytes]:
              "rep.lambda1": "-1", "regularity.s": "0", "t_grid": "0, 2"},
     strict=False,
 )
+# Finite ends whose width overflows: h = inf, refused with the grid.
+@example(entries={"suite": "solve", "grid.x_min": "-1e308", "grid.x_max": "1e308"}, strict=False)
+@example(
+    entries={"suite": "obstruction-scan", "grid.x_min": "-1e308", "grid.x_max": "1e308"},
+    strict=False,
+)
 # Grids and sweeps that numpy refuses to build, without allocating them:
 # 10^30 points exceed its size limit, 2^59 float64 points any address space.
 @example(entries={"suite": "solve", "grid.n_points": str(10**30)}, strict=False)

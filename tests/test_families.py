@@ -5,21 +5,23 @@ import numpy as np
 import pytest
 
 from twisteq.errors import NonFiniteSample
-from twisteq.families import FAMILY, make_terms, sample_terms
+from twisteq.families import FAMILY, flow_rhs, make_terms, sample_terms
 from twisteq.grid import make_log_grid, sample
 
 
-def complex_sum_reference(terms, grid):
+def complex_sum(terms, r):
     """The complex formula: acc += coef * (r^k e^{-c r}) from complex zeros."""
-    def expr(r):
-        powers = {k: r**k for k in {t.k for t in terms}}
-        decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
-        acc = np.zeros_like(r, dtype=np.complex128)
-        for coef, k, c in terms:
-            acc += coef * (powers[k] * decays[c])
-        return acc
+    powers = {k: r**k for k in {t.k for t in terms}}
+    decays = {c: np.exp(-c * r) for c in {t.c for t in terms}}
+    acc = np.zeros_like(r, dtype=np.complex128)
+    for coef, k, c in terms:
+        acc += coef * (powers[k] * decays[c])
+    return acc
 
-    return sample(expr, grid)
+
+def complex_sum_reference(terms, grid):
+    """complex_sum sampled on the grid."""
+    return sample(lambda r: complex_sum(terms, r), grid)
 
 
 TERMS = {
@@ -122,3 +124,31 @@ def test_single_terms_match_mpmath(coef, k, c, window):
             assert rel <= 2 * (k + c * r + 4) * 2.0**-53, (r, value, rel)
             checked += 1
     assert checked > 50
+
+
+# Term sets in which several terms share a shape (k, c): (X + m) of
+# a mixed real and complex set (9 terms, 5 shapes), and repeats around zero
+# coefficients, one of them on a shape that no nonzero term has.
+REPEATED = {
+    "flow-rhs-mixed": flow_rhs(make_terms([(1.0, 2, 1.0), (0.3 - 1.7j, 3, 0.5), (-2.0, 2, 0.5)]), 0.7),
+    "flow-rhs-real": flow_rhs(make_terms([(1.0, 1, 1.0), (-0.5, 3, 2.0)]), 1.3),
+    "with-zero": make_terms(
+        [(1.0, 2, 1.0), (0.0, 2, 1.0), (-0.5j, 2, 1.0), (2.0, 3, 1.0), (0j, 4, 2.0), (1.5, 3, 2.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("window", [*WINDOWS, "power-overflow"])
+@pytest.mark.parametrize("kind", REPEATED)
+def test_repeated_shapes_sample_the_complex_sum(kind, window):
+    terms = REPEATED[kind]
+    grid = make_log_grid(*WINDOWS.get(window, (8192, -300.0, 12.0)))
+    values = sample_terms(terms, grid).values
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = complex_sum(terms, grid.r)
+    # on [-300, 12] r^k overflows where e^{-c r} is 0: the complex sum has
+    # inf * 0 = NaN there, and the samples the true 0
+    formed = np.isfinite(expected)
+    assert formed.all() == (window != "power-overflow")
+    assert np.array_equal(values[formed], expected[formed])
+    assert np.all(values[~formed] == 0)

@@ -51,6 +51,14 @@ class TestMakeLogGrid:
         with pytest.raises(InvalidGrid):
             make_log_grid(32, 1.0, -1.0)
 
+    @pytest.mark.parametrize("x_min, x_max", [(-1e308, 1e308), (-1.7e308, 1.7e308), (-1e308, 8e307)])
+    def test_overflowing_width(self, x_min, x_max):
+        # both ends finite and ordered, but x_max - x_min overflows, so h = inf
+        # and x_min + h * 0 would be NaN
+        with pytest.raises(InvalidGrid, match="x_max - x_min must be finite"):
+            make_log_grid(64, x_min, x_max)
+        assert math.isfinite(make_log_grid(64, -1e308, 7e307).h)
+
     def test_r_overflowing_at_the_left_end_accepted(self):
         # r = e^{-x} is +Inf left of -log(float max); there e^{-c r} is 0,
         # and so is every sampled term

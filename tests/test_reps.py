@@ -1,14 +1,19 @@
+import math
+import struct
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from twisteq.errors import MissingParams, NonFiniteSample
-from twisteq.families import FAMILY, family_member, sample_terms
+from twisteq.families import FAMILY, family_member, make_terms, sample_terms
 from twisteq.grid import (
     HalfLineFunction,
+    decay_admissible,
     lin_comb,
     make_log_grid,
+    measured,
     sample,
     weighted_norm,
 )
@@ -332,6 +337,97 @@ class TestFractionalNorm:
         f = HalfLineFunction(grid, np.full(grid.n_points, 1e-170))
         value, admissible = fractional_norm(f, 0.5, p)
         assert np.isnan(value) and not admissible
+
+
+def _through_the_weighted_function(f, t, p):
+    """fractional_norm's value and verdict read off the function
+    fractional_weight(f, t, p) itself: its weighted norm at 0, by the rule
+    of measured, and the decay gate at 0; (inf, False) where it refuses."""
+    try:
+        weighted = fractional_weight(f, t, p)
+    except NonFiniteSample:
+        return math.inf, False
+    norm = measured(weighted_norm(weighted, 0.0), weighted)
+    return norm, bool(decay_admissible(weighted, 0.0) and math.isfinite(norm))
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _assert_same_bits(f, t, p):
+    """fractional_norm equals the weighted function's norm and verdict bit
+    for bit; returns them."""
+    value, admissible = fractional_norm(f, t, p)
+    expected, expected_admissible = _through_the_weighted_function(f, t, p)
+    assert (_bits(value), admissible) == (_bits(expected), expected_admissible), (t, p)
+    assert type(admissible) is bool
+    return value, admissible
+
+
+class TestFractionalNormWithoutAWeightedFunction:
+    """fractional_norm takes ||f w|| and its decay verdict off one product
+    f w, with no weighted function: bit for bit what the function
+    fractional_weight(f, t, p) gives."""
+
+    LAMBDAS = (0.5, -0.5, 1.1, -1.1)
+    TS = (0.5, 1.0, 2.9)
+
+    @pytest.mark.parametrize("name, terms", FAMILY)
+    def test_family(self, grid, name, terms):
+        f = sample_terms(terms, grid)
+        for lam in self.LAMBDAS:
+            for t in self.TS:
+                _assert_same_bits(f, t, ModelRepParams(sigma=1, lambda1=lam, m=1.0))
+
+    def test_complex_input(self, grid):
+        f = sample_terms(make_terms([(0.3 - 1.7j, 2, 0.5), (-1.1 + 0.2j, 4, 1.5)]), grid)
+        assert np.iscomplexobj(f.values)
+        for lam in self.LAMBDAS:
+            for t in self.TS:
+                _assert_same_bits(f, t, ModelRepParams(sigma=1, lambda1=lam, m=1.0))
+
+    def test_zeroing_window(self):
+        # r^2 e^{-r} on [-400, 12] is exactly 0 where r > e^354, and there
+        # the weight (1 + r^{-2 lambda1})^{t/2} overflows for lambda1 < 0:
+        # the product is zeroed where f is 0, and the norm is finite
+        grid = make_log_grid(512, -400.0, 12.0)
+        f = sample_terms(family_member("r2_exp"), grid)
+        zeroed = 0
+        for lam in (*self.LAMBDAS, -1.0):
+            for t in (*self.TS, 2.0):
+                p = ModelRepParams(sigma=1, lambda1=lam, m=1.0)
+                value, _ = _assert_same_bits(f, t, p)
+                zeroed += not reps._weight(grid, lam, t)[1] and math.isfinite(value)
+        assert zeroed >= 4
+
+    def test_weight_that_underflows_every_sample(self):
+        # at t = -2 the weight 1/(1 + e^{2x}) underflows to 0 for x > 373:
+        # every weighted sample is 0, and so is the norm, which decays
+        grid = make_log_grid(256, 400.0, 420.0)
+        f = HalfLineFunction(grid, np.ones(grid.n_points))
+        assert _assert_same_bits(f, -2.0, ModelRepParams(sigma=1, lambda1=1.0, m=1.0)) == (0.0, True)
+
+    @pytest.mark.parametrize(
+        "samples, t",
+        [(1e-170, 0.5), (1.0, -2.0)],
+        ids=["tiny-samples", "tiny-weight"],
+    )
+    def test_energy_that_underflows_on_nonzero_samples(self, samples, t):
+        # weighted samples of at most 1e-170 * e^{2.5}, or of at most
+        # e^{-2 * 190}: nonzero, but every square underflows, so the norm
+        # is not measured
+        grid = make_log_grid(256, *((-1.0, 5.0) if t > 0 else (190.0, 200.0)))
+        f = HalfLineFunction(grid, np.full(grid.n_points, samples))
+        value, admissible = _assert_same_bits(f, t, ModelRepParams(sigma=1, lambda1=1.0, m=1.0))
+        assert math.isnan(value) and not admissible
+
+    def test_weight_that_overflows_where_f_is_nonzero(self, grid):
+        values = np.where(grid.x < 0.0, 1.0, 0.0)
+        values[-1] = 1e-300
+        f = HalfLineFunction(grid, values)
+        p = ModelRepParams(sigma=1, lambda1=1.0, m=1.0)
+        assert _assert_same_bits(f, 80.0, p) == (math.inf, False)
 
 
 class TestSobolevNorm:

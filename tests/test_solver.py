@@ -744,12 +744,13 @@ def test_contracting_config_exponential_count(exps, tmp_path):
 
 
 def test_contracting_config_abs_count(abses, tmp_path):
-    # per grid (2) and input (8), 10 |.| passes: one per profile, g's at
+    # per grid (2) and input (8), 9 |.| passes: one per profile, g's at
     # a = -2 (the regularity gate's line Re z = 2) and at 0, the solution's
-    # at 0 and the fractional weights of the solution and of g at t = 0.5,
-    # 1, 2, and one in the residual
+    # at 0, and one per weighted norm of the solution and of g at t = 0.5,
+    # 1, 2, in its product's buffer; the residual squares its real
+    # difference without one
     config = Path(__file__).resolve().parent.parent / "configs" / "contracting.cfg"
-    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 160
+    assert abses(lambda: main(["run", str(config), "--out", str(tmp_path)])) == 144
 
 
 def _equal(a, b) -> bool:
